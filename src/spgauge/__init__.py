@@ -76,9 +76,11 @@ from .lattice import (
 )
 from .phi import (
     PhiResult,
+    checked_order,
     closed_form_order,
     identity_samelson_p_part,
     phi_image,
+    phi_images,
     samelson_order,
 )
 from .report import Report

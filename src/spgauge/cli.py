@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
+from math import factorial
 
-from .chdata import phi_generator_tops
 from .errors import SpgaugeError
 from .gauge import (
     Bundle,
@@ -26,7 +27,7 @@ from .gauge import (
     retractible,
     sutherland_invariant,
 )
-from .phi import closed_form_order, phi_image, samelson_order
+from .phi import checked_order, closed_form_order, phi_image, phi_images, samelson_order
 from .report import FORMATS, Report, fmt_bool, fmt_frac, fmt_int
 from .series import BACKENDS
 from .verify import verify_sweep
@@ -111,10 +112,13 @@ def _cmd_order(args) -> Report:
         raise SpgaugeError("--n must be a positive integer")
     if args.max_n is not None and args.max_n < 1:
         raise SpgaugeError("--max-n must be a positive integer")
-    ranks = [args.n] if args.n is not None else list(range(1, args.max_n + 1))
+    if args.n is not None:
+        orders = [(args.n, samelson_order(args.n))]
+    else:
+        orders = ((r.n, checked_order(r)) for r in phi_images(args.max_n))
     rows = [
-        {"n": fmt_int(n), "samelson_order": fmt_int(samelson_order(n))}
-        for n in ranks
+        {"n": fmt_int(n), "samelson_order": fmt_int(order)}
+        for n, order in orders
     ]
     params = {"n": fmt_int(args.n)} if args.n is not None else {
         "max_n": fmt_int(args.max_n)}
@@ -129,12 +133,14 @@ def _cmd_phi_gens(args) -> Report:
     )
     rows = []
     names = ["zeta1"] + [f"xi{k}" for k in range(2, args.n + 1)]
-    tops = phi_generator_tops(args.n, args.backend)
-    for name, top, gen in zip(names, tops, result.upper_gens):
+    # every tabulated top coefficient is positive, so it is the image
+    # generator over (2n+1)!
+    scale = factorial(2 * args.n + 1)
+    for name, gen in zip(names, result.upper_gens):
         rows.append({
             "n": fmt_int(args.n),
             "generator": name,
-            "top_coeff": fmt_frac(top),
+            "top_coeff": fmt_frac(Fraction(gen, scale)),
             "image_gen": fmt_int(gen),
             "lower_gen": fmt_int(result.lower_gen),
             "pinned_order": pinned,

@@ -21,6 +21,7 @@ from .errors import (
     NotPrime,
     OddRank,
     OracleMismatch,
+    OutOfRange,
 )
 from .phi import closed_form_order
 
@@ -218,10 +219,21 @@ def _retract_guard(n: int, p: int) -> GuardCheck:
     )
 
 
+def _p_power(a: int, p: int) -> int:
+    """p-part of a nonzero a for a p the caller has already found prime."""
+    a = abs(a)
+    power = 1
+    while a % p == 0:
+        a //= p
+        power *= p
+    return power
+
+
 def _local_verdict(n: int, k: int, l: int, p: int,
                    guards: tuple[GuardCheck, ...]) -> Verdict:
+    # n >= 1, so b > 0 and both gcds are nonzero
     b = closed_form_order(n)
-    values = (p_part(gcd(k, b), p), p_part(gcd(l, b), p))
+    values = (_p_power(gcd(k, b), p), _p_power(gcd(l, b), p))
     if not all(g.passed for g in guards):
         outcome = Outcome.NOT_DETERMINED
     elif values[0] == values[1]:
@@ -238,7 +250,9 @@ def decide_local(n: int, k: int, l: int, p: int) -> Verdict:
     Under the retractibility guard (p-1)^2 + 1 >= 2n the gauge groups are
     p-locally equivalent exactly when the p-parts of gcd(., 4n(2n+1)) agree;
     outside the guard the criterion claims nothing and the verdict is
-    NotDetermined."""
+    NotDetermined.  Raises OutOfRange for n < 1."""
+    if n < 1:
+        raise OutOfRange(f"rank must be a positive integer, got {n}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     return _local_verdict(n, k, l, p, (_retract_guard(n, p),))
@@ -300,7 +314,10 @@ def retractible(family: LieFamily, rank: int | None, p: int) -> bool:
 
     SU(n) needs (p-1)^2 + 1 >= n; Sp(n) and Spin(2n+1) need
     (p-1)^2 + 1 >= 2n; the exceptional families need p >= 5 (G2, F4, E6)
-    or p >= 7 (E7, E8).  rank is ignored for the exceptional families."""
+    or p >= 7 (E7, E8).  rank is ignored for the exceptional families.
+    Raises NotPrime when p is not prime, in every family."""
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     if family in _EXCEPTIONAL_MIN_PRIME:
         return p >= _EXCEPTIONAL_MIN_PRIME[family]
     if rank is None or rank < 1:

@@ -2,9 +2,9 @@
 
 All entries are arbitrary-precision Python ints.  The Smith form tracks the
 unimodular transforms (U A V = D) so element orders in cokernels can be read
-off exactly; pivot selection is deterministic (smallest nonzero absolute
-value, ties broken by lowest row then lowest column) so the transforms are
-reproducible run to run.
+off exactly; they need only U and D, so they skip V.  Pivot selection is
+deterministic (smallest nonzero absolute value, ties broken by lowest row
+then lowest column) so the transforms are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -141,10 +141,21 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     ties broken by lowest row then lowest column, so the output is
     deterministic.
     """
+    return SmithForm(*_reduce(a, track_v=True))
+
+
+def _reduce(
+    a: IntMatrix, track_v: bool
+) -> tuple[IntMatrix, IntMatrix, IntMatrix | None]:
+    """The Smith reduction behind smith_normal_form: (u, d, v).
+
+    Without track_v the column operations touch d alone and v is None,
+    which is all a caller reading only u and d needs.
+    """
     m, n = a.rows, a.cols
     d = a.to_lists()
     u = IntMatrix.identity(m).to_lists()
-    v = IntMatrix.identity(n).to_lists()
+    v = IntMatrix.identity(n).to_lists() if track_v else []
 
     def swap_rows(i1, i2):
         d[i1], d[i2] = d[i2], d[i1]
@@ -234,14 +245,16 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
             d[i] = [-x for x in d[i]]
             u[i] = [-x for x in u[i]]
 
-    return SmithForm(
-        IntMatrix.from_rows(u), IntMatrix.from_rows(d), IntMatrix.from_rows(v)
+    return (
+        IntMatrix.from_rows(u),
+        IntMatrix.from_rows(d),
+        IntMatrix.from_rows(v) if track_v else None,
     )
 
 
 def cokernel(a: IntMatrix) -> FinAbGroup:
     """Invariants of Z^rows / column-span(a)."""
-    diag = smith_normal_form(a).d.diagonal()
+    diag = _reduce(a, track_v=False)[1].diagonal()
     nonzero = [x for x in diag if x != 0]
     return FinAbGroup(
         invariant_factors=tuple(x for x in nonzero if x >= 2),
@@ -259,9 +272,9 @@ def element_order_in_coker(a: IntMatrix, v: Sequence[int]) -> int | None:
         raise DimensionMismatch(
             f"vector length {len(v)} does not match {a.rows} rows"
         )
-    snf = smith_normal_form(a)
-    w = snf.u.apply([int(x) for x in v])
-    diag = snf.d.diagonal()
+    u, d, _ = _reduce(a, track_v=False)
+    w = u.apply([int(x) for x in v])
+    diag = d.diagonal()
     order = 1
     for i, wi in enumerate(w):
         di = diag[i] if i < len(diag) else 0

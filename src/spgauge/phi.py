@@ -6,12 +6,18 @@ coefficients by (2n+1)!.  The order of the Samelson product of the bottom
 cell with the rank-n quasi-projective inclusion is the index of that image,
 computed along two independent routes (plain gcd, and element order in a
 Smith-form cokernel) that must agree.
+
+The series backend's generators are integers outright:
+(2n+1)! * surj(2n-1, k)/(2n-1)! = 2n(2n+1) * surj(2n-1, k).  phi_images
+streams them rank by rank from a single row of surjection counts advanced
+by the Stirling recurrence, so a sweep over n = 1..N never rebuilds a count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, gcd
+from typing import Iterator
 
 from .arith import is_prime, p_part
 from .chdata import phi_generator_tops
@@ -41,25 +47,8 @@ class PhiResult:
     pinned_order: int | None
 
 
-def phi_image(n: int, backend: str = "series") -> PhiResult:
-    """Compute the image subgroup data for rank n.
-
-    Each generator is (2n+1)! times a tabulated top coefficient and must be
-    an integer; a non-integral product means the coefficient convention is
-    broken and raises NonIntegralGenerator.  Signs are dropped, since a
-    subgroup of Z does not see them.
-    """
-    if n < 1:
-        raise GuardFailed("rank must be a positive integer")
-    scale = factorial(2 * n + 1)
-    gens = []
-    for top in phi_generator_tops(n, backend):
-        val = scale * top
-        if val.denominator != 1:
-            raise NonIntegralGenerator(
-                f"(2n+1)! * {top} is not an integer at n={n}"
-            )
-        gens.append(abs(int(val)))
+def _image(n: int, backend: str, gens: list[int]) -> PhiResult:
+    """PhiResult for the generators gens, gens[0] being the anchor."""
     lower = gens[0]
     g = 0
     for x in gens:
@@ -73,16 +62,70 @@ def phi_image(n: int, backend: str = "series") -> PhiResult:
     )
 
 
+def phi_images(max_n: int) -> Iterator[PhiResult]:
+    """Series-backend image data for n = 1, 2, ..., max_n, in order.
+
+    Keeps one row surj(m, 0..min(m, max_n)) and moves it two steps per rank
+    with surj(m, k) = k * (surj(m-1, k) + surj(m-1, k-1)) (Stirling numbers
+    of the second kind, times k!; Graham-Knuth-Patashnik, Concrete
+    Mathematics 6.1).  At rank n the row is m = 2n-1; the anchor is
+    4n(2n+1) and the k-th generator 2n(2n+1) * surj(2n-1, k).  No rank
+    reads k > max_n, so the row stops there.
+    """
+    row = [0, 1]  # surj(1, .)
+    for n in range(1, max_n + 1):
+        if n > 1:
+            for _ in range(2):
+                if len(row) <= max_n:
+                    row.append(0)  # surj(m-1, m) = 0 extends the row to k = m
+                row = [0] + [k * (row[k] + row[k - 1]) for k in range(1, len(row))]
+        scale = 2 * n * (2 * n + 1)
+        gens = [2 * scale] + [scale * row[k] for k in range(2, n + 1)]
+        yield _image(n, "series", gens)
+
+
+def phi_image(n: int, backend: str = "series") -> PhiResult:
+    """Compute the image subgroup data for rank n.
+
+    The series backend is the n-th item of phi_images.  Other backends scale
+    each tabulated top coefficient by (2n+1)!; the product must be an
+    integer, and a non-integral one means the coefficient convention is
+    broken and raises NonIntegralGenerator.  Signs are dropped, since a
+    subgroup of Z does not see them.
+    """
+    if n < 1:
+        raise GuardFailed("rank must be a positive integer")
+    if backend == "series":
+        for result in phi_images(n):
+            pass
+        return result
+    scale = factorial(2 * n + 1)
+    gens = []
+    for top in phi_generator_tops(n, backend):
+        val = scale * top
+        if val.denominator != 1:
+            raise NonIntegralGenerator(
+                f"(2n+1)! * {top} is not an integer at n={n}"
+            )
+        gens.append(abs(int(val)))
+    return _image(n, backend, gens)
+
+
 def samelson_order(n: int) -> int:
     """Order of the Samelson product of the bottom cell with the rank-n
-    quasi-projective inclusion.
+    quasi-projective inclusion: checked_order of the series-backend image."""
+    return checked_order(phi_image(n, "series"))
 
-    Runs the series-backend image pipeline, reads the order both as the gcd
-    of the image generators and as the order of the fundamental class in the
-    cokernel of the image presentation, and checks both against the closed
-    form 4n(2n+1).  Any disagreement raises OracleMismatch.
+
+def checked_order(result: PhiResult) -> int:
+    """The Samelson order read off series-backend image data.
+
+    Reads the order both as the gcd of the image generators and as the order
+    of the fundamental class in the cokernel of the image presentation, and
+    checks both against the closed form 4n(2n+1).  Any disagreement raises
+    OracleMismatch.
     """
-    result = phi_image(n, "series")
+    n = result.n
     if result.pinned_order is None:
         raise OracleMismatch(
             f"series-backend image at n={n} failed to pin the order"

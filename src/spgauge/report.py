@@ -42,12 +42,15 @@ class Report:
         return "ok" if not self.failures else "failed"
 
     def to_json_dict(self) -> dict:
+        """The report as a JSON document.  It shares the parameter, row and
+        failure containers with the report rather than copying them, which
+        keeps a large grid from being held twice while it is serialised."""
         return {
             "command": self.command,
-            "parameters": dict(self.parameters),
-            "rows": [dict(r) for r in self.rows],
+            "parameters": self.parameters,
+            "rows": self.rows,
             "status": self.status,
-            "failures": list(self.failures),
+            "failures": self.failures,
         }
 
     def to_json(self) -> str:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import factorial, gcd
 
@@ -27,7 +26,14 @@ from .gauge import (
     retractible,
 )
 from .lattice import IntMatrix, cokernel, element_order_in_coker, smith_normal_form
-from .phi import closed_form_order, identity_samelson_p_part, phi_image, samelson_order
+from .phi import (
+    PhiResult,
+    checked_order,
+    closed_form_order,
+    identity_samelson_p_part,
+    phi_image,
+    phi_images,
+)
 from .report import Report, fmt_bool, fmt_int
 from .series import exp_minus_one_pow
 
@@ -178,29 +184,36 @@ def _divisors(x: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# per-n workers (top level so process pools can pickle them)
+# per-rank workers over the image stream (top level so process pools can
+# pickle them)
 
 
-def _samelson_row(n: int) -> tuple[int, int]:
-    return n, samelson_order(n)
-
-
-def _divisibility_row(n: int) -> tuple[int, list[str]]:
+def _divisibility_row(res: PhiResult) -> list[str]:
+    """Each generator of the rank-n image against the inclusion-exclusion
+    oracle 2n(2n+1) * surjections(2n-1, k), once per k, plus divisibility by
+    the anchor and parity of the count."""
     bad = []
-    res = phi_image(n, "series")
+    n = res.n
     modulus = res.lower_gen
+    scale = 2 * n * (2 * n + 1)
     for k in range(2, n + 1):
         gen = res.upper_gens[k - 1]
-        even = surjections(2 * n - 1, k) % 2 == 0
+        count = surjections(2 * n - 1, k)
+        if gen != scale * count:
+            bad.append(f"n={n} k={k}: generator {gen} differs from the "
+                       f"surjection oracle {scale * count}")
         if gen % modulus != 0:
             bad.append(f"n={n} k={k}: generator {gen} not divisible by {modulus}")
-        if not even:
+        if count % 2 != 0:
             bad.append(f"n={n} k={k}: surjection count is odd")
-    return n, bad
+    return bad
 
 
 def _map_ordered(fn, args, jobs: int):
     if jobs > 1:
+        # imported here: the pool costs a third of the CLI's start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             yield from pool.map(fn, args, chunksize=8)
     else:
@@ -214,7 +227,8 @@ def _map_ordered(fn, args, jobs: int):
 def check_samelson_orders(max_n: int, jobs: int = 1) -> CheckResult:
     """Orders 4n(2n+1) out of the dual-route pipeline for n = 1..max_n."""
     res = CheckResult("samelson-orders")
-    for n, order in _map_ordered(_samelson_row, range(1, max_n + 1), jobs):
+    orders = _map_ordered(checked_order, phi_images(max_n), jobs)
+    for n, order in enumerate(orders, 1):
         res.rows.append({
             "check": res.name, "n": fmt_int(n), "samelson_order": fmt_int(order),
         })
@@ -224,11 +238,13 @@ def check_samelson_orders(max_n: int, jobs: int = 1) -> CheckResult:
 
 
 def check_divisibility(max_n: int, jobs: int = 1) -> CheckResult:
-    """Scaled top coefficients are integers divisible by 4n(2n+1), and the
-    matching surjection counts are even, for 2 <= k <= n <= max_n."""
+    """Scaled top coefficients equal 2n(2n+1) times the inclusion-exclusion
+    surjection count, are divisible by 4n(2n+1), and the count is even, for
+    2 <= k <= n <= max_n."""
     res = CheckResult("scaled-coefficient-divisibility")
     pairs = 0
-    for n, bad in _map_ordered(_divisibility_row, range(2, max_n + 1), jobs):
+    images = itertools.islice(phi_images(max_n), 1, None)
+    for n, bad in enumerate(_map_ordered(_divisibility_row, images, jobs), 2):
         pairs += n - 1
         res.failures.extend(bad)
     res.rows.append({
@@ -244,7 +260,7 @@ def check_printed_discrepancy() -> CheckResult:
     leaves the rank-3 image unpinned; the series backend pins it at 84."""
     res = CheckResult("printed-backend-discrepancy")
     printed = phi_image(3, "printed")
-    series = phi_image(3, "series")
+    *_, series = phi_images(3)
     scaled = printed.upper_gens[1]
     modulus = printed.lower_gen
     res.rows.append({
@@ -446,8 +462,8 @@ def check_two_path_orders(max_n: int) -> CheckResult:
     order for every n up to min(max_n, 60)."""
     res = CheckResult("two-path-order-agreement")
     top = min(max_n, 60)
-    for n in range(1, top + 1):
-        gens = phi_image(n, "series").upper_gens
+    for n, image in enumerate(phi_images(top), 1):
+        gens = image.upper_gens
         direct = 0
         for g in gens:
             direct = gcd(direct, g)

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spgauge
 from spgauge.cli import main
 from spgauge.report import Report
 from spgauge.verify import CheckResult
@@ -251,3 +256,29 @@ def test_unknown_subcommand_is_usage_error(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "sp", "--n", "0", "--p", "5", "--k", "1", "--l", "2"),
+    ("classify", "sp", "--n", "-3", "--p", "5", "--k", "1", "--l", "2"),
+    ("classify", "sp", "--n", "0", "--p", "5", "--grid"),
+    ("retractible", "--family", "Sp", "--n", "3", "--p", "4"),
+    ("retractible", "--family", "Sp", "--n", "3", "--p", "-7"),
+    ("retractible", "--family", "G2", "--p", "4"),
+])
+def test_bad_input_exits_two_with_empty_stdout(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # the pool is imported only when verify runs with --jobs > 1
+    code = ("import sys, spgauge.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    src = str(Path(spgauge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert done.stdout.strip() == "False"

@@ -5,7 +5,8 @@ from math import factorial, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spgauge.errors import BadDimension, EvenPrime, NotPrime, OddRank
+from spgauge import arith, gauge
+from spgauge.errors import BadDimension, EvenPrime, NotPrime, OddRank, OutOfRange
 from spgauge.gauge import (
     Bundle,
     LieFamily,
@@ -245,3 +246,50 @@ def test_sp_retractibility_equals_local_guard(n, k):
         v = decide_local(n, k, k + 1, p)
         assert (v.outcome is not Outcome.NOT_DETERMINED) == \
             retractible(LieFamily.SP, n, p)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_decide_local_rejects_nonpositive_rank(n):
+    with pytest.raises(OutOfRange):
+        decide_local(n, 1, 2, 5)
+
+
+@pytest.mark.parametrize("family", list(LieFamily))
+@pytest.mark.parametrize("p", [4, -7, 1, 0, 9])
+def test_retractible_rejects_non_prime_in_every_family(family, p):
+    with pytest.raises(NotPrime):
+        retractible(family, 3, p)
+
+
+def test_is_prime_runs_once_per_verdict(monkeypatch):
+    calls = []
+    original = arith.is_prime
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    # gauge holds its own reference; arith's is the one p_part would reach
+    monkeypatch.setattr(arith, "is_prime", counting)
+    monkeypatch.setattr(gauge, "is_prime", counting)
+    verdicts = 0
+    for n in (1, 2, 5):
+        for p in (2, 3, 5, 7):
+            for k, l in ((0, 1), (12, 40), (-84, 7)):
+                decide_local(n, k, l, p)
+                verdicts += 1
+    for m in (7, 8, 13):
+        for p in (2, 5, 11):
+            decide_spin(m, 84, 0, p)
+            verdicts += 1
+    assert len(calls) == verdicts
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 12), st.integers(-10_000, 10_000),
+       st.integers(-10_000, 10_000), st.sampled_from([2, 3, 5, 7, 11, 13]))
+def test_local_verdict_values_are_public_p_parts(n, k, l, p):
+    b = 4 * n * (2 * n + 1)
+    verdict = decide_local(n, k, l, p)
+    assert verdict.invariant_values == (
+        arith.p_part(gcd(k, b), p), arith.p_part(gcd(l, b), p))

@@ -1,15 +1,23 @@
 """Unit tests for the image pipeline and the Samelson-product orders."""
 
+import random
+from itertools import islice
+from math import gcd, lcm
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spgauge.arith import surjections
 from spgauge.errors import GuardFailed, NotPrime
+from spgauge.lattice import IntMatrix, element_order_in_coker, smith_normal_form
 from spgauge.phi import (
     closed_form_order,
     identity_samelson_p_part,
     phi_image,
+    phi_images,
     samelson_order,
 )
+from spgauge.verify import _SEED, _random_matrix
 
 
 def test_closed_form_anchors():
@@ -95,3 +103,76 @@ def test_identity_p_part_rejects_composite():
     # primality is checked before the guard
     with pytest.raises(NotPrime):
         identity_samelson_p_part(100, 9)
+
+
+def _oracle_gens(n):
+    scale = 2 * n * (2 * n + 1)
+    return (2 * scale,) + tuple(
+        scale * surjections(2 * n - 1, k) for k in range(2, n + 1))
+
+
+def test_stream_matches_inclusion_exclusion_oracle():
+    for n, res in enumerate(phi_images(40), 1):
+        assert res.n == n
+        assert res.backend == "series"
+        assert res.upper_gens == _oracle_gens(n)
+        assert res.lower_gen == closed_form_order(n)
+        assert res.pinned_order == closed_form_order(n)
+
+
+@pytest.mark.parametrize("n", [57, 200])
+def test_stream_matches_oracle_at_large_rank(n):
+    *_, res = phi_images(n)
+    assert res.n == n
+    assert res.upper_gens == _oracle_gens(n)
+
+
+def test_stream_prefixes_agree():
+    # the row is cut at k = max_n, so a shorter stream must not drift
+    long = list(phi_images(30))
+    for max_n in (1, 2, 3, 7, 30):
+        assert list(phi_images(max_n)) == long[:max_n]
+
+
+def test_stream_of_nothing_is_empty():
+    assert list(phi_images(0)) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 57])
+def test_phi_image_is_the_nth_stream_item(n):
+    assert phi_image(n) == next(islice(phi_images(n), n - 1, None))
+    assert phi_image(n, "series") == phi_image(n)
+
+
+def _order_from_full_smith_form(a, vec):
+    snf = smith_normal_form(a)
+    w = snf.u.apply(vec)
+    diag = snf.d.diagonal()
+    order = 1
+    for i, wi in enumerate(w):
+        di = diag[i] if i < len(diag) else 0
+        if di == 0:
+            if wi != 0:
+                return None
+        else:
+            order = lcm(order, di // gcd(di, wi))
+    return order
+
+
+def test_coker_order_without_v_on_image_rows():
+    for res in phi_images(40):
+        row = IntMatrix.from_rows([list(res.upper_gens)])
+        assert element_order_in_coker(row, [1]) == \
+            _order_from_full_smith_form(row, [1])
+
+
+def test_coker_order_without_v_on_random_matrices():
+    # the matrices check_smith_random draws, each with random vectors
+    rng = random.Random(_SEED)
+    vectors = random.Random(_SEED + 2)
+    for _ in range(1000):
+        a = _random_matrix(rng, 6, -20, 20)
+        for _ in range(2):
+            vec = [vectors.randint(-30, 30) for _ in range(a.rows)]
+            assert element_order_in_coker(a, vec) == \
+                _order_from_full_smith_form(a, vec)

@@ -56,6 +56,13 @@ def test_json_is_plain_strings():
     )
 
 
+def test_json_dict_passes_rows_through_uncopied():
+    report = _sample_report()
+    doc = report.to_json_dict()
+    assert doc["rows"] is report.rows
+    assert report.to_json() == json.dumps(doc, indent=2) + "\n"
+
+
 def test_from_json_rejects_inconsistent_status():
     doc = _sample_report().to_json_dict()
     doc["status"] = "failed"

@@ -1,7 +1,10 @@
 """Unit tests for the self-check sweep and its brute-force oracles."""
 
+import dataclasses
+
 import pytest
 
+import spgauge.verify as verify_mod
 from spgauge.lattice import IntMatrix
 from spgauge.verify import (
     EchelonLattice,
@@ -116,3 +119,22 @@ def test_verify_sweep_parallel_matches_serial():
     # parameters record the worker count; everything else is identical
     assert serial.rows == parallel.rows
     assert serial.failures == parallel.failures
+
+
+def test_divisibility_check_catches_a_generator_off_the_oracle(monkeypatch):
+    real = verify_mod.phi_images
+
+    def one_wrong(max_n):
+        for res in real(max_n):
+            if res.n == 5:
+                gens = list(res.upper_gens)
+                gens[2] += 2 * res.lower_gen  # still divisible, still even
+                res = dataclasses.replace(res, upper_gens=tuple(gens))
+            yield res
+
+    monkeypatch.setattr(verify_mod, "phi_images", one_wrong)
+    result = verify_mod.check_divisibility(6)
+    assert result.rows[0]["all_divisible"] == "false"
+    assert len(result.failures) == 1
+    assert result.failures[0].startswith(
+        "n=5 k=3: generator 1996940 differs from the surjection oracle")
