@@ -8,28 +8,7 @@ classification queries for the associated gauge groups, all over exact
 integers and rationals.
 """
 
-from .arith import (
-    Rational,
-    frac_gcd,
-    gcd_nonneg,
-    is_prime,
-    p_exponent,
-    p_part,
-    surjections,
-)
-from .chdata import (
-    ChVector,
-    Generator,
-    Space,
-    SpaceFamily,
-    generator_table_json,
-    ksp_basis,
-    phi_generator_tops,
-    susp_q2,
-    susp_qn,
-    zeta1_top,
-    zeta_leading,
-)
+from .arith import frac_gcd, is_prime, p_exponent, p_part, surjections
 from .errors import (
     AllZero,
     BadDimension,
@@ -42,7 +21,6 @@ from .errors import (
     OracleMismatch,
     OutOfRange,
     SpgaugeError,
-    Unsupported,
     ZeroArgument,
 )
 from .gauge import (

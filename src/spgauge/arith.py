@@ -2,7 +2,7 @@
 
 Everything in the package runs on arbitrary-precision integers and
 `fractions.Fraction`; there are no floats anywhere.  This module collects the
-number-theoretic primitives the pipelines share: nonnegative gcds, p-parts,
+number-theoretic primitives the pipelines share: primality, p-parts,
 generators of rational subgroups, and surjection counts.
 """
 
@@ -13,16 +13,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import AllZero, NotPrime, ZeroArgument
-
-# The package-wide exact rational type.  fractions.Fraction already keeps
-# values in lowest terms with positive denominators and raises on division
-# by zero, which is exactly the contract the pipelines rely on.
-Rational = Fraction
-
-
-def gcd_nonneg(a: int, b: int) -> int:
-    """Nonnegative generator of the ideal a*Z + b*Z, with gcd(0, 0) == 0."""
-    return math.gcd(a, b)
 
 
 def is_prime(p: int) -> bool:

@@ -41,10 +41,6 @@ class DimensionMismatch(SpgaugeError):
     """Matrix/vector shapes do not line up."""
 
 
-class Unsupported(SpgaugeError):
-    """The query falls outside the tabulated spaces or groups."""
-
-
 class OddRank(SpgaugeError):
     """An even-rank-only pipeline was asked about an odd rank."""
 

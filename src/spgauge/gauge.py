@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from math import factorial, gcd
 
 from .arith import frac_gcd, is_prime, p_part
-from .chdata import ksp_basis, susp_q2
 from .errors import (
     BadDimension,
     EvenPrime,
@@ -23,7 +23,18 @@ from .errors import (
     OracleMismatch,
     OutOfRange,
 )
-from .phi import closed_form_order
+from .phi import closed_form_order, require_rank
+
+# Top-row (y_7) Chern-character coefficients of the two free generators of
+# the symplectic K-group of a suspended rank-2 quasi-projective space.  That
+# group depends on the suspension only mod 8 (Bott periodicity), and for even
+# n the pipelines below read just two suspensions: 4n-7, which is 1 mod 8
+# (the theta pair), and 4n-3, which is 5 mod 8 (the rho pair).  So these two
+# pairs are the whole table, and their subgroup generators are fixed too.
+_THETA_TOP = (Fraction(-1, 6), Fraction(2))
+_RHO_TOP = (Fraction(1, 3), Fraction(1))
+_THETA_UNIT = frac_gcd(_THETA_TOP)
+_RHO_UNIT = frac_gcd(_RHO_TOP)
 
 
 @dataclass(frozen=True)
@@ -34,8 +45,7 @@ class Bundle:
     k: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise OddRank("bundle rank must be a positive integer")
+        require_rank(self.n)
 
 
 def sutherland_invariant(bundle: Bundle) -> int:
@@ -60,16 +70,13 @@ def mapping_group_order(n: int) -> int:
     """Order of the group of homotopy classes from the (4n-5)-fold suspension
     of the rank-2 quasi-projective space into Sp(n), for even n.
 
-    Derived from the rho-generator table: the image of the comparison map is
-    generated by (2n+1)! * frac_gcd of the top-row coefficients {1/3, 1}, so
-    the cokernel is cyclic of order (2n+1)!/3.  The table-driven value is
+    Derived from the rho pair: the image of the comparison map is generated
+    by (2n+1)! * frac_gcd of the top-row coefficients {1/3, 1}, so the
+    cokernel is cyclic of order (2n+1)!/3.  The table-driven value is
     checked against that closed form.
     """
     _require_even_rank(n)
-    # suspension 4n-3 is 5 mod 8 for even n, so the rho pair applies
-    basis = ksp_basis(susp_q2(4 * n - 3))
-    unit = frac_gcd([g.ch.coeff(2) for g in basis])
-    order = factorial(2 * n + 1) * unit
+    order = factorial(2 * n + 1) * _RHO_UNIT
     if order.denominator != 1:
         raise OracleMismatch(f"mapping group order is not integral at n={n}")
     order = int(order)
@@ -84,14 +91,12 @@ def im_delta_gen(n: int, k: int) -> int:
     """Generator of the image of the k-th connecting map into the top
     cohomology class group, for even n: |k| (2n-1)!/6.
 
-    The theta-generator table supplies the top-row coefficients {-1/6, 2};
-    the attaching-map step scales their subgroup generator by (2n-1)! and
-    the bundle multiplies it by k.  Returns 0 when k = 0.
+    The theta pair supplies the top-row coefficients {-1/6, 2}; the
+    attaching-map step scales their subgroup generator by (2n-1)! and the
+    bundle multiplies it by k.  Returns 0 when k = 0.
     """
     _require_even_rank(n)
-    # suspension 4n-7 is 1 mod 8 for even n, so the theta pair applies
-    basis = ksp_basis(susp_q2(4 * n - 7))
-    unit = factorial(2 * n - 1) * frac_gcd([g.ch.coeff(2) for g in basis])
+    unit = factorial(2 * n - 1) * _THETA_UNIT
     if unit.denominator != 1:
         raise OracleMismatch(f"connecting-map unit is not integral at n={n}")
     return abs(k) * int(unit)
@@ -251,8 +256,7 @@ def decide_local(n: int, k: int, l: int, p: int) -> Verdict:
     p-locally equivalent exactly when the p-parts of gcd(., 4n(2n+1)) agree;
     outside the guard the criterion claims nothing and the verdict is
     NotDetermined.  Raises OutOfRange for n < 1."""
-    if n < 1:
-        raise OutOfRange(f"rank must be a positive integer, got {n}")
+    require_rank(n)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     return _local_verdict(n, k, l, p, (_retract_guard(n, p),))
@@ -281,7 +285,9 @@ def decide_spin(m: int, k: int, l: int, p: int) -> Verdict:
 
 def pi_4n1_order(n: int, k: int, p: int) -> int:
     """Order of the p-localized homotopy group in degree 4n+1 of the gauge
-    group of the k-bundle: the p-part of gcd(k, 4n(2n+1)), odd primes only."""
+    group of the k-bundle: the p-part of gcd(k, 4n(2n+1)), odd primes only.
+    Raises OutOfRange for n < 1."""
+    require_rank(n)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p == 2:
@@ -315,12 +321,14 @@ def retractible(family: LieFamily, rank: int | None, p: int) -> bool:
     SU(n) needs (p-1)^2 + 1 >= n; Sp(n) and Spin(2n+1) need
     (p-1)^2 + 1 >= 2n; the exceptional families need p >= 5 (G2, F4, E6)
     or p >= 7 (E7, E8).  rank is ignored for the exceptional families.
-    Raises NotPrime when p is not prime, in every family."""
+    Raises NotPrime when p is not prime, in every family, and OutOfRange
+    when a classical family gets no rank or a rank below 1."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if family in _EXCEPTIONAL_MIN_PRIME:
         return p >= _EXCEPTIONAL_MIN_PRIME[family]
-    if rank is None or rank < 1:
-        raise OddRank(f"{family.value} needs a positive rank parameter")
+    if rank is None:
+        raise OutOfRange(f"{family.value} needs a rank parameter")
+    require_rank(rank)
     bound = rank if family is LieFamily.SU else 2 * rank
     return (p - 1) ** 2 + 1 >= bound

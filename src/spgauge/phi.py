@@ -20,9 +20,21 @@ from math import factorial, gcd
 from typing import Iterator
 
 from .arith import is_prime, p_part
-from .chdata import phi_generator_tops
-from .errors import GuardFailed, NonIntegralGenerator, NotPrime, OracleMismatch
+from .errors import (
+    GuardFailed,
+    NonIntegralGenerator,
+    NotPrime,
+    OracleMismatch,
+    OutOfRange,
+)
 from .lattice import IntMatrix, element_order_in_coker
+from .series import top_coeff
+
+
+def require_rank(n: int) -> None:
+    """Raise OutOfRange unless the rank n is a positive integer."""
+    if n < 1:
+        raise OutOfRange(f"rank must be a positive integer, got {n}")
 
 
 def closed_form_order(n: int) -> int:
@@ -87,21 +99,23 @@ def phi_images(max_n: int) -> Iterator[PhiResult]:
 def phi_image(n: int, backend: str = "series") -> PhiResult:
     """Compute the image subgroup data for rank n.
 
-    The series backend is the n-th item of phi_images.  Other backends scale
-    each tabulated top coefficient by (2n+1)!; the product must be an
-    integer, and a non-integral one means the coefficient convention is
-    broken and raises NonIntegralGenerator.  Signs are dropped, since a
-    subgroup of Z does not see them.
+    The series backend is the n-th item of phi_images.  Other backends keep
+    the doubled-line anchor 4n(2n+1), which is (2n+1)! * 2/(2n-1)!, and
+    scale the backend's top coefficient of the k-th Hopf power, k = 2..n,
+    by (2n+1)!; each product must be an integer, and a non-integral one
+    means the coefficient convention is broken and raises
+    NonIntegralGenerator.  Signs are dropped, since a subgroup of Z does not
+    see them.  Raises OutOfRange for n < 1.
     """
-    if n < 1:
-        raise GuardFailed("rank must be a positive integer")
+    require_rank(n)
     if backend == "series":
         for result in phi_images(n):
             pass
         return result
     scale = factorial(2 * n + 1)
-    gens = []
-    for top in phi_generator_tops(n, backend):
+    gens = [closed_form_order(n)]
+    for k in range(2, n + 1):
+        top = top_coeff(n, k, backend)
         val = scale * top
         if val.denominator != 1:
             raise NonIntegralGenerator(
@@ -149,9 +163,11 @@ def identity_samelson_p_part(n: int, p: int) -> int:
     """p-part of the order of the Samelson product of the bottom cell with
     the identity map, valid under the retractibility guard.
 
-    Requires p prime and (p-1)^2 + 1 >= 2n; outside the guard the underlying
-    theorem says nothing and GuardFailed is raised.
+    Requires n >= 1 (else OutOfRange), p prime and (p-1)^2 + 1 >= 2n;
+    outside the guard the underlying theorem says nothing and GuardFailed is
+    raised.
     """
+    require_rank(n)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if (p - 1) ** 2 + 1 < 2 * n:

@@ -8,28 +8,12 @@ from hypothesis import given, strategies as st
 
 from spgauge.arith import (
     frac_gcd,
-    gcd_nonneg,
     is_prime,
     p_exponent,
     p_part,
     surjections,
 )
 from spgauge.errors import AllZero, NotPrime, ZeroArgument
-
-
-def test_gcd_nonneg_basics():
-    assert gcd_nonneg(12, 18) == 6
-    assert gcd_nonneg(-12, 18) == 6
-    assert gcd_nonneg(0, 0) == 0
-    assert gcd_nonneg(0, 7) == 7
-
-
-@given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12))
-def test_gcd_nonneg_divides_both(a, b):
-    g = gcd_nonneg(a, b)
-    assert g >= 0
-    if g:
-        assert a % g == 0 and b % g == 0
 
 
 def test_is_prime_small_table():

@@ -27,8 +27,9 @@ from spgauge.gauge import (
 
 
 def test_bundle_requires_positive_rank():
-    with pytest.raises(OddRank):
-        Bundle(0, 1)
+    for n in (0, -3):
+        with pytest.raises(OutOfRange):
+            Bundle(n, 1)
     assert Bundle(2, -7).k == -7
 
 
@@ -67,6 +68,12 @@ def test_mapping_group_order_rejects_odd_rank():
         mapping_group_order(3)
     with pytest.raises(OddRank):
         mapping_group_order(0)
+
+
+def test_table_routes_equal_factorial_closed_forms():
+    for n in range(2, 41, 2):
+        assert mapping_group_order(n) == factorial(2 * n + 1) // 3
+        assert im_delta_gen(n, 1) == factorial(2 * n - 1) // 6
 
 
 def test_im_delta_gen_values():
@@ -214,6 +221,12 @@ def test_pi_4n1_order_prime_handling():
         pi_4n1_order(2, 5, 15)
 
 
+@pytest.mark.parametrize("n, k", [(-1, 6), (0, 9), (0, 0), (-40, 84)])
+def test_pi_4n1_order_rejects_nonpositive_rank(n, k):
+    with pytest.raises(OutOfRange):
+        pi_4n1_order(n, k, 3)
+
+
 def test_retractible_table():
     assert retractible(LieFamily.SP, 2, 3) is True
     assert retractible(LieFamily.SP, 3, 3) is False
@@ -232,10 +245,12 @@ def test_retractible_table():
 
 
 def test_retractible_needs_rank_for_classical_families():
-    with pytest.raises(OddRank):
+    with pytest.raises(OutOfRange):
         retractible(LieFamily.SU, None, 5)
-    with pytest.raises(OddRank):
+    with pytest.raises(OutOfRange):
         retractible(LieFamily.SP, 0, 5)
+    with pytest.raises(OutOfRange):
+        retractible(LieFamily.SPIN_ODD, -2, 5)
 
 
 @settings(max_examples=60)

@@ -12,6 +12,9 @@ from spgauge.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = {
+    "invariant_n_3": ("invariant", "--n", "3", "--k", "0", "--k", "7"),
+    "invariant_n_4": ("invariant", "--n", "4", "--k", "0", "--k", "1",
+                      "--k", "5", "--k", "-840"),
     "order_max_n_30": ("order", "--max-n", "30"),
     "phi_gens_n_12": ("phi-gens", "--n", "12"),
     "phi_gens_n_3_printed": ("phi-gens", "--n", "3", "--backend", "printed"),

@@ -2,13 +2,13 @@
 
 import random
 from itertools import islice
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spgauge.arith import surjections
-from spgauge.errors import GuardFailed, NotPrime
+from spgauge.errors import GuardFailed, NotPrime, OutOfRange
 from spgauge.lattice import IntMatrix, element_order_in_coker, smith_normal_form
 from spgauge.phi import (
     closed_form_order,
@@ -52,8 +52,21 @@ def test_phi_image_printed_rank3_left_unpinned():
 
 
 def test_phi_image_rejects_bad_rank():
-    with pytest.raises(GuardFailed):
-        phi_image(0)
+    for n in (0, -1):
+        for backend in ("series", "printed"):
+            with pytest.raises(OutOfRange):
+                phi_image(n, backend)
+
+
+def test_printed_backend_anchor_is_the_closed_form():
+    # the doubled-line anchor (2n+1)! * 2/(2n-1)! does not depend on the
+    # backend; only the k >= 2 generators do
+    assert phi_image(1, "printed").upper_gens == (12,)
+    for n in (1, 2, 3):
+        res = phi_image(n, "printed")
+        anchor = factorial(2 * n + 1) * 2 // factorial(2 * n - 1)
+        assert res.lower_gen == res.upper_gens[0] == anchor
+        assert anchor == closed_form_order(n) == phi_image(n).lower_gen
 
 
 def test_samelson_order_anchors():
@@ -95,6 +108,12 @@ def test_identity_p_part_guard():
     assert identity_samelson_p_part(8, 5) == 1  # 17 >= 16 passes
     with pytest.raises(GuardFailed):
         identity_samelson_p_part(9, 5)  # 17 < 18 refuses
+
+
+@pytest.mark.parametrize("n", [0, -1, -8])
+def test_identity_p_part_rejects_nonpositive_rank(n):
+    with pytest.raises(OutOfRange):
+        identity_samelson_p_part(n, 3)
 
 
 def test_identity_p_part_rejects_composite():
