@@ -3,7 +3,7 @@
 Subcommands mirror the library pipelines: order and phi-gens for the image
 computations, classify sp/spin for the p-local deciders, invariant and
 retractible for the bundle invariants, and verify for the self-check sweep.
-Output is a Report rendered as markdown (default), JSON, or CSV, and is
+Output is a Report written as markdown (default), JSON, or CSV, and is
 byte-stable across runs.  Exit codes: 0 success, 1 verification failure,
 2 usage error.
 """
@@ -161,20 +161,45 @@ def _verdict_row(extra: dict, verdict) -> dict[str, str]:
     return row
 
 
+_GRID_COLUMNS = ("k", "l", "outcome", "invariant_k", "invariant_l",
+                 "guards_passed")
+
+
+def _classify_grid(n: int, p: int) -> Report:
+    """The verdict grid over k, l in [0, B], B = 4n(2n+1), k-major.
+
+    A verdict depends on k only through its class, the p-part of
+    gcd(k, B), so decide_local runs once per k (against l = 0) to find the
+    classes and once per pair of classes for the verdict fields.  All of it
+    runs before any row is made, so bad input raises before anything is
+    written; the rows are then expanded lazily from the cached strings."""
+    b = closed_form_order(n)
+    classes = [decide_local(n, k, 0, p).invariant_values[0] for k in range(b + 1)]
+    reps = {}  # class -> its smallest k
+    for k, c in enumerate(classes):
+        reps.setdefault(c, k)
+    verdicts = {
+        ck: {cl: _verdict_row({}, decide_local(n, k, l, p))
+             for cl, l in reps.items()}
+        for ck, k in reps.items()
+    }
+    labels = [fmt_int(k) for k in range(b + 1)]
+
+    def rows():
+        for k, ck in zip(labels, classes):
+            by_l = verdicts[ck]
+            for l, cl in zip(labels, classes):
+                yield {"k": k, "l": l, **by_l[cl]}
+
+    params = {"n": fmt_int(n), "p": fmt_int(p), "grid": f"0..{b}"}
+    return Report("classify-sp", params, rows(), columns=_GRID_COLUMNS)
+
+
 def _cmd_classify_sp(args) -> Report:
     if args.grid:
         if args.k is not None or args.l is not None:
             raise SpgaugeError("--grid does not take --k/--l")
-        b = closed_form_order(args.n)
-        rows = []
-        for k in range(b + 1):
-            for l in range(b + 1):
-                verdict = decide_local(args.n, k, l, args.p)
-                rows.append(_verdict_row(
-                    {"k": fmt_int(k), "l": fmt_int(l)}, verdict))
-        params = {"n": fmt_int(args.n), "p": fmt_int(args.p),
-                  "grid": f"0..{b}"}
-        return Report("classify-sp", params, rows)
+        return _classify_grid(args.n, args.p)
     if args.k is None or args.l is None:
         raise SpgaugeError("classify sp needs --k and --l (or --grid)")
     verdict = decide_local(args.n, args.k, args.l, args.p)
@@ -271,7 +296,7 @@ def main(argv=None) -> int:
     except SpgaugeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(report.render(args.format))
+    report.write(args.format, sys.stdout)
     return 0 if report.status == "ok" else 1
 
 

@@ -320,15 +320,17 @@ def retractible(family: LieFamily, rank: int | None, p: int) -> bool:
 
     SU(n) needs (p-1)^2 + 1 >= n; Sp(n) and Spin(2n+1) need
     (p-1)^2 + 1 >= 2n; the exceptional families need p >= 5 (G2, F4, E6)
-    or p >= 7 (E7, E8).  rank is ignored for the exceptional families.
-    Raises NotPrime when p is not prime, in every family, and OutOfRange
-    when a classical family gets no rank or a rank below 1."""
+    or p >= 7 (E7, E8).  The exceptional families may leave rank out, and
+    their answer does not depend on it.  In every family, raises NotPrime
+    for a p that is not prime and OutOfRange for a rank below 1; a
+    classical family without a rank raises OutOfRange too."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    if rank is not None:
+        require_rank(rank)
     if family in _EXCEPTIONAL_MIN_PRIME:
         return p >= _EXCEPTIONAL_MIN_PRIME[family]
     if rank is None:
         raise OutOfRange(f"{family.value} needs a rank parameter")
-    require_rank(rank)
     bound = rank if family is LieFamily.SU else 2 * rank
     return (p - 1) ** 2 + 1 >= bound

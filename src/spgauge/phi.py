@@ -28,7 +28,7 @@ from .errors import (
     OutOfRange,
 )
 from .lattice import IntMatrix, element_order_in_coker
-from .series import top_coeff
+from .series import BACKENDS, top_coeff
 
 
 def require_rank(n: int) -> None:
@@ -105,9 +105,12 @@ def phi_image(n: int, backend: str = "series") -> PhiResult:
     by (2n+1)!; each product must be an integer, and a non-integral one
     means the coefficient convention is broken and raises
     NonIntegralGenerator.  Signs are dropped, since a subgroup of Z does not
-    see them.  Raises OutOfRange for n < 1.
+    see them.  Raises OutOfRange for n < 1 and for a backend not in
+    series.BACKENDS.
     """
     require_rank(n)
+    if backend not in BACKENDS:
+        raise OutOfRange(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if backend == "series":
         for result in phi_images(n):
             pass

@@ -1,9 +1,10 @@
 """Machine-readable run reports.
 
-Every CLI command builds a Report and renders it as JSON, CSV, or a markdown
+Every CLI command builds a Report and writes it as JSON, CSV, or a markdown
 table.  All numeric values are carried as exact decimal strings (rationals
-as "p/q"), construction order is preserved everywhere, and rendering is
-byte-stable run to run.
+as "p/q"), construction order is preserved everywhere, and the output is
+byte-stable run to run.  A report is written incrementally, header, rows in
+blocks, footer, so rows that come from a generator are never held whole.
 """
 
 from __future__ import annotations
@@ -13,8 +14,13 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Iterable, TextIO
 
 FORMATS = ("json", "csv", "markdown")
+# rows per write; a report of at most this many rows is written at once
+_BLOCK = 4096
 
 
 def fmt_int(x: int) -> str:
@@ -30,31 +36,36 @@ def fmt_bool(x: bool) -> str:
     return "true" if x else "false"
 
 
+def _json_block(opener: str, items: list[str], closer: str, indent: int) -> str:
+    """A JSON object or array of already-encoded members, laid out as
+    json.dumps(..., indent=2) lays it out at the given depth."""
+    if not items:
+        return opener + closer
+    pad = "\n" + " " * (indent + 2)
+    return opener + pad + ("," + pad).join(items) + "\n" + " " * indent + closer
+
+
+def _json_row(row: dict[str, str]) -> str:
+    return _json_block(
+        "{", [_quote(k) + ": " + _quote(v) for k, v in row.items()], "}", 4)
+
+
 @dataclass
 class Report:
+    """A command's answer.  rows is a list of string-to-string records whose
+    columns are the union of their keys in first-seen order, or any
+    one-pass iterable of records when columns declares the fields; such a
+    report can be written once."""
+
     command: str
     parameters: dict[str, str]
-    rows: list[dict[str, str]]
+    rows: Iterable[dict[str, str]]
     failures: list[str] = field(default_factory=list)
+    columns: tuple[str, ...] | None = None
 
     @property
     def status(self) -> str:
         return "ok" if not self.failures else "failed"
-
-    def to_json_dict(self) -> dict:
-        """The report as a JSON document.  It shares the parameter, row and
-        failure containers with the report rather than copying them, which
-        keeps a large grid from being held twice while it is serialised."""
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "rows": self.rows,
-            "status": self.status,
-            "failures": self.failures,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
@@ -70,47 +81,90 @@ class Report:
         return report
 
     def _columns(self) -> list[str]:
-        cols: list[str] = []
-        for row in self.rows:
-            for key in row:
-                if key not in cols:
-                    cols.append(key)
-        return cols
+        if self.columns is not None:
+            return list(self.columns)
+        if iter(self.rows) is self.rows:
+            raise ValueError("a report with streamed rows must declare its columns")
+        return list(dict.fromkeys(key for row in self.rows for key in row))
 
-    def to_csv(self) -> str:
-        """Rows as CSV, UTF-8 text with LF line endings; the header lists the
-        union of row field names in first-seen order."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        cols = self._columns()
-        writer.writerow(cols)
-        for row in self.rows:
-            writer.writerow([row.get(c, "") for c in cols])
-        return buf.getvalue()
-
-    def to_markdown(self) -> str:
-        lines = [f"# {self.command}", ""]
-        if self.parameters:
-            for key, val in self.parameters.items():
-                lines.append(f"- {key}: {val}")
-            lines.append("")
-        cols = self._columns()
-        if cols:
-            lines.append("| " + " | ".join(cols) + " |")
-            lines.append("|" + "|".join(" --- " for _ in cols) + "|")
-            for row in self.rows:
-                lines.append("| " + " | ".join(row.get(c, "") for c in cols) + " |")
-            lines.append("")
-        lines.append(f"status: {self.status}")
-        for f in self.failures:
-            lines.append(f"- FAIL: {f}")
-        return "\n".join(lines) + "\n"
+    def write(self, fmt: str, out: TextIO) -> None:
+        """Write the report to out in fmt: the header, the rows in blocks of
+        _BLOCK, then the footer.  A report of at most one block of rows is
+        a single write."""
+        if fmt not in FORMATS:
+            raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+        head, block, tail = getattr(self, f"_{fmt}_parts")(self._columns())
+        rows = iter(self.rows)
+        text, first = head, True
+        while chunk := list(islice(rows, _BLOCK)):
+            if not first:
+                out.write(text)
+                text = ""
+            text += block(chunk, first)
+            first = False
+        out.write(text + tail(not first))
 
     def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return self.to_json()
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "markdown":
-            return self.to_markdown()
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+        buf = io.StringIO()
+        self.write(fmt, buf)
+        return buf.getvalue()
+
+    # Each _<fmt>_parts(columns) returns the header text, block(rows, first)
+    # giving the text of a block of rows, and tail(any_rows) the footer.
+
+    def _json_parts(self, cols):
+        params = [_quote(k) + ": " + _quote(v) for k, v in self.parameters.items()]
+        head = ('{\n  "command": ' + _quote(self.command)
+                + ',\n  "parameters": ' + _json_block("{", params, "}", 2)
+                + ',\n  "rows": [')
+
+        def block(rows, first):
+            sep = ",\n    "
+            return (sep[1:] if first else sep) + sep.join(map(_json_row, rows))
+
+        def tail(any_rows):
+            failures = _json_block("[", [_quote(f) for f in self.failures], "]", 2)
+            return (("\n  ]" if any_rows else "]")
+                    + ',\n  "status": ' + _quote(self.status)
+                    + ',\n  "failures": ' + failures + "\n}\n")
+
+        return head, block, tail
+
+    def _csv_parts(self, cols):
+        """Rows only, LF line endings, a header of the columns."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+
+        def lines(records) -> str:
+            writer.writerows(records)
+            text = buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+            return text
+
+        def block(rows, first):
+            return lines([row.get(c, "") for c in cols] for row in rows)
+
+        return lines([cols]), block, lambda any_rows: ""
+
+    def _markdown_parts(self, cols):
+        head = f"# {self.command}\n\n"
+        if self.parameters:
+            head += "".join(f"- {k}: {v}\n" for k, v in self.parameters.items())
+            head += "\n"
+        if cols:
+            head += "| " + " | ".join(cols) + " |\n"
+            head += "|" + "|".join(" --- " for _ in cols) + "|\n"
+
+        def block(rows, first):
+            if not cols:  # no table: the rows have no fields
+                return ""
+            return "".join(
+                "| " + " | ".join([row.get(c, "") for c in cols]) + " |\n"
+                for row in rows)
+
+        def tail(any_rows):
+            return (("\n" if cols else "") + f"status: {self.status}\n"
+                    + "".join(f"- FAIL: {f}\n" for f in self.failures))
+
+        return head, block, tail

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import spgauge
-from spgauge.cli import main
+from spgauge.cli import _classify_grid, main
+from spgauge.gauge import decide_local
 from spgauge.report import Report
 from spgauge.verify import CheckResult
 
@@ -116,6 +117,44 @@ def test_classify_sp_grid_symmetric(capsys):
         assert verdicts[(l, k)] == outcome
     assert verdicts[("5", "10")] == "equivalent"
     assert verdicts[("1", "5")] == "distinct"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_grid_rows_equal_decide_local_on_every_pair(n, p):
+    report = _classify_grid(n, p)
+    b = 4 * n * (2 * n + 1)
+    pairs = ((k, l) for k in range(b + 1) for l in range(b + 1))
+    count = 0
+    for row, (k, l) in zip(report.rows, pairs, strict=True):
+        verdict = decide_local(n, k, l, p)
+        assert row == {
+            "k": str(k),
+            "l": str(l),
+            "outcome": verdict.outcome.value,
+            "invariant_k": str(verdict.invariant_values[0]),
+            "invariant_l": str(verdict.invariant_values[1]),
+            "guards_passed": "true" if verdict.guards_passed() else "false",
+        }
+        count += 1
+    assert count == (b + 1) ** 2
+    assert report.columns == tuple(row)
+
+
+def test_grid_memory_stays_flat():
+    # the n = 8 JSON grid is 48 MB of output; streamed, the process stays
+    # near its import size
+    code = "import sys; from spgauge.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(spgauge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "classify", "sp", "--n", "8", "--p", "5",
+         "--grid", "--format", "json"],
+        stdout=subprocess.DEVNULL, env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_maxrss < 64 * 1024  # KiB on Linux
 
 
 def test_classify_sp_grid_conflicts_with_pair(capsys):
@@ -248,7 +287,7 @@ def test_json_round_trips_through_report(capsys):
         capsys, "invariant", "--n", "4", "--k", "3", "--format", "json")
     assert code == 0
     report = Report.from_json(out)
-    assert report.to_json() == out
+    assert report.render("json") == out
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -262,9 +301,13 @@ def test_unknown_subcommand_is_usage_error(capsys):
     ("classify", "sp", "--n", "0", "--p", "5", "--k", "1", "--l", "2"),
     ("classify", "sp", "--n", "-3", "--p", "5", "--k", "1", "--l", "2"),
     ("classify", "sp", "--n", "0", "--p", "5", "--grid"),
+    ("classify", "sp", "--n", "-3", "--p", "5", "--grid"),
+    ("classify", "sp", "--n", "2", "--p", "4", "--grid"),
+    ("classify", "sp", "--n", "2", "--p", "1", "--grid"),
     ("retractible", "--family", "Sp", "--n", "3", "--p", "4"),
     ("retractible", "--family", "Sp", "--n", "3", "--p", "-7"),
     ("retractible", "--family", "G2", "--p", "4"),
+    ("retractible", "--family", "E8", "--n", "-3", "--p", "7"),
 ])
 def test_bad_input_exits_two_with_empty_stdout(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

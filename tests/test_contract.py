@@ -24,7 +24,6 @@ _NONPOSITIVE = st.integers(max_value=0)
 _ANY_RANK = st.one_of(_NONPOSITIVE, st.integers(min_value=1))
 # the image pipeline does work polynomial in n, so its positive ranks stay small
 _SMALL_RANK = st.one_of(_NONPOSITIVE, st.integers(1, 12))
-_CLASSICAL = [LieFamily.SU, LieFamily.SP, LieFamily.SPIN_ODD]
 
 
 def _invariants(n, k, l, p):
@@ -46,7 +45,7 @@ ENTRY_POINTS = {
         f"retractible_{family.value}": (
             lambda n, k, l, p, family=family: retractible(family, n, p),
             _ANY_RANK)
-        for family in _CLASSICAL
+        for family in LieFamily
     },
 }
 

@@ -231,6 +231,7 @@ def test_retractible_table():
     assert retractible(LieFamily.SP, 2, 3) is True
     assert retractible(LieFamily.SP, 3, 3) is False
     assert retractible(LieFamily.E8, None, 7) is True
+    assert retractible(LieFamily.E8, 8, 7) is True   # a given rank is allowed
     assert retractible(LieFamily.E8, None, 5) is False
     assert retractible(LieFamily.SU, 5, 3) is True   # 5 >= 5
     assert retractible(LieFamily.SU, 6, 3) is False

@@ -58,6 +58,14 @@ def test_phi_image_rejects_bad_rank():
                 phi_image(n, backend)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_phi_image_rejects_unknown_backend_at_every_rank(n):
+    # the printed branch reads no coefficient at n = 1, so the name is
+    # checked up front rather than by series.top_coeff
+    with pytest.raises(OutOfRange):
+        phi_image(n, "nonsense")
+
+
 def test_printed_backend_anchor_is_the_closed_form():
     # the doubled-line anchor (2n+1)! * 2/(2n-1)! does not depend on the
     # backend; only the k >= 2 generators do
