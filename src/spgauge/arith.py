@@ -71,16 +71,34 @@ def frac_gcd(values: Iterable[Fraction | int]) -> Fraction:
     return Fraction(num, denom)
 
 
+def surjection_counts(m: int, top: int) -> list[int]:
+    """surj(m, k) for k = 0..top: the numbers of surjections from an
+    m-element set onto a k-element set.
+
+    Inclusion-exclusion in finite-difference form: surj(m, k) =
+    sum_j (-1)^(k-j) C(k,j) j^m is the k-th forward difference at 0 of
+    j -> j^m (Graham-Knuth-Patashnik, Concrete Mathematics 6.1).  So the
+    table j^m, j = 0..min(top, m), differenced in place once per k, yields
+    the whole row in O(min(top, m)^2) subtractions, with no binomials.
+    Entries with k > m are 0, as a degree-m polynomial has no higher
+    differences.  Raises ValueError for m < 1 or top < 0.
+    """
+    if m < 1 or top < 0:
+        raise ValueError("surjection_counts requires m >= 1 and top >= 0")
+    last = min(top, m)
+    row = [j ** m for j in range(last + 1)]
+    for k in range(1, last + 1):
+        # row[i] becomes the k-th difference at i - k; row[k] is then final
+        row[k:] = [b - a for a, b in zip(row[k - 1:], row[k:])]
+    return row + [0] * (top - last)
+
+
 def surjections(m: int, k: int) -> int:
     """Number of surjections from an m-element set onto a k-element set.
 
-    Inclusion-exclusion: sum_{j=0..k} (-1)^j C(k,j) (k-j)^m.  Equals
-    k! * Stirling2(m, k), and is 0 whenever k > m.
+    The k-th entry of surjection_counts(m, k).  Equals k! * Stirling2(m, k),
+    and is 0 whenever k > m.
     """
     if m < 1 or k < 1:
         raise ValueError("surjections requires m >= 1 and k >= 1")
-    total = 0
-    for j in range(k + 1):
-        term = math.comb(k, j) * (k - j) ** m
-        total += -term if j & 1 else term
-    return total
+    return surjection_counts(m, k)[k]

@@ -19,6 +19,7 @@ from .errors import SpgaugeError
 from .gauge import (
     Bundle,
     LieFamily,
+    _local_verdict,
     decide_local,
     decide_spin,
     im_partial_report,
@@ -169,18 +170,25 @@ def _classify_grid(n: int, p: int) -> Report:
     """The verdict grid over k, l in [0, B], B = 4n(2n+1), k-major.
 
     A verdict depends on k only through its class, the p-part of
-    gcd(k, B), so decide_local runs once per k (against l = 0) to find the
-    classes and once per pair of classes for the verdict fields.  All of it
-    runs before any row is made, so bad input raises before anything is
-    written; the rows are then expanded lazily from the cached strings."""
+    gcd(k, B), so one verdict per k (against l = 0) finds the classes and
+    one per pair of classes gives the verdict fields.  One decide_local
+    call checks n and p; every verdict then reuses its guards through the
+    gauge._local_verdict that decide_local ends in, so p is tested for
+    primality once, not once per verdict.  All of it runs before any row
+    is made, so bad input raises before anything is written; the rows are
+    then expanded lazily from the cached strings."""
+    guards = decide_local(n, 0, 0, p).guards
     b = closed_form_order(n)
-    classes = [decide_local(n, k, 0, p).invariant_values[0] for k in range(b + 1)]
+
+    def verdict(k, l):
+        return _local_verdict(n, k, l, p, guards)
+
+    classes = [verdict(k, 0).invariant_values[0] for k in range(b + 1)]
     reps = {}  # class -> its smallest k
     for k, c in enumerate(classes):
         reps.setdefault(c, k)
     verdicts = {
-        ck: {cl: _verdict_row({}, decide_local(n, k, l, p))
-             for cl, l in reps.items()}
+        ck: {cl: _verdict_row({}, verdict(k, l)) for cl, l in reps.items()}
         for ck, k in reps.items()
     }
     labels = [fmt_int(k) for k in range(b + 1)]

@@ -30,31 +30,10 @@ class TruncatedSeries:
         if len(self.coeffs) != self.max_deg + 1:
             raise OutOfRange("coefficient tuple must have max_deg + 1 entries")
 
-    @classmethod
-    def from_coeffs(cls, coeffs, max_deg: int) -> "TruncatedSeries":
-        cs = [Fraction(c) for c in coeffs[: max_deg + 1]]
-        cs += [Fraction(0)] * (max_deg + 1 - len(cs))
-        return cls(max_deg, tuple(cs))
-
-    @classmethod
-    def zero(cls, max_deg: int) -> "TruncatedSeries":
-        return cls(max_deg, (Fraction(0),) * (max_deg + 1))
-
     def coeff(self, m: int) -> Fraction:
         if not 0 <= m <= self.max_deg:
             raise OutOfRange(f"degree {m} outside truncation 0..{self.max_deg}")
         return self.coeffs[m]
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.max_deg != other.max_deg:
-            raise OutOfRange("truncation degrees differ")
-        return TruncatedSeries(
-            self.max_deg, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def scale(self, c) -> "TruncatedSeries":
-        c = Fraction(c)
-        return TruncatedSeries(self.max_deg, tuple(c * a for a in self.coeffs))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if self.max_deg != other.max_deg:

@@ -10,6 +10,7 @@ from math import factorial
 from spgauge.gauge import LieFamily, retractible
 from spgauge.phi import phi_image
 from spgauge.verify import (
+    _divisibility_row,
     check_coset_oracle,
     check_divisibility,
     check_guards,
@@ -20,7 +21,6 @@ from spgauge.verify import (
     check_separation,
     check_series_identity,
     check_smith_random,
-    check_two_path_orders,
 )
 
 
@@ -49,6 +49,16 @@ def test_divisibility_at_full_scale():
     result = check_divisibility(200, jobs=1)
     _report("coefficient-divisibility n<=200", result,
             f"{result.rows[0]['pairs']} (n,k) pairs")
+
+
+def test_divisibility_at_rank_1000():
+    """Every generator of the rank-1000 image (the last item of phi_images)
+    against the oracle, with the anchor divisibility and parity checks
+    (budget: seconds)."""
+    failures = _divisibility_row(phi_image(1000))
+    _line("coefficient-divisibility n=1000", not failures,
+          "999 (n,k) pairs" if not failures else "; ".join(failures[:5]))
+    assert not failures, failures[:5]
 
 
 def test_printed_formula_discrepancy():
@@ -94,9 +104,10 @@ def test_rank2_classification_constants():
 
 
 def test_lattice_oracle_equivalence():
-    """gcd route vs cokernel route for n <= 60; Smith form on 1000 random
-    matrices; cokernel vs brute-force coset enumeration (budget: 2 minutes)."""
-    two_path = check_two_path_orders(60)
+    """gcd route vs cokernel route for n <= 60 (checked_order compares them
+    at every rank of the order sweep); Smith form on 1000 random matrices;
+    cokernel vs brute-force coset enumeration (budget: 2 minutes)."""
+    two_path = check_samelson_orders(60)
     smith = check_smith_random(1000)
     cosets = check_coset_oracle(250, 10_000)
     ok = two_path.ok and smith.ok and cosets.ok

@@ -11,6 +11,7 @@ from spgauge.arith import (
     is_prime,
     p_exponent,
     p_part,
+    surjection_counts,
     surjections,
 )
 from spgauge.errors import AllZero, NotPrime, ZeroArgument
@@ -113,3 +114,40 @@ def test_surjections_row_sum_counts_all_maps(m):
     """Partitioning all maps [m] -> [m] by image size recovers m^m."""
     total = sum(comb(m, k) * surjections(m, k) for k in range(1, m + 1))
     assert total == m**m
+
+
+def _surjections_by_binomial_sum(m, k):
+    # the per-k inclusion-exclusion sum the row replaced, kept as its oracle
+    total = 0
+    for j in range(k + 1):
+        term = comb(k, j) * (k - j) ** m
+        total += -term if j & 1 else term
+    return total
+
+
+def test_surjection_counts_match_the_binomial_sum():
+    for m in range(1, 61):
+        row = surjection_counts(m, m + 2)
+        assert len(row) == m + 3
+        assert row[0] == 0
+        for k in range(1, m + 3):
+            assert row[k] == _surjections_by_binomial_sum(m, k), (m, k)
+        assert row[m + 1] == row[m + 2] == 0  # k > m
+
+
+@pytest.mark.parametrize("n", [200, 500, 1000])
+def test_surjection_counts_spot_pairs_at_large_rank(n):
+    m = 2 * n - 1
+    row = surjection_counts(m, n)
+    assert len(row) == n + 1
+    for k in (2, 3, n // 2, n):
+        assert row[k] == _surjections_by_binomial_sum(m, k), k
+
+
+def test_surjection_counts_short_rows_and_rejections():
+    assert surjection_counts(1, 0) == [0]
+    assert surjection_counts(3, 5) == [0, 1, 6, 6, 0, 0]
+    with pytest.raises(ValueError):
+        surjection_counts(0, 3)
+    with pytest.raises(ValueError):
+        surjection_counts(3, -1)

@@ -141,6 +141,25 @@ def test_grid_rows_equal_decide_local_on_every_pair(n, p):
     assert report.columns == tuple(row)
 
 
+@pytest.mark.parametrize("n,p", [(2, 5), (3, 2), (2, 999999999989)])
+def test_grid_tests_p_for_primality_once(capsys, monkeypatch, n, p):
+    calls = []
+    real = spgauge.arith.is_prime
+
+    def counted(q):
+        calls.append(q)
+        return real(q)
+
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.startswith("spgauge") \
+                and getattr(mod, "is_prime", None) is real:
+            monkeypatch.setattr(mod, "is_prime", counted)
+    code, _, _ = run_cli(capsys, "classify", "sp", "--n", str(n), "--p", str(p),
+                         "--grid", "--format", "csv")
+    assert code == 0
+    assert calls == [p]
+
+
 def test_grid_memory_stays_flat():
     # the n = 8 JSON grid is 48 MB of output; streamed, the process stays
     # near its import size
