@@ -62,7 +62,7 @@ from .phi import (
     samelson_order,
 )
 from .report import Report
-from .series import TruncatedSeries, exp_minus_one, exp_minus_one_pow, top_coeff
+from .series import exp_minus_one_powers, printed_top_coeffs, truncated_powers
 from .verify import verify_sweep
 
 __version__ = "0.1.0"

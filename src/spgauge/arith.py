@@ -2,8 +2,8 @@
 
 Everything in the package runs on arbitrary-precision integers and
 `fractions.Fraction`; there are no floats anywhere.  This module collects the
-number-theoretic primitives the pipelines share: primality, p-parts,
-generators of rational subgroups, and surjection counts.
+number-theoretic primitives the pipelines share: the rank and prime guards,
+primality, p-parts, generators of rational subgroups, and surjection counts.
 """
 
 from __future__ import annotations
@@ -12,7 +12,19 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import AllZero, NotPrime, ZeroArgument
+from .errors import AllZero, NotPrime, OutOfRange, ZeroArgument
+
+
+def require_rank(n: int) -> None:
+    """Raise OutOfRange unless the rank n is a positive integer."""
+    if n < 1:
+        raise OutOfRange(f"rank must be a positive integer, got {n}")
+
+
+def require_prime(p: int) -> None:
+    """Raise NotPrime unless p is prime."""
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
 
 
 def is_prime(p: int) -> bool:
@@ -35,8 +47,7 @@ def p_exponent(a: int, p: int) -> int:
     """Exponent r of the exact power p**r dividing a (a nonzero, p prime)."""
     if a == 0:
         raise ZeroArgument("p-adic exponent of 0 is undefined")
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    require_prime(p)
     a = abs(a)
     r = 0
     while a % p == 0:
@@ -81,10 +92,10 @@ def surjection_counts(m: int, top: int) -> list[int]:
     table j^m, j = 0..min(top, m), differenced in place once per k, yields
     the whole row in O(min(top, m)^2) subtractions, with no binomials.
     Entries with k > m are 0, as a degree-m polynomial has no higher
-    differences.  Raises ValueError for m < 1 or top < 0.
+    differences.  Raises OutOfRange for m < 1 or top < 0.
     """
     if m < 1 or top < 0:
-        raise ValueError("surjection_counts requires m >= 1 and top >= 0")
+        raise OutOfRange("surjection_counts requires m >= 1 and top >= 0")
     last = min(top, m)
     row = [j ** m for j in range(last + 1)]
     for k in range(1, last + 1):
@@ -97,8 +108,8 @@ def surjections(m: int, k: int) -> int:
     """Number of surjections from an m-element set onto a k-element set.
 
     The k-th entry of surjection_counts(m, k).  Equals k! * Stirling2(m, k),
-    and is 0 whenever k > m.
+    and is 0 whenever k > m.  Raises OutOfRange for m < 1 or k < 1.
     """
     if m < 1 or k < 1:
-        raise ValueError("surjections requires m >= 1 and k >= 1")
+        raise OutOfRange("surjections requires m >= 1 and k >= 1")
     return surjection_counts(m, k)[k]

@@ -28,9 +28,15 @@ from .gauge import (
     retractible,
     sutherland_invariant,
 )
-from .phi import checked_order, closed_form_order, phi_image, phi_images, samelson_order
+from .phi import (
+    BACKENDS,
+    checked_order,
+    closed_form_order,
+    phi_image,
+    phi_images,
+    samelson_order,
+)
 from .report import FORMATS, Report, fmt_bool, fmt_frac, fmt_int
-from .series import BACKENDS
 from .verify import verify_sweep
 
 _RANKED_FAMILIES = (LieFamily.SU, LieFamily.SP, LieFamily.SPIN_ODD)
@@ -293,6 +299,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
+        # exact answers outgrow the default 4,300-digit int-to-str limit
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

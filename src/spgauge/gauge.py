@@ -14,16 +14,9 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial, gcd
 
-from .arith import frac_gcd, is_prime, p_part
-from .errors import (
-    BadDimension,
-    EvenPrime,
-    NotPrime,
-    OddRank,
-    OracleMismatch,
-    OutOfRange,
-)
-from .phi import closed_form_order, require_rank
+from .arith import frac_gcd, p_part, require_prime, require_rank
+from .errors import BadDimension, EvenPrime, OddRank, OracleMismatch, OutOfRange
+from .phi import closed_form_order
 
 # Top-row (y_7) Chern-character coefficients of the two free generators of
 # the symplectic K-group of a suspended rank-2 quasi-projective space.  That
@@ -257,8 +250,7 @@ def decide_local(n: int, k: int, l: int, p: int) -> Verdict:
     outside the guard the criterion claims nothing and the verdict is
     NotDetermined.  Raises OutOfRange for n < 1."""
     require_rank(n)
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    require_prime(p)
     return _local_verdict(n, k, l, p, (_retract_guard(n, p),))
 
 
@@ -271,8 +263,7 @@ def decide_spin(m: int, k: int, l: int, p: int) -> Verdict:
     guard yields NotDetermined."""
     if m <= 6:
         raise BadDimension(f"Spin({m}) is outside the criterion (needs m >= 7)")
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    require_prime(p)
     eps = 1 if m % 2 == 1 else 2
     n = (m - eps) // 2
     guards = (
@@ -288,8 +279,7 @@ def pi_4n1_order(n: int, k: int, p: int) -> int:
     group of the k-bundle: the p-part of gcd(k, 4n(2n+1)), odd primes only.
     Raises OutOfRange for n < 1."""
     require_rank(n)
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    require_prime(p)
     if p == 2:
         raise EvenPrime("the degree-(4n+1) order is only computed at odd primes")
     return p_part(gcd(k, closed_form_order(n)), p)
@@ -324,8 +314,7 @@ def retractible(family: LieFamily, rank: int | None, p: int) -> bool:
     their answer does not depend on it.  In every family, raises NotPrime
     for a p that is not prime and OutOfRange for a rank below 1; a
     classical family without a rank raises OutOfRange too."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    require_prime(p)
     if rank is not None:
         require_rank(rank)
     if family in _EXCEPTIONAL_MIN_PRIME:

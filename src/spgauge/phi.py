@@ -11,30 +11,24 @@ The series backend's generators are integers outright:
 (2n+1)! * surj(2n-1, k)/(2n-1)! = 2n(2n+1) * surj(2n-1, k).  phi_images
 streams them rank by rank from a single row of surjection counts advanced
 by the Stirling recurrence, so a sweep over n = 1..N never rebuilds a count.
+BACKENDS names the coefficient conventions; phi_image alone dispatches on
+them, and the printed one, kept for comparison, comes from series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import factorial, gcd
 from typing import Iterator
 
-from .arith import is_prime, p_part
-from .errors import (
-    GuardFailed,
-    NonIntegralGenerator,
-    NotPrime,
-    OracleMismatch,
-    OutOfRange,
-)
+from .arith import p_part, require_prime, require_rank
+from .errors import GuardFailed, NonIntegralGenerator, OracleMismatch, OutOfRange
 from .lattice import IntMatrix, element_order_in_coker
-from .series import BACKENDS, top_coeff
+from .series import printed_top_coeffs
 
-
-def require_rank(n: int) -> None:
-    """Raise OutOfRange unless the rank n is a positive integer."""
-    if n < 1:
-        raise OutOfRange(f"rank must be a positive integer, got {n}")
+# the coefficient conventions phi_image knows; the first is the engine's
+BACKENDS = ("series", "printed")
 
 
 def closed_form_order(n: int) -> int:
@@ -82,31 +76,36 @@ def phi_images(max_n: int) -> Iterator[PhiResult]:
     of the second kind, times k!; Graham-Knuth-Patashnik, Concrete
     Mathematics 6.1).  At rank n the row is m = 2n-1; the anchor is
     4n(2n+1) and the k-th generator 2n(2n+1) * surj(2n-1, k).  No rank
-    reads k > max_n, so the row stops there.
+    reads k > max_n, so the row stops there.  Raises OutOfRange for
+    max_n < 1 at the call, before any item is made.
     """
-    row = [0, 1]  # surj(1, .)
-    for n in range(1, max_n + 1):
-        if n > 1:
-            for _ in range(2):
-                if len(row) <= max_n:
-                    row.append(0)  # surj(m-1, m) = 0 extends the row to k = m
-                row = [0] + [k * (row[k] + row[k - 1]) for k in range(1, len(row))]
-        scale = 2 * n * (2 * n + 1)
-        gens = [2 * scale] + [scale * row[k] for k in range(2, n + 1)]
-        yield _image(n, "series", gens)
+    require_rank(max_n)
+
+    def stream():
+        row = [0, 1]  # surj(1, .)
+        for n in range(1, max_n + 1):
+            if n > 1:
+                for _ in range(2):
+                    if len(row) <= max_n:
+                        row.append(0)  # surj(m-1, m) = 0 extends the row to k = m
+                    row = [0] + [k * (row[k] + row[k - 1]) for k in range(1, len(row))]
+            scale = 2 * n * (2 * n + 1)
+            gens = [2 * scale] + [scale * row[k] for k in range(2, n + 1)]
+            yield _image(n, "series", gens)
+
+    return stream()
 
 
 def phi_image(n: int, backend: str = "series") -> PhiResult:
     """Compute the image subgroup data for rank n.
 
-    The series backend is the n-th item of phi_images.  Other backends keep
-    the doubled-line anchor 4n(2n+1), which is (2n+1)! * 2/(2n-1)!, and
-    scale the backend's top coefficient of the k-th Hopf power, k = 2..n,
-    by (2n+1)!; each product must be an integer, and a non-integral one
-    means the coefficient convention is broken and raises
-    NonIntegralGenerator.  Signs are dropped, since a subgroup of Z does not
-    see them.  Raises OutOfRange for n < 1 and for a backend not in
-    series.BACKENDS.
+    The series backend is the n-th item of phi_images.  The printed backend
+    keeps the doubled-line anchor 4n(2n+1), which is (2n+1)! * 2/(2n-1)!,
+    and scales series.printed_top_coeffs for k = 2..n by (2n+1)!; each
+    product must be an integer, and the first non-integral one means the
+    coefficient convention is broken and raises NonIntegralGenerator.
+    Signs are dropped, since a subgroup of Z does not see them.  Raises
+    OutOfRange for n < 1 and for a backend not in BACKENDS.
     """
     require_rank(n)
     if backend not in BACKENDS:
@@ -117,8 +116,7 @@ def phi_image(n: int, backend: str = "series") -> PhiResult:
         return result
     scale = factorial(2 * n + 1)
     gens = [closed_form_order(n)]
-    for k in range(2, n + 1):
-        top = top_coeff(n, k, backend)
+    for top in islice(printed_top_coeffs(n), 1, None):
         val = scale * top
         if val.denominator != 1:
             raise NonIntegralGenerator(
@@ -171,8 +169,7 @@ def identity_samelson_p_part(n: int, p: int) -> int:
     raised.
     """
     require_rank(n)
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    require_prime(p)
     if (p - 1) ** 2 + 1 < 2 * n:
         raise GuardFailed(
             f"retractibility guard (p-1)^2+1 >= 2n fails for n={n}, p={p}"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from math import factorial, gcd
 
 from .arith import p_part, surjection_counts, surjections
-from .errors import GuardFailed
+from .errors import GuardFailed, OutOfRange
 from .gauge import (
     LieFamily,
     Outcome,
@@ -35,7 +35,7 @@ from .phi import (
     phi_images,
 )
 from .report import Report, fmt_bool, fmt_int
-from .series import exp_minus_one_pow
+from .series import exp_minus_one_powers
 
 _SEED = 20260819
 _GUARD_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -477,10 +477,9 @@ def check_series_identity() -> CheckResult:
     count for m <= 12, validated against exhaustive map enumeration for
     m <= 7."""
     res = CheckResult("series-surjection-identity")
-    for k in range(1, 13):
-        series = exp_minus_one_pow(k, 12)
+    for k, power in zip(range(1, 13), exp_minus_one_powers(12)):
         for m in range(k, 13):
-            lhs = factorial(m) * series.coeff(m)
+            lhs = factorial(m) * power[m]
             if lhs != surjections(m, k):
                 res.failures.append(f"m={m} k={k}: {lhs} vs {surjections(m, k)}")
     for m in range(1, 8):
@@ -554,7 +553,7 @@ def verify_sweep(max_n: int, jobs: int = 1) -> Report:
     full acceptance suite.
     """
     if max_n < 2:
-        raise ValueError("verify needs max_n >= 2")
+        raise OutOfRange("verify needs max_n >= 2")
     checks = [
         check_samelson_orders(max_n, jobs),
         check_divisibility(max_n, jobs),

@@ -11,10 +11,12 @@ from spgauge.arith import (
     is_prime,
     p_exponent,
     p_part,
+    require_prime,
+    require_rank,
     surjection_counts,
     surjections,
 )
-from spgauge.errors import AllZero, NotPrime, ZeroArgument
+from spgauge.errors import AllZero, NotPrime, OutOfRange, ZeroArgument
 
 
 def test_is_prime_small_table():
@@ -23,6 +25,18 @@ def test_is_prime_small_table():
         assert is_prime(x) == (x in primes)
     assert not is_prime(-7)
     assert not is_prime(1)
+
+
+def test_require_prime_and_require_rank():
+    for p in (2, 3, 97):
+        require_prime(p)
+    for p in (-7, 0, 1, 4, 91):
+        with pytest.raises(NotPrime, match=f"^{p} is not prime$"):
+            require_prime(p)
+    require_rank(1)
+    for n in (0, -3):
+        with pytest.raises(OutOfRange, match=f"got {n}$"):
+            require_rank(n)
 
 
 def test_p_exponent_values():
@@ -97,9 +111,9 @@ def test_surjections_frozen_values():
 
 
 def test_surjections_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         surjections(0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         surjections(3, 0)
 
 
@@ -147,7 +161,7 @@ def test_surjection_counts_spot_pairs_at_large_rank(n):
 def test_surjection_counts_short_rows_and_rejections():
     assert surjection_counts(1, 0) == [0]
     assert surjection_counts(3, 5) == [0, 1, 6, 6, 0, 0]
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         surjection_counts(0, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         surjection_counts(3, -1)

@@ -160,6 +160,36 @@ def test_grid_tests_p_for_primality_once(capsys, monkeypatch, n, p):
     assert calls == [p]
 
 
+def _decimal(text):
+    # int() refuses strings past 4,300 digits too, so parse in chunks
+    assert text.isdigit()
+    value = 0
+    for i in range(0, len(text), 4000):
+        chunk = text[i:i + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_phi_gens_prints_integers_past_the_default_digit_limit(tmp_path):
+    # a fresh process has CPython's default 4,300-digit int-to-str limit
+    out = tmp_path / "gens.csv"
+    code = "import sys; from spgauge.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(spgauge.__file__).resolve().parents[1])
+    with open(out, "w") as sink:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "phi-gens", "--n", "800", "--format", "csv"],
+            stdout=sink, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    with open(out) as rows:
+        texts = [row["image_gen"] for row in csv.DictReader(rows)]
+    assert len(texts) == 800
+    anchor = _decimal(texts[0])
+    assert anchor == 4 * 800 * 1601
+    assert all(_decimal(t) % anchor == 0 for t in texts)
+    assert max(map(len, texts)) > 4300
+
+
 def test_grid_memory_stays_flat():
     # the n = 8 JSON grid is 48 MB of output; streamed, the process stays
     # near its import size

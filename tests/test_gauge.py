@@ -5,7 +5,7 @@ from math import factorial, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spgauge import arith, gauge
+from spgauge import arith
 from spgauge.errors import BadDimension, EvenPrime, NotPrime, OddRank, OutOfRange
 from spgauge.gauge import (
     Bundle,
@@ -285,9 +285,8 @@ def test_is_prime_runs_once_per_verdict(monkeypatch):
         calls.append(p)
         return original(p)
 
-    # gauge holds its own reference; arith's is the one p_part would reach
+    # require_prime and p_part both reach arith's is_prime
     monkeypatch.setattr(arith, "is_prime", counting)
-    monkeypatch.setattr(gauge, "is_prime", counting)
     verdicts = 0
     for n in (1, 2, 5):
         for p in (2, 3, 5, 7):

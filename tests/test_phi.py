@@ -60,8 +60,7 @@ def test_phi_image_rejects_bad_rank():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_phi_image_rejects_unknown_backend_at_every_rank(n):
-    # the printed branch reads no coefficient at n = 1, so the name is
-    # checked up front rather than by series.top_coeff
+    # checked up front: the printed branch reads no coefficient at n = 1
     with pytest.raises(OutOfRange):
         phi_image(n, "nonsense")
 
@@ -161,8 +160,11 @@ def test_stream_prefixes_agree():
         assert list(phi_images(max_n)) == long[:max_n]
 
 
-def test_stream_of_nothing_is_empty():
-    assert list(phi_images(0)) == []
+@pytest.mark.parametrize("max_n", [0, -3])
+def test_stream_of_nothing_is_rejected(max_n):
+    # raised at the call, not at the first item
+    with pytest.raises(OutOfRange):
+        phi_images(max_n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 12, 57])

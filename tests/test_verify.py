@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 import spgauge.verify as verify_mod
+from spgauge.errors import OutOfRange
 from spgauge.lattice import IntMatrix
 from spgauge.verify import (
     EchelonLattice,
@@ -109,7 +110,7 @@ def test_verify_sweep_includes_discrepancy_row_from_three():
 
 
 def test_verify_sweep_rejects_tiny_max_n():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         verify_sweep(1)
 
 
