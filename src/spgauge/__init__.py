@@ -26,20 +26,16 @@ from .errors import (
 from .gauge import (
     Bundle,
     GuardCheck,
-    ImPartialReport,
     LieFamily,
     Outcome,
-    Q2MappingReport,
     Verdict,
     decide_local,
     decide_spin,
     im_delta_gen,
     im_partial_order,
-    im_partial_report,
     mapping_group_order,
     pi_4n1_order,
     q2_mapping_invariant,
-    q2_mapping_report,
     refined_invariant,
     retractible,
     sutherland_invariant,

@@ -22,8 +22,8 @@ from .gauge import (
     _local_verdict,
     decide_local,
     decide_spin,
-    im_partial_report,
-    q2_mapping_report,
+    im_partial_order,
+    q2_mapping_invariant,
     refined_invariant,
     retractible,
     sutherland_invariant,
@@ -60,12 +60,14 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--n", type=int, help="single rank")
     group.add_argument("--max-n", type=int, help="sweep ranks 1..max-n")
     add_format(p_order)
+    p_order.set_defaults(handler=_cmd_order)
 
     p_gens = sub.add_parser(
         "phi-gens", help="image generators of the comparison map at rank n")
     p_gens.add_argument("--n", type=int, required=True)
     p_gens.add_argument("--backend", choices=BACKENDS, default="series")
     add_format(p_gens)
+    p_gens.set_defaults(handler=_cmd_phi_gens)
 
     p_classify = sub.add_parser(
         "classify", help="p-local gauge group classification verdicts")
@@ -79,6 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sp.add_argument("--grid", action="store_true",
                       help="full verdict grid over k, l in [0, 4n(2n+1)]")
     add_format(p_sp)
+    p_sp.set_defaults(handler=_cmd_classify_sp)
 
     p_spin = classify_sub.add_parser("spin", help="Spin(2n+epsilon) gauge groups")
     p_spin.add_argument("--n", type=int, required=True)
@@ -87,6 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spin.add_argument("--l", type=int, required=True)
     p_spin.add_argument("--p", type=int, required=True)
     add_format(p_spin)
+    p_spin.set_defaults(handler=_cmd_classify_spin)
 
     p_inv = sub.add_parser(
         "invariant", help="bundle invariants (coarse, refined, quotient)")
@@ -94,6 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--k", type=int, action="append", required=True,
                        help="bundle integer; repeat for several")
     add_format(p_inv)
+    p_inv.set_defaults(handler=_cmd_invariant)
 
     p_ret = sub.add_parser(
         "retractible", help="p-local retractibility of the generating complex")
@@ -103,6 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ret.add_argument("--n", type=int,
                        help="rank (required for SU, Sp, SpinOdd)")
     add_format(p_ret)
+    p_ret.set_defaults(handler=_cmd_retractible)
 
     p_verify = sub.add_parser(
         "verify", help="run the acceptance property sweep")
@@ -110,6 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="worker processes for the sweeps")
     add_format(p_verify)
+    p_verify.set_defaults(handler=_cmd_verify)
 
     return parser
 
@@ -217,26 +224,17 @@ def _cmd_classify_sp(args) -> Report:
     if args.k is None or args.l is None:
         raise SpgaugeError("classify sp needs --k and --l (or --grid)")
     verdict = decide_local(args.n, args.k, args.l, args.p)
-    row = _verdict_row(
-        {"n": fmt_int(args.n), "k": fmt_int(args.k),
-         "l": fmt_int(args.l), "p": fmt_int(args.p)},
-        verdict,
-    )
     params = {"n": fmt_int(args.n), "k": fmt_int(args.k),
               "l": fmt_int(args.l), "p": fmt_int(args.p)}
-    return Report("classify-sp", params, [row])
+    return Report("classify-sp", params, [_verdict_row(params, verdict)])
 
 
 def _cmd_classify_spin(args) -> Report:
     m = 2 * args.n + args.epsilon
     verdict = decide_spin(m, args.k, args.l, args.p)
-    row = _verdict_row(
-        {"m": fmt_int(m), "n": fmt_int(args.n), "epsilon": fmt_int(args.epsilon),
-         "k": fmt_int(args.k), "l": fmt_int(args.l), "p": fmt_int(args.p)},
-        verdict,
-    )
     params = {"n": fmt_int(args.n), "epsilon": fmt_int(args.epsilon),
               "k": fmt_int(args.k), "l": fmt_int(args.l), "p": fmt_int(args.p)}
+    row = _verdict_row({"m": fmt_int(m), **params}, verdict)
     return Report("classify-spin", params, [row])
 
 
@@ -245,20 +243,23 @@ def _cmd_invariant(args) -> Report:
     even = args.n >= 2 and args.n % 2 == 0
     for k in args.k:
         bundle = Bundle(args.n, k)
+        refined = refined_invariant(bundle)
         row = {
             "n": fmt_int(args.n),
             "k": fmt_int(k),
             "sutherland": fmt_int(sutherland_invariant(bundle)),
-            "refined": fmt_int(refined_invariant(bundle)),
+            "refined": fmt_int(refined),
         }
         if even:
-            q2 = q2_mapping_report(args.n, k)
-            partial = im_partial_report(args.n, k)
-            row["q2_order"] = fmt_int(q2.order)
-            row["q2_gcd_form"] = fmt_int(q2.gcd_form)
-            row["q2_matches_gcd_form"] = fmt_bool(q2.matches_gcd_form)
-            row["boundary_image_order"] = fmt_int(partial.order)
-            row["boundary_factorial_form"] = fmt_int(partial.factorial_form)
+            # refined is gcd(k, 4n(2n+1)), the form the statement advertises,
+            # and never 0
+            q2 = q2_mapping_invariant(args.n, k)
+            row["q2_order"] = fmt_int(q2)
+            row["q2_gcd_form"] = fmt_int(refined)
+            row["q2_matches_gcd_form"] = fmt_bool(q2 == refined)
+            row["boundary_image_order"] = fmt_int(im_partial_order(args.n, k))
+            row["boundary_factorial_form"] = fmt_int(
+                factorial(2 * args.n + 1) // (3 * refined))
         rows.append(row)
     return Report(
         "invariant",
@@ -289,15 +290,6 @@ def _cmd_verify(args) -> Report:
     return verify_sweep(args.max_n, args.jobs)
 
 
-_HANDLERS = {
-    "order": _cmd_order,
-    "phi-gens": _cmd_phi_gens,
-    "invariant": _cmd_invariant,
-    "retractible": _cmd_retractible,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
         # exact answers outgrow the default 4,300-digit int-to-str limit
@@ -305,11 +297,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "classify":
-            handler = _cmd_classify_sp if args.target == "sp" else _cmd_classify_spin
-        else:
-            handler = _HANDLERS[args.command]
-        report = handler(args)
+        report = args.handler(args)
     except SpgaugeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -95,53 +95,12 @@ def im_delta_gen(n: int, k: int) -> int:
     return abs(k) * int(unit)
 
 
-@dataclass(frozen=True)
-class Q2MappingReport:
-    """Order of the mapping-space quotient along with the gcd-form value the
-    statement of the classification advertises; the two differ for even
-    n >= 4, which is why both are carried."""
-
-    n: int
-    k: int
-    order: int
-    gcd_form: int
-
-    @property
-    def matches_gcd_form(self) -> bool:
-        return self.order == self.gcd_form
-
-
 def q2_mapping_invariant(n: int, k: int) -> int:
     """Order of the quotient of the rank-2 mapping group by the image of the
     k-th connecting map: gcd of the two subgroup generators, with
-    gcd(m, 0) = m."""
+    gcd(m, 0) = m.  It equals the advertised gcd(k, 4n(2n+1)) at n = 2 and
+    differs from it for even n >= 4."""
     return gcd(mapping_group_order(n), im_delta_gen(n, k))
-
-
-def q2_mapping_report(n: int, k: int) -> Q2MappingReport:
-    """q2_mapping_invariant next to the advertised closed form
-    gcd(k, 4n(2n+1)); they agree at n = 2 and diverge for even n >= 4."""
-    return Q2MappingReport(
-        n=n,
-        k=k,
-        order=q2_mapping_invariant(n, k),
-        gcd_form=gcd(k, closed_form_order(n)),
-    )
-
-
-@dataclass(frozen=True)
-class ImPartialReport:
-    """Order of the image of the induced boundary map, with the factorial
-    closed form (2n+1)!/(3 gcd(k, 4n(2n+1))) reported alongside."""
-
-    n: int
-    k: int
-    order: int
-    factorial_form: int
-
-    @property
-    def matches_factorial_form(self) -> bool:
-        return self.order == self.factorial_form
 
 
 def im_partial_order(n: int, k: int) -> int:
@@ -162,17 +121,6 @@ def im_partial_order(n: int, k: int) -> int:
             f"at n={n}, k={k}"
         )
     return order
-
-
-def im_partial_report(n: int, k: int) -> ImPartialReport:
-    order = im_partial_order(n, k)
-    g = gcd(k, closed_form_order(n))
-    return ImPartialReport(
-        n=n,
-        k=k,
-        order=order,
-        factorial_form=factorial(2 * n + 1) // (3 * g),
-    )
 
 
 class Outcome(Enum):

@@ -18,7 +18,7 @@ them, and the printed one, kept for comparison, comes from series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from math import factorial, gcd
 from typing import Iterator
 
@@ -80,20 +80,27 @@ def phi_images(max_n: int) -> Iterator[PhiResult]:
     max_n < 1 at the call, before any item is made.
     """
     require_rank(max_n)
+    return map(_series_image, count(1), _surjection_rows(max_n))
 
-    def stream():
-        row = [0, 1]  # surj(1, .)
-        for n in range(1, max_n + 1):
-            if n > 1:
-                for _ in range(2):
-                    if len(row) <= max_n:
-                        row.append(0)  # surj(m-1, m) = 0 extends the row to k = m
-                    row = [0] + [k * (row[k] + row[k - 1]) for k in range(1, len(row))]
-            scale = 2 * n * (2 * n + 1)
-            gens = [2 * scale] + [scale * row[k] for k in range(2, n + 1)]
-            yield _image(n, "series", gens)
 
-    return stream()
+def _surjection_rows(max_n: int) -> Iterator[list[int]]:
+    """The rows surj(2n-1, 0..min(2n-1, max_n)) for n = 1..max_n.  Asking
+    for the next row may extend the last one in place, so read each row
+    before advancing."""
+    row = [0, 1]  # surj(1, .)
+    for n in range(1, max_n + 1):
+        if n > 1:
+            for _ in range(2):
+                if len(row) <= max_n:
+                    row.append(0)  # surj(m-1, m) = 0 extends the row to k = m
+                row = [0] + [k * (row[k] + row[k - 1]) for k in range(1, len(row))]
+        yield row
+
+
+def _series_image(n: int, row: list[int]) -> PhiResult:
+    scale = 2 * n * (2 * n + 1)
+    gens = [2 * scale] + [scale * row[k] for k in range(2, n + 1)]
+    return _image(n, "series", gens)
 
 
 def phi_image(n: int, backend: str = "series") -> PhiResult:
@@ -111,9 +118,9 @@ def phi_image(n: int, backend: str = "series") -> PhiResult:
     if backend not in BACKENDS:
         raise OutOfRange(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if backend == "series":
-        for result in phi_images(n):
+        for row in _surjection_rows(n):
             pass
-        return result
+        return _series_image(n, row)
     scale = factorial(2 * n + 1)
     gens = [closed_form_order(n)]
     for top in islice(printed_top_coeffs(n), 1, None):

@@ -192,18 +192,23 @@ def test_phi_gens_prints_integers_past_the_default_digit_limit(tmp_path):
 
 def test_grid_memory_stays_flat():
     # the n = 8 JSON grid is 48 MB of output; streamed, the process stays
-    # near its import size
-    code = "import sys; from spgauge.cli import main; sys.exit(main(sys.argv[1:]))"
+    # near its import size.  The child reports its own peak (VmHWM, reset
+    # at exec); ru_maxrss from wait4 would carry the peak of this process.
+    code = (
+        "import sys; from spgauge.cli import main; code = main(sys.argv[1:]); "
+        "print(*[l for l in open('/proc/self/status') if l.startswith('VmHWM:')],"
+        " file=sys.stderr); sys.exit(code)"
+    )
     src = str(Path(spgauge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.Popen(
+    proc = subprocess.run(
         [sys.executable, "-c", code, "classify", "sp", "--n", "8", "--p", "5",
          "--grid", "--format", "json"],
-        stdout=subprocess.DEVNULL, env=env)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env)
     assert proc.returncode == 0
-    assert usage.ru_maxrss < 64 * 1024  # KiB on Linux
+    label, kib, unit = proc.stderr.split()
+    assert (label, unit) == ("VmHWM:", "kB")
+    assert int(kib) < 64 * 1024
 
 
 def test_classify_sp_grid_conflicts_with_pair(capsys):
@@ -316,6 +321,40 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     data = json.loads(out)
     assert data["status"] == "failed"
     assert data["failures"] == ["samelson-orders: n=2: order 39"]
+
+
+def test_engine_mismatch_in_verify_is_a_failure_not_a_usage_error(
+        capsys, monkeypatch):
+    import dataclasses
+
+    import spgauge.verify as verify_mod
+
+    real = verify_mod.phi_images
+
+    def unpinned_at_5(max_n):
+        for res in real(max_n):
+            if res.n == 5:
+                res = dataclasses.replace(res, pinned_order=None)
+            yield res
+
+    monkeypatch.setattr(verify_mod, "phi_images", unpinned_at_5)
+    code, out, err = run_cli(capsys, "verify", "--max-n", "6", "--format", "json")
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    assert data["failures"] == [
+        "samelson-orders: series-backend image at n=5 failed to pin the order"]
+    orders = [r["n"] for r in data["rows"] if r["check"] == "samelson-orders"]
+    assert orders == ["1", "2", "3", "4", "6"]
+    two_path, = (r for r in data["rows"]
+                 if r["check"] == "two-path-order-agreement")
+    assert two_path["ok"] == "false"
+    # a mismatch fails its own rank only, so the pool, which maps ranks in
+    # chunks, reports the same rows
+    serial, pooled = (
+        run_cli(capsys, "verify", "--max-n", "6", "--jobs", jobs, "--format", "csv")
+        for jobs in ("1", "2"))
+    assert serial == pooled
+    assert serial[0] == 1
 
 
 def test_byte_stability_across_runs_and_jobs(capsys):

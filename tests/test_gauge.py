@@ -15,11 +15,9 @@ from spgauge.gauge import (
     decide_spin,
     im_delta_gen,
     im_partial_order,
-    im_partial_report,
     mapping_group_order,
     pi_4n1_order,
     q2_mapping_invariant,
-    q2_mapping_report,
     refined_invariant,
     retractible,
     sutherland_invariant,
@@ -95,12 +93,10 @@ def test_q2_mapping_invariant_values():
 
 
 def test_q2_report_divergence_from_advertised_form():
-    agree = q2_mapping_report(2, 12)
-    assert (agree.order, agree.gcd_form) == (4, 4)
-    assert agree.matches_gcd_form
-    differ = q2_mapping_report(4, 1)
-    assert (differ.order, differ.gcd_form) == (840, 1)
-    assert not differ.matches_gcd_form
+    # the invariant command's q2_gcd_form column is the refined invariant
+    assert q2_mapping_invariant(2, 12) == refined_invariant(Bundle(2, 12)) == 4
+    assert q2_mapping_invariant(4, 1) == 840
+    assert refined_invariant(Bundle(4, 1)) == 1
 
 
 def test_q2_equals_mapping_order_at_k0():
@@ -116,12 +112,14 @@ def test_im_partial_order_values():
 
 
 def test_im_partial_report_divergence():
-    agree = im_partial_report(2, 1)
-    assert (agree.order, agree.factorial_form) == (40, 40)
-    assert agree.matches_factorial_form
-    differ = im_partial_report(4, 3)
-    assert (differ.order, differ.factorial_form) == (48, 40320)
-    assert not differ.matches_factorial_form
+    # the invariant command's boundary_factorial_form column is
+    # (2n+1)!/(3 refined)
+    def factorial_form(n, k):
+        return factorial(2 * n + 1) // (3 * refined_invariant(Bundle(n, k)))
+
+    assert im_partial_order(2, 1) == factorial_form(2, 1) == 40
+    assert im_partial_order(4, 3) == 48
+    assert factorial_form(4, 3) == 40320
 
 
 @given(st.sampled_from([2, 4, 6]), st.integers(-200, 200))

@@ -7,6 +7,7 @@ from math import factorial, gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spgauge.phi as phi_mod
 from spgauge.arith import surjections
 from spgauge.errors import GuardFailed, NotPrime, OutOfRange
 from spgauge.lattice import IntMatrix, element_order_in_coker, smith_normal_form
@@ -171,6 +172,20 @@ def test_stream_of_nothing_is_rejected(max_n):
 def test_phi_image_is_the_nth_stream_item(n):
     assert phi_image(n) == next(islice(phi_images(n), n - 1, None))
     assert phi_image(n, "series") == phi_image(n)
+
+
+@pytest.mark.parametrize("n", [2, 30])
+def test_phi_image_builds_only_its_own_result(monkeypatch, n):
+    built = []
+    real = phi_mod._image
+
+    def counted(rank, backend, gens):
+        built.append(rank)
+        return real(rank, backend, gens)
+
+    monkeypatch.setattr(phi_mod, "_image", counted)
+    assert phi_image(n).n == n
+    assert built == [n]
 
 
 def _order_from_full_smith_form(a, vec):
