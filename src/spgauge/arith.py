@@ -3,7 +3,8 @@
 Everything in the package runs on arbitrary-precision integers and
 `fractions.Fraction`; there are no floats anywhere.  This module collects the
 number-theoretic primitives the pipelines share: the rank and prime guards,
-primality, p-parts, generators of rational subgroups, and surjection counts.
+bounded deterministic primality, p-parts, generators of rational subgroups,
+and surjection counts.
 """
 
 from __future__ import annotations
@@ -21,26 +22,61 @@ def require_rank(n: int) -> None:
         raise OutOfRange(f"rank must be a positive integer, got {n}")
 
 
+# Miller-Rabin on the first 13 prime bases decides primality exactly below
+# PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017); is_prime refuses p from there up.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def require_prime(p: int) -> None:
-    """Raise NotPrime unless p is prime."""
+    """Raise NotPrime unless p is prime; OutOfRange for p >= PRIME_BOUND."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
 
 
 def is_prime(p: int) -> bool:
-    """Trial-division primality test; fine for the prime sizes used here."""
+    """Deterministic Miller-Rabin on the bases _MR_BASES, in O(log^3 p).
+
+    Exact for every p below PRIME_BOUND; raises OutOfRange for every p at or
+    above it, an even one too, rather than guess.
+    """
+    if p >= PRIME_BOUND:
+        raise OutOfRange(
+            f"primality is decided only below {PRIME_BOUND}, got {p}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    if p < 43 * 43:
+        return True  # no prime factor up to 41, and 43 is the next prime
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def valuation(a: int, p: int) -> int:
+    """Exponent r of the exact power p**r dividing a, unchecked: the caller
+    has already made sure a is nonzero and p prime."""
+    a = abs(a)
+    r = 0
+    while a % p == 0:
+        a //= p
+        r += 1
+    return r
 
 
 def p_exponent(a: int, p: int) -> int:
@@ -48,12 +84,7 @@ def p_exponent(a: int, p: int) -> int:
     if a == 0:
         raise ZeroArgument("p-adic exponent of 0 is undefined")
     require_prime(p)
-    a = abs(a)
-    r = 0
-    while a % p == 0:
-        a //= p
-        r += 1
-    return r
+    return valuation(a, p)
 
 
 def p_part(a: int, p: int) -> int:

@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial, gcd
 
-from .arith import frac_gcd, p_part, require_prime, require_rank
+from .arith import frac_gcd, require_prime, require_rank, valuation
 from .errors import BadDimension, EvenPrime, OddRank, OracleMismatch, OutOfRange
 from .phi import closed_form_order
 
@@ -165,21 +165,11 @@ def _retract_guard(n: int, p: int) -> GuardCheck:
     )
 
 
-def _p_power(a: int, p: int) -> int:
-    """p-part of a nonzero a for a p the caller has already found prime."""
-    a = abs(a)
-    power = 1
-    while a % p == 0:
-        a //= p
-        power *= p
-    return power
-
-
 def _local_verdict(n: int, k: int, l: int, p: int,
                    guards: tuple[GuardCheck, ...]) -> Verdict:
     # n >= 1, so b > 0 and both gcds are nonzero
     b = closed_form_order(n)
-    values = (_p_power(gcd(k, b), p), _p_power(gcd(l, b), p))
+    values = (p ** valuation(gcd(k, b), p), p ** valuation(gcd(l, b), p))
     if not all(g.passed for g in guards):
         outcome = Outcome.NOT_DETERMINED
     elif values[0] == values[1]:
@@ -230,7 +220,8 @@ def pi_4n1_order(n: int, k: int, p: int) -> int:
     require_prime(p)
     if p == 2:
         raise EvenPrime("the degree-(4n+1) order is only computed at odd primes")
-    return p_part(gcd(k, closed_form_order(n)), p)
+    # n >= 1, so the gcd is nonzero
+    return p ** valuation(gcd(k, closed_form_order(n)), p)
 
 
 class LieFamily(Enum):

@@ -22,7 +22,7 @@ from itertools import count, islice
 from math import factorial, gcd
 from typing import Iterator
 
-from .arith import p_part, require_prime, require_rank
+from .arith import require_prime, require_rank, valuation
 from .errors import GuardFailed, NonIntegralGenerator, OracleMismatch, OutOfRange
 from .lattice import IntMatrix, element_order_in_coker
 from .series import printed_top_coeffs
@@ -181,4 +181,4 @@ def identity_samelson_p_part(n: int, p: int) -> int:
         raise GuardFailed(
             f"retractibility guard (p-1)^2+1 >= 2n fails for n={n}, p={p}"
         )
-    return p_part(closed_form_order(n), p)
+    return p ** valuation(closed_form_order(n), p)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spgauge.arith import (
+    PRIME_BOUND,
     frac_gcd,
     is_prime,
     p_exponent,
@@ -27,10 +28,72 @@ def test_is_prime_small_table():
     assert not is_prime(1)
 
 
+# Fixed constants, so that these tests need no computer algebra system.
+# Least strong pseudoprimes to the first j prime bases, j = 1..9 (OEIS A014233).
+STRONG_PSEUDOPRIMES = (
+    2047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+)
+CARMICHAEL = (561, 1105, 1729)
+# 10^18 + 9, the Mersenne prime 2^61 - 1, 10^24 + 7 and the largest prime
+# below PRIME_BOUND
+LARGE_PRIMES = (
+    10**18 + 9,
+    2**61 - 1,
+    10**24 + 7,
+    3_317_044_064_679_887_385_961_813,
+)
+
+
+def _sieve(limit):
+    # primality of every integer below limit by its own sieve, apart from
+    # arith.is_prime
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for d in range(2, int(limit ** 0.5) + 1):
+        if flags[d]:
+            flags[d * d::d] = bytes(len(range(d * d, limit, d)))
+    return flags
+
+
+def test_is_prime_agrees_with_a_sieve_below_a_million():
+    flags = _sieve(10**6)
+    for p in range(-20, 10**6):
+        assert is_prime(p) == (p >= 0 and flags[p] == 1), p
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_carmichael_numbers():
+    for p in STRONG_PSEUDOPRIMES + CARMICHAEL:
+        assert not is_prime(p), p
+
+
+def test_is_prime_accepts_large_primes():
+    for p in LARGE_PRIMES:
+        assert is_prime(p), p
+
+
+def test_is_prime_refuses_p_at_or_above_the_bound():
+    # PRIME_BOUND itself is composite and a strong pseudoprime to all 13
+    # bases, so the test would call it prime: the bound must be strict
+    assert PRIME_BOUND == 3_317_044_064_679_887_385_961_981
+    for p in (PRIME_BOUND, PRIME_BOUND + 1, 2**89 - 1, 10**30):
+        with pytest.raises(OutOfRange, match=f"below {PRIME_BOUND}, got {p}$"):
+            is_prime(p)
+        with pytest.raises(OutOfRange):
+            require_prime(p)
+
+
 def test_require_prime_and_require_rank():
-    for p in (2, 3, 97):
+    for p in (2, 3, 97, *LARGE_PRIMES):
         require_prime(p)
-    for p in (-7, 0, 1, 4, 91):
+    for p in (-7, 0, 1, 4, 91, 3_215_031_751, PRIME_BOUND - 1):
         with pytest.raises(NotPrime, match=f"^{p} is not prime$"):
             require_prime(p)
     require_rank(1)

@@ -211,6 +211,30 @@ def test_grid_memory_stays_flat():
     assert int(kib) < 64 * 1024
 
 
+def _cli_process(*argv, timeout):
+    code = "import sys; from spgauge.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(spgauge.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def test_classify_sp_answers_for_a_19_digit_prime_within_seconds():
+    proc = _cli_process("classify", "sp", "--n", "2", "--k", "1", "--l", "2",
+                        "--p", "1000000000000000009", timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "| 2 | 1 | 2 | 1000000000000000009 | equivalent |" in proc.stdout
+
+
+def test_classify_sp_refuses_p_at_the_primality_bound():
+    proc = _cli_process("classify", "sp", "--n", "2", "--k", "1", "--l", "2",
+                        "--p", "3317044064679887385961981", timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "3317044064679887385961981" in proc.stderr
+
+
 def test_classify_sp_grid_conflicts_with_pair(capsys):
     code, _, err = run_cli(
         capsys, "classify", "sp", "--n", "2", "--p", "5",

@@ -4,16 +4,18 @@ count or a prime.
 For every integer rank n below 1 the call raises SpgaugeError; for any
 other rank it returns or raises SpgaugeError, never anything else.  The
 same holds for the counts of surjections and sweeps below their least
-valid value, and for every p that is not prime.  A verdict that claims
-EQUIVALENT or DISTINCT has passed all of its guards.
+valid value, and for every p that is not prime or is too large for the
+primality test to decide.  A verdict that claims EQUIVALENT or DISTINCT has
+passed all of its guards.
 """
 
+from itertools import combinations_with_replacement
 from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spgauge.arith import p_part, surjection_counts, surjections
+from spgauge.arith import PRIME_BOUND, p_part, surjection_counts, surjections
 from spgauge.errors import SpgaugeError
 from spgauge.gauge import (
     Bundle,
@@ -111,11 +113,33 @@ def _next_prime(p):
     return p
 
 
+# Primes too large for _is_prime, fixed so that no computer algebra system is
+# needed: 10^12 - 11, 10^18 + 9, 2^61 - 1, 10^24 + 7 and the largest prime
+# below PRIME_BOUND.
+_LARGE_PRIMES = (
+    999_999_999_989,
+    10**18 + 9,
+    2**61 - 1,
+    10**24 + 7,
+    3_317_044_064_679_887_385_961_813,
+)
+
+# Each strategy draws (p, kind): kind is "prime" or "not prime" where the
+# construction fixes it, and None where _is_prime must decide.
 _PRIME_ARG = st.one_of(
-    st.integers(max_value=1),  # negatives, 0 and 1
-    st.builds(mul, st.integers(2, 1000), st.integers(2, 1000)),  # composites
-    st.integers(2, 999_983).map(_next_prime),  # primes up to 10^6
-    st.integers(2, 10**6),
+    st.tuples(st.integers(max_value=1), st.just("not prime")),  # negatives, 0, 1
+    st.tuples(st.builds(mul, st.integers(2, 1000), st.integers(2, 1000)),
+              st.just("not prime")),  # composites
+    st.tuples(st.integers(2, 999_983).map(_next_prime),
+              st.just("prime")),  # primes up to 10^6
+    st.tuples(st.integers(2, 10**6), st.none()),
+    st.tuples(st.sampled_from(_LARGE_PRIMES), st.just("prime")),
+    # a product of two large primes is composite, or at or above the bound
+    st.tuples(st.sampled_from([a * b for a, b in combinations_with_replacement(
+        _LARGE_PRIMES, 2)]), st.just("not prime")),
+    st.tuples(st.one_of(st.integers(min_value=PRIME_BOUND),
+                        st.sampled_from([PRIME_BOUND, 2**89 - 1, 10**30])),
+              st.just("not prime")),  # primality refused
 )
 
 PRIME_ENTRY_POINTS = {
@@ -133,14 +157,17 @@ PRIME_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("name", sorted(PRIME_ENTRY_POINTS))
-@settings(max_examples=150, deadline=None)
-@given(n=st.integers(-3, 200), k=st.integers(), l=st.integers(), p=_PRIME_ARG)
-def test_every_p_returns_or_raises_spgauge_error(name, n, k, l, p):
-    """p is drawn from the negatives, 0, 1, composites and primes up to
-    10^6.  Huge p is left out: primality is trial division, whose time has
-    no bound in p, and bounding it is ROADMAP item 3 (Miller-Rabin)."""
+@settings(max_examples=150, deadline=500)
+@given(n=st.integers(-3, 200), k=st.integers(), l=st.integers(), arg=_PRIME_ARG)
+def test_every_p_returns_or_raises_spgauge_error(name, n, k, l, arg):
+    """p is drawn from the negatives, 0, 1, composites, primes up to 10^6,
+    fixed primes up to 3.3e24 and their products, and integers at or above
+    PRIME_BOUND; every call finishes within the deadline."""
     fn = PRIME_ENTRY_POINTS[name]
-    if not _is_prime(p):
+    p, kind = arg
+    if kind is None:
+        kind = "prime" if _is_prime(p) else "not prime"
+    if kind == "not prime":
         with pytest.raises(SpgaugeError):
             fn(n, k, l, p)
         return

@@ -22,6 +22,7 @@ from spgauge.gauge import (
     retractible,
     sutherland_invariant,
 )
+from spgauge.phi import identity_samelson_p_part
 
 
 def test_bundle_requires_positive_rank():
@@ -296,6 +297,26 @@ def test_is_prime_runs_once_per_verdict(monkeypatch):
             decide_spin(m, 84, 0, p)
             verdicts += 1
     assert len(calls) == verdicts
+
+
+def test_is_prime_runs_once_per_p_part_query(monkeypatch):
+    calls = []
+    original = arith.is_prime
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(arith, "is_prime", counting)
+    queries = 0
+    for n in (1, 2, 5):
+        for p in (5, 7, 999_999_999_989):
+            for k in (0, 12, -84):
+                pi_4n1_order(n, k, p)
+                queries += 1
+            identity_samelson_p_part(n, p)
+            queries += 1
+    assert len(calls) == queries
 
 
 @settings(max_examples=200)

@@ -18,6 +18,9 @@ COMMANDS = {
                                  "--grid"),
     "classify_sp_n_4_p_3_pair": ("classify", "sp", "--n", "4", "--p", "3",
                                  "--k", "6", "--l", "-18"),
+    "classify_sp_n_4_p_999999999989_pair": ("classify", "sp", "--n", "4",
+                                            "--p", "999999999989",
+                                            "--k", "6", "--l", "-18"),
     "classify_spin_n_4": ("classify", "spin", "--n", "4", "--epsilon", "1",
                           "--k", "6", "--l", "12", "--p", "5"),
     "invariant_n_3": ("invariant", "--n", "3", "--k", "0", "--k", "7"),
@@ -28,6 +31,8 @@ COMMANDS = {
     "phi_gens_n_3_printed": ("phi-gens", "--n", "3", "--backend", "printed"),
     "retractible_sp_n_3_p_5": ("retractible", "--family", "Sp", "--n", "3",
                                "--p", "5"),
+    "retractible_sp_n_3_p_999999999989": ("retractible", "--family", "Sp",
+                                          "--n", "3", "--p", "999999999989"),
     "verify_max_n_6_jobs_1": ("verify", "--max-n", "6", "--jobs", "1"),
     "verify_max_n_6_jobs_2": ("verify", "--max-n", "6", "--jobs", "2"),
 }
