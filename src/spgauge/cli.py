@@ -114,7 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="run the acceptance property sweep")
     p_verify.add_argument("--max-n", type=int, default=20)
     p_verify.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for the sweeps")
+                          help="kept for compatibility and echoed in the "
+                               "report; starts no worker processes")
     add_format(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -287,7 +288,9 @@ def _cmd_verify(args) -> Report:
         raise SpgaugeError("verify needs --max-n >= 2")
     if args.jobs < 1:
         raise SpgaugeError("--jobs must be at least 1")
-    return verify_sweep(args.max_n, args.jobs)
+    report = verify_sweep(args.max_n)
+    report.parameters["jobs"] = fmt_int(args.jobs)
+    return report
 
 
 def main(argv=None) -> int:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from .arith import p_part, surjection_counts, surjections
 from .errors import GuardFailed, OracleMismatch, OutOfRange
@@ -194,8 +195,7 @@ def _divisors(x: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# per-rank workers over the image stream (top level so process pools can
-# pickle them)
+# per-rank oracle over the image stream
 
 
 def _divisibility_row(res: PhiResult) -> list[str]:
@@ -222,60 +222,37 @@ def _divisibility_row(res: PhiResult) -> list[str]:
     return bad
 
 
-def _checked_order_or_mismatch(res: PhiResult) -> int | OracleMismatch:
-    """checked_order, with a mismatch returned rather than raised: a raise
-    in a pool worker would drop the whole chunk of ranks around it."""
-    try:
-        return checked_order(res)
-    except OracleMismatch as exc:
-        return exc
-
-
-def _map_ordered(fn, args, jobs: int):
-    if jobs > 1:
-        # imported here: the pool costs a third of the CLI's start-up time
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(fn, args, chunksize=8)
-    else:
-        yield from map(fn, args)
-
-
 # ---------------------------------------------------------------------------
 # the checks
 
 
-def check_samelson_orders(max_n: int, jobs: int = 1) -> CheckResult:
+def check_samelson_orders(max_n: int) -> CheckResult:
     """Orders 4n(2n+1) out of the dual-route pipeline for n = 1..max_n.
 
     checked_order reads every order both as a gcd and as an element order
     in a Smith-form cokernel, checks both against 4n(2n+1) and raises
     OracleMismatch on any disagreement, which fails the check at that
-    rank; a pass without failures has the two routes agreeing at every
-    rank."""
+    rank and leaves out its row; a pass without failures has the two
+    routes agreeing at every rank."""
     res = CheckResult("samelson-orders")
-    orders = _map_ordered(_checked_order_or_mismatch, phi_images(max_n), jobs)
-    for n, order in enumerate(orders, 1):
-        if isinstance(order, OracleMismatch):
-            res.failures.append(str(order))
-            continue
-        res.rows.append({
-            "check": res.name, "n": fmt_int(n), "samelson_order": fmt_int(order),
-        })
+    for image in phi_images(max_n):
+        with res.recording():
+            res.rows.append({
+                "check": res.name, "n": fmt_int(image.n),
+                "samelson_order": fmt_int(checked_order(image)),
+            })
     return res
 
 
-def check_divisibility(max_n: int, jobs: int = 1) -> CheckResult:
+def check_divisibility(max_n: int) -> CheckResult:
     """Scaled top coefficients equal 2n(2n+1) times the inclusion-exclusion
     surjection count, are divisible by 4n(2n+1), and the count is even, for
     2 <= k <= n <= max_n."""
     res = CheckResult("scaled-coefficient-divisibility")
     pairs = 0
-    images = itertools.islice(phi_images(max_n), 1, None)
-    for n, bad in enumerate(_map_ordered(_divisibility_row, images, jobs), 2):
-        pairs += n - 1
-        res.failures.extend(bad)
+    for image in itertools.islice(phi_images(max_n), 1, None):
+        res.failures.extend(_divisibility_row(image))
+        pairs += image.n - 1
     res.rows.append({
         "check": res.name,
         "pairs": fmt_int(pairs),
@@ -487,14 +464,6 @@ def check_coset_oracle(count: int = 250, cap: int = 10_000) -> CheckResult:
     return res
 
 
-def _count_surjections_by_enumeration(m: int, k: int) -> int:
-    count = 0
-    for f in itertools.product(range(k), repeat=m):
-        if len(set(f)) == k:
-            count += 1
-    return count
-
-
 def check_series_identity() -> CheckResult:
     """m! times the x^m coefficient of (e^x - 1)^k equals the surjection
     count for m <= 12, validated against exhaustive map enumeration for
@@ -506,8 +475,11 @@ def check_series_identity() -> CheckResult:
             if lhs != surjections(m, k):
                 res.failures.append(f"m={m} k={k}: {lhs} vs {surjections(m, k)}")
     for m in range(1, 8):
+        # the m^m self-maps of an m-set, counted by image size: C(m, k) image
+        # sets of size k, each hit by surj(m, k) maps
+        tally = Counter(map(len, map(set, itertools.product(range(m), repeat=m))))
         for k in range(1, m + 1):
-            if surjections(m, k) != _count_surjections_by_enumeration(m, k):
+            if comb(m, k) * surjections(m, k) != tally[k]:
                 res.failures.append(f"m={m} k={k}: enumeration disagrees")
     res.rows.append({
         "check": res.name,
@@ -567,7 +539,7 @@ def check_guards(max_n: int) -> CheckResult:
     return res
 
 
-def verify_sweep(max_n: int, jobs: int = 1) -> Report:
+def verify_sweep(max_n: int) -> Report:
     """Run every acceptance property up to max_n and assemble a Report.
 
     Each property caps at its stated scale (orders and divisibility at
@@ -577,8 +549,8 @@ def verify_sweep(max_n: int, jobs: int = 1) -> Report:
     """
     if max_n < 2:
         raise OutOfRange("verify needs max_n >= 2")
-    orders = check_samelson_orders(max_n, jobs)
-    checks = [orders, check_divisibility(max_n, jobs)]
+    orders = check_samelson_orders(max_n)
+    checks = [orders, check_divisibility(max_n)]
     if max_n >= 3:
         checks.append(check_printed_discrepancy())
     checks.extend([
@@ -604,7 +576,7 @@ def verify_sweep(max_n: int, jobs: int = 1) -> Report:
         failures.extend(f"{c.name}: {msg}" for msg in c.failures)
     return Report(
         command="verify",
-        parameters={"max_n": fmt_int(max_n), "jobs": fmt_int(jobs)},
+        parameters={"max_n": fmt_int(max_n)},
         rows=rows,
         failures=failures,
     )

@@ -35,7 +35,7 @@ def _report(name: str, result, detail: str) -> None:
 
 def test_orders_at_full_scale():
     """Pinned order is 4n(2n+1) for every rank up to 200 (budget: 1 minute)."""
-    result = check_samelson_orders(200, jobs=1)
+    result = check_samelson_orders(200)
     anchors = {r["n"]: r["samelson_order"] for r in result.rows}
     ok = result.ok and anchors["1"] == "12" and anchors["2"] == "40"
     _line("order-pipeline n<=200", ok,
@@ -46,7 +46,7 @@ def test_orders_at_full_scale():
 def test_divisibility_at_full_scale():
     """Scaled coefficients divisible by 4n(2n+1), surjection counts even,
     for 2 <= k <= n <= 200 (budget: 1 minute)."""
-    result = check_divisibility(200, jobs=1)
+    result = check_divisibility(200)
     _report("coefficient-divisibility n<=200", result,
             f"{result.rows[0]['pairs']} (n,k) pairs")
 

@@ -339,7 +339,7 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     broken.failures.append("n=2: order 39")
 
     monkeypatch.setattr(
-        verify_mod, "check_samelson_orders", lambda max_n, jobs=1: broken)
+        verify_mod, "check_samelson_orders", lambda max_n: broken)
     code, out, _ = run_cli(capsys, "verify", "--max-n", "2", "--format", "json")
     assert code == 1
     data = json.loads(out)
@@ -372,8 +372,8 @@ def test_engine_mismatch_in_verify_is_a_failure_not_a_usage_error(
     two_path, = (r for r in data["rows"]
                  if r["check"] == "two-path-order-agreement")
     assert two_path["ok"] == "false"
-    # a mismatch fails its own rank only, so the pool, which maps ranks in
-    # chunks, reports the same rows
+    # --jobs is only echoed in the parameters, which CSV leaves out, so a
+    # failing sweep prints the same bytes for every value
     serial, pooled = (
         run_cli(capsys, "verify", "--max-n", "6", "--jobs", jobs, "--format", "csv")
         for jobs in ("1", "2"))
@@ -428,12 +428,17 @@ def test_bad_input_exits_two_with_empty_stdout(capsys, argv):
     assert err.startswith("error: ")
 
 
-def test_cli_import_leaves_process_pool_unloaded():
-    # the pool is imported only when verify runs with --jobs > 1
-    code = ("import sys, spgauge.cli; "
-            "print('concurrent.futures.process' in sys.modules)")
+def test_verify_with_jobs_starts_no_process_pool():
+    # --jobs is accepted and echoed, but the sweep runs in this process, so
+    # the process-pool module is never imported
+    code = ("import sys; from spgauge.cli import main; "
+            "status = main(sys.argv[1:]); "
+            "print(status, 'concurrent.futures.process' in sys.modules, "
+            "file=sys.stderr)")
     src = str(Path(spgauge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, env=env)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run(
+        [sys.executable, "-c", code,
+         "verify", "--max-n", "3", "--jobs", "2", "--format", "csv"],
+        capture_output=True, text=True, check=True, env=env)
+    assert done.stderr.split() == ["0", "False"]

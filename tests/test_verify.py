@@ -114,14 +114,6 @@ def test_verify_sweep_rejects_tiny_max_n():
         verify_sweep(1)
 
 
-def test_verify_sweep_parallel_matches_serial():
-    serial = verify_sweep(4, jobs=1)
-    parallel = verify_sweep(4, jobs=3)
-    # parameters record the worker count; everything else is identical
-    assert serial.rows == parallel.rows
-    assert serial.failures == parallel.failures
-
-
 def test_divisibility_check_catches_a_generator_off_the_oracle(monkeypatch):
     real = verify_mod.phi_images
 
