@@ -36,7 +36,7 @@ from .phi import (
     phi_images,
     samelson_order,
 )
-from .report import FORMATS, Report, fmt_bool, fmt_frac, fmt_int
+from .report import FORMATS, Report, Run, fmt_bool, fmt_frac, fmt_int
 from .verify import verify_sweep
 
 _RANKED_FAMILIES = (LieFamily.SU, LieFamily.SP, LieFamily.SPIN_ODD)
@@ -189,8 +189,11 @@ def _classify_grid(n: int, p: int) -> Report:
     call checks n and p; every verdict then reuses its guards through the
     gauge._local_verdict that decide_local ends in, so p is tested for
     primality once, not once per verdict.  All of it runs before any row
-    is made, so bad input raises before anything is written; the rows are
-    then expanded lazily from the cached strings."""
+    is made, so bad input raises before anything is written.  Row k of
+    the grid is the run of its label and the tails of its class: one list
+    per class of the l label and the verdict columns for every l, shared
+    by every k of the class, so the writer encodes each class's tails
+    once."""
     guards = decide_local(n, 0, 0, p).guards
     b = closed_form_order(n)
 
@@ -201,20 +204,14 @@ def _classify_grid(n: int, p: int) -> Report:
     reps = {}  # class -> its smallest k
     for k, c in enumerate(classes):
         reps.setdefault(c, k)
-    verdicts = {
-        ck: {cl: _verdict_row({}, verdict(k, l)) for cl, l in reps.items()}
-        for ck, k in reps.items()
-    }
     labels = [fmt_int(k) for k in range(b + 1)]
-
-    def rows():
-        for k, ck in zip(labels, classes):
-            by_l = verdicts[ck]
-            for l, cl in zip(labels, classes):
-                yield {"k": k, "l": l, **by_l[cl]}
-
+    tails = {}
+    for ck, k in reps.items():
+        by_l = {cl: _verdict_row({}, verdict(k, l)) for cl, l in reps.items()}
+        tails[ck] = [{"l": l, **by_l[cl]} for l, cl in zip(labels, classes)]
+    rows = [Run({"k": k}, tails[ck]) for k, ck in zip(labels, classes)]
     params = {"n": fmt_int(n), "p": fmt_int(p), "grid": f"0..{b}"}
-    return Report("classify-sp", params, rows(), columns=_GRID_COLUMNS)
+    return Report("classify-sp", params, rows, columns=_GRID_COLUMNS)
 
 
 def _cmd_classify_sp(args) -> Report:

@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import spgauge
-from spgauge.cli import _classify_grid, main
+import spgauge.report as report_mod
+from spgauge.cli import _GRID_COLUMNS, _classify_grid, main
 from spgauge.gauge import decide_local
 from spgauge.report import Report
+from test_report import ORACLES
 from spgauge.verify import CheckResult
 
 
@@ -119,26 +121,66 @@ def test_classify_sp_grid_symmetric(capsys):
     assert verdicts[("1", "5")] == "distinct"
 
 
+def _grid_row(n, k, l, p):
+    verdict = decide_local(n, k, l, p)
+    return {
+        "k": str(k),
+        "l": str(l),
+        "outcome": verdict.outcome.value,
+        "invariant_k": str(verdict.invariant_values[0]),
+        "invariant_l": str(verdict.invariant_values[1]),
+        "guards_passed": "true" if verdict.guards_passed() else "false",
+    }
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_grid_rows_equal_decide_local_on_every_pair(n, p):
-    report = _classify_grid(n, p)
+    text = _classify_grid(n, p).render("csv")
+    reader = csv.DictReader(io.StringIO(text))
+    assert tuple(reader.fieldnames) == _GRID_COLUMNS
     b = 4 * n * (2 * n + 1)
     pairs = ((k, l) for k in range(b + 1) for l in range(b + 1))
     count = 0
-    for row, (k, l) in zip(report.rows, pairs, strict=True):
-        verdict = decide_local(n, k, l, p)
-        assert row == {
-            "k": str(k),
-            "l": str(l),
-            "outcome": verdict.outcome.value,
-            "invariant_k": str(verdict.invariant_values[0]),
-            "invariant_l": str(verdict.invariant_values[1]),
-            "guards_passed": "true" if verdict.guards_passed() else "false",
-        }
+    for row, (k, l) in zip(reader, pairs, strict=True):
+        assert row == _grid_row(n, k, l, p)
         count += 1
     assert count == (b + 1) ** 2
-    assert report.columns == tuple(row)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_grid_output_equals_whole_document_renderers(capsys, n, p):
+    b = 4 * n * (2 * n + 1)
+    rows = [_grid_row(n, k, l, p) for k in range(b + 1) for l in range(b + 1)]
+    params = {"n": str(n), "p": str(p), "grid": f"0..{b}"}
+    expected = Report("classify-sp", params, rows)
+    for fmt, oracle in ORACLES.items():
+        code, out, err = run_cli(capsys, "classify", "sp", "--n", str(n),
+                                 "--p", str(p), "--grid", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == oracle(expected)
+
+
+class _NullSink(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def test_json_grid_encodes_each_class_tail_once(monkeypatch):
+    # at n = 8, p = 5 every k is of one class: the cells of 545 tails and
+    # 545 leads are encoded, not those of 545^2 rows
+    calls = 0
+    real = report_mod._quote
+
+    def counted(text):
+        nonlocal calls
+        calls += 1
+        return real(text)
+
+    monkeypatch.setattr(report_mod, "_quote", counted)
+    _classify_grid(8, 5).write("json", _NullSink())
+    assert 0 < calls < 20 * (544 + 1)
 
 
 @pytest.mark.parametrize("n,p", [(2, 5), (3, 2), (2, 999999999989)])

@@ -7,10 +7,10 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spgauge.report as report_mod
-from spgauge.report import FORMATS, Report, fmt_bool, fmt_frac, fmt_int
+from spgauge.report import FORMATS, Report, Run, fmt_bool, fmt_frac, fmt_int
 
 
 def test_formatters():
@@ -146,7 +146,8 @@ def test_streamed_rows_need_declared_columns():
 # -- the writer against the whole-document renderers it replaced ------------
 #
 # These oracles are the renderers as they were before the writer: the whole
-# document built in memory, JSON by json.dumps.
+# document built in memory, JSON by json.dumps.  The tables take the
+# declared columns, if any, else the union of the row keys.
 
 
 def _oracle_columns(rows):
@@ -169,10 +170,16 @@ def _oracle_json(report):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _oracle_table_columns(report):
+    if report.columns is not None:
+        return list(report.columns)
+    return _oracle_columns(report.rows)
+
+
 def _oracle_csv(report):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    cols = _oracle_columns(report.rows)
+    cols = _oracle_table_columns(report)
     writer.writerow(cols)
     for row in report.rows:
         writer.writerow([row.get(c, "") for c in cols])
@@ -185,7 +192,7 @@ def _oracle_markdown(report):
         for key, val in report.parameters.items():
             lines.append(f"- {key}: {val}")
         lines.append("")
-    cols = _oracle_columns(report.rows)
+    cols = _oracle_table_columns(report)
     if cols:
         lines.append("| " + " | ".join(cols) + " |")
         lines.append("|" + "|".join(" --- " for _ in cols) + "|")
@@ -248,3 +255,98 @@ _plain_key = st.text(
 def test_json_round_trip_arbitrary_payload(params, rows):
     report = Report("cmd", params, rows)
     assert Report.from_json(report.render("json")) == report
+
+
+# -- runs: rows that share a lead ---------------------------------------------
+
+@st.composite
+def _columns_and_rows(draw):
+    """Declared columns and rows mixing Runs and plain dicts.  Runs draw
+    their tails from a small pool of lists, so one list is often shared by
+    several runs, with leads of different lengths; leads run from empty to
+    every column."""
+    cols = draw(st.lists(_key, unique=True, max_size=4))
+
+    def tail(rest):
+        if not rest:
+            return st.just({})
+        return st.dictionaries(st.sampled_from(rest), _text, max_size=len(rest))
+
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(cols)))
+        pool.append((i, draw(st.lists(tail(cols[i:]), max_size=4))))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            rows.append(draw(tail(cols)))
+            continue
+        i, tails = draw(st.sampled_from(pool))
+        # the tails fit any lead of at most i columns
+        j = draw(st.integers(0, i))
+        rows.append(Run({c: draw(_text) for c in cols[:j]}, tails))
+    return tuple(cols), rows
+
+
+def _expand(rows):
+    for row in rows:
+        if isinstance(row, Run):
+            yield from ({**row.lead, **t} for t in row.tails)
+        else:
+            yield row
+
+
+_SHARED = [{"b": "x,y", "c": ""}, {"c": '"q"'}, {}]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_columns_and_rows(), _text, st.lists(_text, max_size=3))
+# one tails list shared by several runs, and split by small blocks
+@example((("a", "b", "c"), [Run({"a": "1"}, _SHARED), {"b": "2"},
+                            Run({"a": "é|\n"}, _SHARED)]), "grid", [])
+# an empty lead with empty tails: no rows, then one empty row
+@example(((), [Run({}, []), Run({}, [{}]), {}]), "", [])
+# one tails list after leads of different lengths
+@example((("a", "b", "c"), [Run({}, _SHARED), Run({"a": "1"}, _SHARED)]),
+         "x", [])
+@example((("a",), [Run({}, [])]), "x", ["f"])
+# single-column rows, the one cell in the lead or in the tails
+@example((("a",), [Run({"a": ""}, [{}, {}]), Run({}, [{"a": ""}, {}])]),
+         "x", [])
+def test_runs_write_as_their_expanded_rows(columns_and_rows, command, failures):
+    cols, rows = columns_and_rows
+    params = {"n": "2"}
+    expanded = Report(command, params, list(_expand(rows)), failures,
+                      columns=cols)
+    for fmt, oracle in ORACLES.items():
+        want = oracle(expanded)
+        for block in (1, 2, report_mod._BLOCK):
+            with mock.patch.object(report_mod, "_BLOCK", block):
+                report = Report(command, params, rows, failures, columns=cols)
+                assert report.render(fmt) == want
+                streamed = Report(command, params, iter(rows), failures,
+                                  columns=cols)
+                assert streamed.render(fmt) == want
+
+
+def test_runs_are_checked_against_the_columns():
+    tails = [{"b": "1"}]
+    with pytest.raises(ValueError):  # no declared columns
+        Report("x", {}, [Run({"a": "0"}, tails)]).render("csv")
+    with pytest.raises(ValueError):  # the lead is not the leading columns
+        Report("x", {}, [Run({"b": "0"}, tails)],
+               columns=("a", "b")).render("csv")
+    with pytest.raises(ValueError):  # a tail repeats a lead column
+        Report("x", {}, [Run({"a": "0"}, [{"a": "1"}])],
+               columns=("a", "b")).render("json")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_run_longer_than_a_block_is_split_across_writes(fmt):
+    tails = [{"l": str(i)} for i in range(report_mod._BLOCK + 1)]
+    rows = [Run({"k": "0"}, tails), Run({"k": "1"}, tails)]
+    out = _Recorder()
+    Report("x", {}, rows, columns=("k", "l")).write(fmt, out)
+    assert out.writes == 3  # 2 * _BLOCK + 2 rows: two full blocks, the rest
+    want = ORACLES[fmt](Report("x", {}, list(_expand(rows))))
+    assert out.getvalue() == want
