@@ -5,7 +5,8 @@ compares the pipelines against independent oracles: closed forms, exhaustive
 map enumeration, and brute-force coset enumeration built on an integer
 row-echelon reduction that shares no code with the Smith-form engine it
 checks.  Scales cap at each property's stated bound so a large max_n stays
-within the documented runtime budgets.
+within the documented runtime budgets.  The sweep walks the image stream
+phi_images once, feeding both the orders check and the divisibility check.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ from .series import exp_minus_one_powers
 
 _SEED = 20260819
 _GUARD_PRIMES = (2, 3, 5, 7, 11, 13)
+_SMITH_INSTANCES = 1000
+_COSET_INSTANCES = 250
+_COSET_CAP = 10_000  # the largest quotient the coset oracle enumerates
 
 
 @dataclass
@@ -61,6 +65,10 @@ class CheckResult:
             yield
         except OracleMismatch as exc:
             self.failures.append(str(exc))
+
+    def summarize(self, **cells: str) -> None:
+        """Close the check with one row: its name, cells and verdict."""
+        self.rows.append({"check": self.name, **cells, "ok": fmt_bool(self.ok)})
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +148,6 @@ class EchelonLattice:
 
     def pivots(self) -> dict[int, int]:
         return {self._leading(row): abs(row[self._leading(row)]) for row in self.rows}
-
-    def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
 
 
 def _echelon_from_columns(mat: IntMatrix) -> EchelonLattice:
@@ -226,39 +231,34 @@ def _divisibility_row(res: PhiResult) -> list[str]:
 # the checks
 
 
-def check_samelson_orders(max_n: int) -> CheckResult:
-    """Orders 4n(2n+1) out of the dual-route pipeline for n = 1..max_n.
+def check_image_stream(max_n: int) -> tuple[CheckResult, CheckResult]:
+    """The orders and divisibility checks, fed by one walk of phi_images.
 
-    checked_order reads every order both as a gcd and as an element order
-    in a Smith-form cokernel, checks both against 4n(2n+1) and raises
-    OracleMismatch on any disagreement, which fails the check at that
-    rank and leaves out its row; a pass without failures has the two
-    routes agreeing at every rank."""
-    res = CheckResult("samelson-orders")
+    Orders: checked_order reads every order 4n(2n+1), n = 1..max_n, both as
+    a gcd and as an element order in a Smith-form cokernel and raises
+    OracleMismatch on any disagreement, which fails the check at that rank
+    and leaves out its row; a pass has the two routes agreeing throughout.
+
+    Divisibility, at every rank: scaled top coefficients equal 2n(2n+1)
+    times the inclusion-exclusion surjection count, are divisible by
+    4n(2n+1), and the count is even, for 2 <= k <= n <= max_n."""
+    orders = CheckResult("samelson-orders")
+    divisibility = CheckResult("scaled-coefficient-divisibility")
+    pairs = 0
     for image in phi_images(max_n):
-        with res.recording():
-            res.rows.append({
-                "check": res.name, "n": fmt_int(image.n),
+        with orders.recording():
+            orders.rows.append({
+                "check": orders.name, "n": fmt_int(image.n),
                 "samelson_order": fmt_int(checked_order(image)),
             })
-    return res
-
-
-def check_divisibility(max_n: int) -> CheckResult:
-    """Scaled top coefficients equal 2n(2n+1) times the inclusion-exclusion
-    surjection count, are divisible by 4n(2n+1), and the count is even, for
-    2 <= k <= n <= max_n."""
-    res = CheckResult("scaled-coefficient-divisibility")
-    pairs = 0
-    for image in itertools.islice(phi_images(max_n), 1, None):
-        res.failures.extend(_divisibility_row(image))
+        divisibility.failures.extend(_divisibility_row(image))
         pairs += image.n - 1
-    res.rows.append({
-        "check": res.name,
+    divisibility.rows.append({
+        "check": divisibility.name,
         "pairs": fmt_int(pairs),
-        "all_divisible": fmt_bool(not res.failures),
+        "all_divisible": fmt_bool(divisibility.ok),
     })
-    return res
+    return orders, divisibility
 
 
 def check_printed_discrepancy() -> CheckResult:
@@ -266,7 +266,7 @@ def check_printed_discrepancy() -> CheckResult:
     leaves the rank-3 image unpinned; the series backend pins it at 84."""
     res = CheckResult("printed-backend-discrepancy")
     printed = phi_image(3, "printed")
-    *_, series = phi_images(3)
+    series = phi_image(3)
     scaled = printed.upper_gens[1]
     modulus = printed.lower_gen
     res.rows.append({
@@ -352,12 +352,7 @@ def check_rank2_constants() -> CheckResult:
             )
             if verdict.outcome is not expected:
                 res.failures.append(f"k={k} l={l}: verdict {verdict.outcome.value}")
-    res.rows.append({
-        "check": res.name,
-        "range": "0..80",
-        "partition_classes": fmt_int(len(set(parts.values()))),
-        "ok": fmt_bool(not res.failures),
-    })
+    res.summarize(range="0..80", partition_classes=fmt_int(len(set(parts.values()))))
     return res
 
 
@@ -369,12 +364,12 @@ def _random_matrix(rng: random.Random, max_dim: int, lo: int, hi: int) -> IntMat
     )
 
 
-def check_smith_random(count: int = 1000) -> CheckResult:
+def check_smith_random() -> CheckResult:
     """Random Smith forms: U A V = D exactly, both transforms unimodular,
     diagonal nonnegative and a divisibility chain."""
     res = CheckResult("smith-normal-form-random")
     rng = random.Random(_SEED)
-    for idx in range(count):
+    for idx in range(_SMITH_INSTANCES):
         a = _random_matrix(rng, 6, -20, 20)
         snf = smith_normal_form(a)
         if snf.u.mul(a).mul(snf.v).entries != snf.d.entries:
@@ -398,29 +393,25 @@ def check_smith_random(count: int = 1000) -> CheckResult:
         ]
         if off:
             res.failures.append(f"instance {idx}: D not diagonal")
-    res.rows.append({
-        "check": res.name,
-        "instances": fmt_int(count),
-        "ok": fmt_bool(not res.failures),
-    })
+    res.summarize(instances=fmt_int(_SMITH_INSTANCES))
     return res
 
 
-def check_coset_oracle(count: int = 250, cap: int = 10_000) -> CheckResult:
+def check_coset_oracle() -> CheckResult:
     """Cokernel invariants and element orders against brute-force coset
-    enumeration on small random matrices with quotient order <= cap."""
+    enumeration on small random matrices with quotient order <= _COSET_CAP."""
     res = CheckResult("coset-enumeration-oracle")
     rng = random.Random(_SEED + 1)
     finite = 0
     skipped = 0
-    for idx in range(count):
+    for idx in range(_COSET_INSTANCES):
         a = _random_matrix(rng, 3, -3, 3)
         lat = _echelon_from_columns(a)
         group = cokernel(a)
         if group.free_rank != a.rows - len(lat.pivots()):
             res.failures.append(f"instance {idx}: free rank mismatch")
             continue
-        cosets = enumerate_cosets(lat, cap)
+        cosets = enumerate_cosets(lat, _COSET_CAP)
         if cosets is None:
             # infinite quotient, or finite but beyond the enumeration cap
             skipped += 1
@@ -449,18 +440,13 @@ def check_coset_oracle(count: int = 250, cap: int = 10_000) -> CheckResult:
         for _ in range(3):
             vec = [rng.randint(-4, 4) for _ in range(a.rows)]
             direct = element_order_in_coker(a, vec)
-            enumerated = order_by_addition(lat, vec, cap + 1)
+            enumerated = order_by_addition(lat, vec, _COSET_CAP + 1)
             if direct != enumerated:
                 res.failures.append(
                     f"instance {idx}: element order {direct} vs {enumerated}"
                 )
-    res.rows.append({
-        "check": res.name,
-        "instances": fmt_int(count),
-        "finite": fmt_int(finite),
-        "skipped": fmt_int(skipped),
-        "ok": fmt_bool(not res.failures),
-    })
+    res.summarize(instances=fmt_int(_COSET_INSTANCES), finite=fmt_int(finite),
+                  skipped=fmt_int(skipped))
     return res
 
 
@@ -481,12 +467,7 @@ def check_series_identity() -> CheckResult:
         for k in range(1, m + 1):
             if comb(m, k) * surjections(m, k) != tally[k]:
                 res.failures.append(f"m={m} k={k}: enumeration disagrees")
-    res.rows.append({
-        "check": res.name,
-        "coefficient_range": "m<=12",
-        "enumeration_range": "m<=7",
-        "ok": fmt_bool(not res.failures),
-    })
+    res.summarize(coefficient_range="m<=12", enumeration_range="m<=7")
     return res
 
 
@@ -530,12 +511,7 @@ def check_guards(max_n: int) -> CheckResult:
         ):
             if retractible(family, None, p) != (p >= min_p):
                 res.failures.append(f"{family.value} p={p}: registry mismatch")
-    res.rows.append({
-        "check": res.name,
-        "max_n": fmt_int(top),
-        "primes": ",".join(str(p) for p in _GUARD_PRIMES),
-        "ok": fmt_bool(not res.failures),
-    })
+    res.summarize(max_n=fmt_int(top), primes=",".join(str(p) for p in _GUARD_PRIMES))
     return res
 
 
@@ -545,20 +521,21 @@ def verify_sweep(max_n: int) -> Report:
     Each property caps at its stated scale (orders and divisibility at
     max_n, mapping group at 40, separation at 12, guards at 20; fixed-size
     checks run whenever max_n admits them), so max_n = 200 reproduces the
-    full acceptance suite.
+    full acceptance suite.  The image stream is walked once, by
+    check_image_stream.
     """
     if max_n < 2:
         raise OutOfRange("verify needs max_n >= 2")
-    orders = check_samelson_orders(max_n)
-    checks = [orders, check_divisibility(max_n)]
+    orders, divisibility = check_image_stream(max_n)
+    checks = [orders, divisibility]
     if max_n >= 3:
         checks.append(check_printed_discrepancy())
     checks.extend([
         check_mapping_group(max_n),
         check_separation(max_n),
         check_rank2_constants(),
-        # the orders pass compared the gcd and cokernel routes at every rank
-        # and failed on a mismatch; the row keeps its scale
+        # the orders pass compared the gcd and cokernel routes at every rank;
+        # this row keeps its scale and repeats none of the orders failures
         CheckResult("two-path-order-agreement", [{
             "check": "two-path-order-agreement",
             "max_n": fmt_int(min(max_n, 60)),

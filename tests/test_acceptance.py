@@ -7,17 +7,18 @@ individual budgets are noted per test.
 
 from math import factorial
 
+import pytest
+
 from spgauge.gauge import LieFamily, retractible
 from spgauge.phi import phi_image
 from spgauge.verify import (
     _divisibility_row,
     check_coset_oracle,
-    check_divisibility,
     check_guards,
+    check_image_stream,
     check_mapping_group,
     check_printed_discrepancy,
     check_rank2_constants,
-    check_samelson_orders,
     check_separation,
     check_series_identity,
     check_smith_random,
@@ -33,9 +34,16 @@ def _report(name: str, result, detail: str) -> None:
     assert result.ok, result.failures[:5]
 
 
-def test_orders_at_full_scale():
+@pytest.fixture(scope="module")
+def stream_200():
+    """The orders and divisibility checks from one walk of the image stream
+    up to rank 200, shared by the two n <= 200 tests."""
+    return check_image_stream(200)
+
+
+def test_orders_at_full_scale(stream_200):
     """Pinned order is 4n(2n+1) for every rank up to 200 (budget: 1 minute)."""
-    result = check_samelson_orders(200)
+    result = stream_200[0]
     anchors = {r["n"]: r["samelson_order"] for r in result.rows}
     ok = result.ok and anchors["1"] == "12" and anchors["2"] == "40"
     _line("order-pipeline n<=200", ok,
@@ -43,10 +51,10 @@ def test_orders_at_full_scale():
     assert ok, result.failures[:5]
 
 
-def test_divisibility_at_full_scale():
+def test_divisibility_at_full_scale(stream_200):
     """Scaled coefficients divisible by 4n(2n+1), surjection counts even,
     for 2 <= k <= n <= 200 (budget: 1 minute)."""
-    result = check_divisibility(200)
+    result = stream_200[1]
     _report("coefficient-divisibility n<=200", result,
             f"{result.rows[0]['pairs']} (n,k) pairs")
 
@@ -107,9 +115,9 @@ def test_lattice_oracle_equivalence():
     """gcd route vs cokernel route for n <= 60 (checked_order compares them
     at every rank of the order sweep); Smith form on 1000 random matrices;
     cokernel vs brute-force coset enumeration (budget: 2 minutes)."""
-    two_path = check_samelson_orders(60)
-    smith = check_smith_random(1000)
-    cosets = check_coset_oracle(250, 10_000)
+    two_path = check_image_stream(60)[0]
+    smith = check_smith_random()
+    cosets = check_coset_oracle()
     ok = two_path.ok and smith.ok and cosets.ok
     detail = (
         f"two-path n<=60; 1000 Smith instances; "

@@ -379,9 +379,10 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
 
     broken = CheckResult("samelson-orders")
     broken.failures.append("n=2: order 39")
+    real = verify_mod.check_image_stream
 
     monkeypatch.setattr(
-        verify_mod, "check_samelson_orders", lambda max_n: broken)
+        verify_mod, "check_image_stream", lambda max_n: (broken, real(max_n)[1]))
     code, out, _ = run_cli(capsys, "verify", "--max-n", "2", "--format", "json")
     assert code == 1
     data = json.loads(out)
@@ -414,6 +415,11 @@ def test_engine_mismatch_in_verify_is_a_failure_not_a_usage_error(
     two_path, = (r for r in data["rows"]
                  if r["check"] == "two-path-order-agreement")
     assert two_path["ok"] == "false"
+    # the unpinned rank loses only its orders row; its divisibility check
+    # still runs in the same walk
+    divisibility, = (r for r in data["rows"]
+                     if r["check"] == "scaled-coefficient-divisibility")
+    assert (divisibility["pairs"], divisibility["all_divisible"]) == ("15", "true")
     # --jobs is only echoed in the parameters, which CSV leaves out, so a
     # failing sweep prints the same bytes for every value
     serial, pooled = (

@@ -22,8 +22,8 @@ def test_echelon_insert_and_membership():
     lat.insert([2, 0])
     lat.insert([0, 3])
     assert lat.pivots() == {0: 2, 1: 3}
-    assert lat.contains([4, -3])
-    assert not lat.contains([1, 0])
+    assert not any(lat.reduce([4, -3]))
+    assert any(lat.reduce([1, 0]))
     assert lat.reduce([5, 7]) == (1, 1)
 
 
@@ -126,8 +126,21 @@ def test_divisibility_check_catches_a_generator_off_the_oracle(monkeypatch):
             yield res
 
     monkeypatch.setattr(verify_mod, "phi_images", one_wrong)
-    result = verify_mod.check_divisibility(6)
+    result = verify_mod.check_image_stream(6)[1]
     assert result.rows[0]["all_divisible"] == "false"
     assert len(result.failures) == 1
     assert result.failures[0].startswith(
         "n=5 k=3: generator 1996940 differs from the surjection oracle")
+
+
+def test_verify_sweep_walks_the_image_stream_once(monkeypatch):
+    real = verify_mod.phi_images
+    calls = []
+
+    def counted(max_n):
+        calls.append(max_n)
+        return real(max_n)
+
+    monkeypatch.setattr(verify_mod, "phi_images", counted)
+    assert verify_sweep(6).status == "ok"
+    assert calls == [6]
