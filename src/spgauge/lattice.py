@@ -9,6 +9,7 @@ then lowest column) so the transforms are reproducible run to run.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Sequence
@@ -60,19 +61,17 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[t] * other.get(t, j) for t in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        columns = [other.entries[j::other.cols] for j in range(other.cols)]
+        return IntMatrix(self.rows, other.cols, tuple(
+            sum(map(operator.mul, self.row(i), col))
+            for i in range(self.rows) for col in columns
+        ))
 
     def apply(self, vec: Sequence[int]) -> list[int]:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
-        return [sum(self.row(i)[t] * vec[t] for t in range(self.cols))
-                for i in range(self.rows)]
+        return [sum(map(operator.mul, self.row(i), vec)) for i in range(self.rows)]
 
     def diagonal(self) -> list[int]:
         return [self.get(i, i) for i in range(min(self.rows, self.cols))]

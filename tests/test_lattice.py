@@ -1,5 +1,7 @@
 """Unit tests for integer matrices, Smith normal form, and cokernels."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +36,28 @@ def test_matrix_mul_and_apply():
     assert a.apply([1, -1]) == [-1, -1]
     with pytest.raises(DimensionMismatch):
         a.apply([1, 2, 3])
+    with pytest.raises(DimensionMismatch):
+        a.mul(IntMatrix.from_rows([[1, 2, 3]]))
+
+
+def test_mul_and_apply_match_the_entrywise_sum_on_random_matrices():
+    rng = random.Random(20260819)
+    for _ in range(300):
+        rows, inner, cols = (rng.randint(1, 6) for _ in range(3))
+        a = IntMatrix.from_rows(
+            [[rng.randint(-20, 20) for _ in range(inner)] for _ in range(rows)])
+        b = IntMatrix.from_rows(
+            [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(inner)])
+        product = a.mul(b)
+        assert (product.rows, product.cols) == (rows, cols)
+        assert product.to_lists() == [
+            [sum(a.get(i, t) * b.get(t, j) for t in range(inner))
+             for j in range(cols)]
+            for i in range(rows)
+        ]
+        vec = [rng.randint(-20, 20) for _ in range(inner)]
+        column = IntMatrix.from_rows([[x] for x in vec])
+        assert a.apply(vec) == list(a.mul(column).entries)
 
 
 def test_det_frozen_values():

@@ -1,16 +1,24 @@
 """Unit tests for the self-check sweep and its brute-force oracles."""
 
 import dataclasses
+import hashlib
+import itertools
+import random
+from collections import Counter
 
 import pytest
 
 import spgauge.verify as verify_mod
 from spgauge.errors import OutOfRange
-from spgauge.lattice import IntMatrix
+from spgauge.lattice import IntMatrix, smith_normal_form
 from spgauge.verify import (
+    _SEED,
+    _SMITH_INSTANCES,
     EchelonLattice,
     _divisors,
     _echelon_from_columns,
+    _image_size_tally,
+    _random_matrix,
     enumerate_cosets,
     order_by_addition,
     verify_sweep,
@@ -144,3 +152,37 @@ def test_verify_sweep_walks_the_image_stream_once(monkeypatch):
     monkeypatch.setattr(verify_mod, "phi_images", counted)
     assert verify_sweep(6).status == "ok"
     assert calls == [6]
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_image_size_tally_matches_direct_enumeration(m):
+    direct = Counter(map(len, map(set, itertools.product(range(m), repeat=m))))
+    assert _image_size_tally(m) == direct
+
+
+def test_series_identity_enumeration_catches_a_wrong_oracle(monkeypatch):
+    real = verify_mod.surjection_counts
+
+    def one_wrong(m, top):
+        row = real(m, top)
+        if m == 5:
+            row[3] += 2
+        return row
+
+    monkeypatch.setattr(verify_mod, "surjection_counts", one_wrong)
+    result = verify_mod.check_series_identity()
+    assert result.rows[-1]["ok"] == "false"
+    assert "m=5 k=3: enumeration disagrees" in result.failures
+
+
+def test_smith_forms_of_the_random_check_are_pinned():
+    # a digest of U, D and V over the instances check_smith_random draws:
+    # pivot selection is deterministic, so any change to the reduction that
+    # alters a transform shows here
+    rng = random.Random(_SEED)
+    digest = hashlib.sha256()
+    for _ in range(_SMITH_INSTANCES):
+        snf = smith_normal_form(_random_matrix(rng, 6, -20, 20))
+        digest.update(repr((snf.u.entries, snf.d.entries, snf.v.entries)).encode())
+    assert digest.hexdigest() == (
+        "ea1f22a856ee07cc0a32fb9f54d6eab31c40ea1f23ebfc8efe11250bb172661e")
