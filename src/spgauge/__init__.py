@@ -8,7 +8,7 @@ classification queries for the associated gauge groups, all over exact
 integers and rationals.
 """
 
-from .arith import frac_gcd, is_prime, p_exponent, p_part, surjections
+from .arith import frac_gcd, is_prime, p_exponent, p_part
 from .errors import (
     AllZero,
     BadDimension,

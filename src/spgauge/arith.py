@@ -134,13 +134,3 @@ def surjection_counts(m: int, top: int) -> list[int]:
         row[k:] = [b - a for a, b in zip(row[k - 1:], row[k:])]
     return row + [0] * (top - last)
 
-
-def surjections(m: int, k: int) -> int:
-    """Number of surjections from an m-element set onto a k-element set.
-
-    The k-th entry of surjection_counts(m, k).  Equals k! * Stirling2(m, k),
-    and is 0 whenever k > m.  Raises OutOfRange for m < 1 or k < 1.
-    """
-    if m < 1 or k < 1:
-        raise OutOfRange("surjections requires m >= 1 and k >= 1")
-    return surjection_counts(m, k)[k]

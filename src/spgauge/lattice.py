@@ -1,16 +1,19 @@
 """Integer matrices, Smith normal form, and cokernel invariants.
 
-All entries are arbitrary-precision Python ints.  The Smith form tracks the
-unimodular transforms (U A V = D) so element orders in cokernels can be read
-off exactly; they need only U and D, so they skip V.  Pivot selection is
-deterministic (smallest nonzero absolute value, ties broken by lowest row
-then lowest column) so the transforms are reproducible run to run.
+All entries are arbitrary-precision Python ints, checked once when an
+IntMatrix is built: anything else raises OutOfRange.  The Smith reduction
+works on row lists and tracks the unimodular transforms (U A V = D), so
+element orders in cokernels can be read off exactly; they need only U and
+D, so they skip V.  Pivot selection is deterministic (smallest nonzero
+absolute value, ties broken by lowest row then lowest column) so the
+transforms are reproducible run to run.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, lcm
 from typing import Sequence
 
@@ -19,7 +22,8 @@ from .errors import DimensionMismatch, OutOfRange
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, entries stored row-major."""
+    """Immutable integer matrix, entries stored row-major.  Every entry must
+    be an int, else OutOfRange."""
 
     rows: int
     cols: int
@@ -30,6 +34,8 @@ class IntMatrix:
             raise OutOfRange("matrix dimensions must be positive")
         if len(self.entries) != self.rows * self.cols:
             raise DimensionMismatch("entry count does not match dimensions")
+        if not all(isinstance(x, int) for x in self.entries):
+            raise OutOfRange("matrix entries must be integers")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -40,12 +46,8 @@ class IntMatrix:
         for row in rows:
             if len(row) != ncols:
                 raise DimensionMismatch("ragged rows")
-            flat.extend(int(x) for x in row)
+            flat.extend(row)
         return cls(len(rows), ncols, tuple(flat))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     def get(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -66,12 +68,6 @@ class IntMatrix:
             sum(map(operator.mul, self.row(i), col))
             for i in range(self.rows) for col in columns
         ))
-
-    def apply(self, vec: Sequence[int]) -> list[int]:
-        """Matrix times column vector."""
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector length does not match column count")
-        return [sum(map(operator.mul, self.row(i), vec)) for i in range(self.rows)]
 
     def diagonal(self) -> list[int]:
         return [self.get(i, i) for i in range(min(self.rows, self.cols))]
@@ -140,21 +136,24 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     ties broken by lowest row then lowest column, so the output is
     deterministic.
     """
-    return SmithForm(*_reduce(a, track_v=True))
+    return SmithForm(*(
+        IntMatrix(len(rows), len(rows[0]), tuple(chain.from_iterable(rows)))
+        for rows in _reduce(a, track_v=True)
+    ))
 
 
 def _reduce(
     a: IntMatrix, track_v: bool
-) -> tuple[IntMatrix, IntMatrix, IntMatrix | None]:
-    """The Smith reduction behind smith_normal_form: (u, d, v).
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """The Smith reduction behind smith_normal_form: (u, d, v) as row lists.
 
-    Without track_v the column operations touch d alone and v is None,
+    Without track_v the column operations touch d alone and v is empty,
     which is all a caller reading only u and d needs.
     """
     m, n = a.rows, a.cols
     d = a.to_lists()
-    u = IntMatrix.identity(m).to_lists()
-    v = IntMatrix.identity(n).to_lists() if track_v else []
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)] if track_v else []
 
     def swap_rows(i1, i2):
         d[i1], d[i2] = d[i2], d[i1]
@@ -244,17 +243,13 @@ def _reduce(
             d[i] = [-x for x in d[i]]
             u[i] = [-x for x in u[i]]
 
-    return (
-        IntMatrix.from_rows(u),
-        IntMatrix.from_rows(d),
-        IntMatrix.from_rows(v) if track_v else None,
-    )
+    return u, d, v
 
 
 def cokernel(a: IntMatrix) -> FinAbGroup:
     """Invariants of Z^rows / column-span(a)."""
-    diag = _reduce(a, track_v=False)[1].diagonal()
-    nonzero = [x for x in diag if x != 0]
+    d = _reduce(a, track_v=False)[1]
+    nonzero = [d[i][i] for i in range(min(a.rows, a.cols)) if d[i][i] != 0]
     return FinAbGroup(
         invariant_factors=tuple(x for x in nonzero if x >= 2),
         free_rank=a.rows - len(nonzero),
@@ -265,18 +260,19 @@ def element_order_in_coker(a: IntMatrix, v: Sequence[int]) -> int | None:
     """Order of the class of v in Z^rows / column-span(a).
 
     Returns the least m >= 1 with m*v in the column span, or None when no
-    such m exists (infinite order).  The zero class has order 1.
+    such m exists (infinite order).  The zero class has order 1.  Entries
+    of v must be ints, as in an IntMatrix, else OutOfRange.
     """
     if len(v) != a.rows:
         raise DimensionMismatch(
             f"vector length {len(v)} does not match {a.rows} rows"
         )
+    column = IntMatrix(a.rows, 1, tuple(v)).entries
     u, d, _ = _reduce(a, track_v=False)
-    w = u.apply([int(x) for x in v])
-    diag = d.diagonal()
     order = 1
-    for i, wi in enumerate(w):
-        di = diag[i] if i < len(diag) else 0
+    for i, row in enumerate(u):
+        wi = sum(map(operator.mul, row, column))
+        di = d[i][i] if i < a.cols else 0
         if di == 0:
             if wi != 0:
                 return None

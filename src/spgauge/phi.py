@@ -153,8 +153,8 @@ def checked_order(result: PhiResult) -> int:
             f"series-backend image at n={n} failed to pin the order"
         )
     direct = result.pinned_order
-    presentation = IntMatrix.from_rows([list(result.upper_gens)])
-    via_coker = element_order_in_coker(presentation, [1])
+    gens = result.upper_gens
+    via_coker = element_order_in_coker(IntMatrix(1, len(gens), gens), (1,))
     if via_coker != direct:
         raise OracleMismatch(
             f"gcd route gave {direct} but cokernel route gave {via_coker} at n={n}"

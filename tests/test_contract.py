@@ -6,7 +6,8 @@ other rank it returns or raises SpgaugeError, never anything else.  The
 same holds for the counts of surjections and sweeps below their least
 valid value, and for every p that is not prime or is too large for the
 primality test to decide.  A verdict that claims EQUIVALENT or DISTINCT has
-passed all of its guards.
+passed all of its guards.  A matrix or vector entry that is not an int
+raises OutOfRange, never a rounded answer.
 """
 
 from itertools import combinations_with_replacement
@@ -15,8 +16,8 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spgauge.arith import PRIME_BOUND, p_part, surjection_counts, surjections
-from spgauge.errors import SpgaugeError
+from spgauge.arith import PRIME_BOUND, p_part, surjection_counts
+from spgauge.errors import OutOfRange, SpgaugeError
 from spgauge.gauge import (
     Bundle,
     LieFamily,
@@ -29,6 +30,7 @@ from spgauge.gauge import (
     retractible,
     sutherland_invariant,
 )
+from spgauge.lattice import IntMatrix, element_order_in_coker
 from spgauge.phi import identity_samelson_p_part, phi_image, phi_images, samelson_order
 from spgauge.verify import verify_sweep
 
@@ -82,14 +84,12 @@ def test_rank_below_one_always_raises_spgauge_error(name, data, k, l, p):
 @settings(max_examples=150, deadline=None)
 @given(m=st.integers(max_value=40), k=st.integers(max_value=40))
 def test_surjection_counts_below_their_domain_raise_spgauge_error(m, k):
-    # surj(m, k) needs m >= 1 and k >= 1; the row surj(m, 0..k) takes k >= 0
-    for fn, valid in ((surjections, m >= 1 and k >= 1),
-                      (surjection_counts, m >= 1 and k >= 0)):
-        if valid:
-            fn(m, k)
-        else:
-            with pytest.raises(SpgaugeError):
-                fn(m, k)
+    # the row surj(m, 0..k) needs m >= 1 and k >= 0
+    if m >= 1 and k >= 0:
+        surjection_counts(m, k)
+    else:
+        with pytest.raises(SpgaugeError):
+            surjection_counts(m, k)
 
 
 @settings(max_examples=50, deadline=None)
@@ -97,6 +97,39 @@ def test_surjection_counts_below_their_domain_raise_spgauge_error(m, k):
 def test_verify_sweep_below_two_raises_spgauge_error(max_n):
     with pytest.raises(SpgaugeError):
         verify_sweep(max_n)
+
+
+# -- matrix entries -----------------------------------------------------------
+
+
+_NON_INT = st.one_of(st.floats(), st.fractions(), st.text(), st.none())
+
+# each takes (rows, cols, matrix entries row-major, vector of length rows)
+NON_INT_ENTRY_POINTS = {
+    "from_rows": lambda rows, cols, matrix, vector: IntMatrix.from_rows(
+        [matrix[i * cols:(i + 1) * cols] for i in range(rows)]),
+    "IntMatrix": lambda rows, cols, matrix, vector: IntMatrix(
+        rows, cols, tuple(matrix)),
+    "element_order_in_coker": lambda rows, cols, matrix, vector:
+        element_order_in_coker(IntMatrix(rows, cols, tuple(matrix)), vector),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INT_ENTRY_POINTS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 4),
+       bad=_NON_INT)
+def test_a_non_int_entry_raises_out_of_range(name, data, rows, cols, bad):
+    """One entry of a valid matrix (or, for element_order_in_coker, of a
+    valid vector) is replaced by a float, a Fraction, a str or None."""
+    matrix = data.draw(st.lists(st.integers(-50, 50), min_size=rows * cols,
+                                max_size=rows * cols), label="matrix")
+    vector = data.draw(st.lists(st.integers(-50, 50), min_size=rows,
+                                max_size=rows), label="vector")
+    spoiled = vector if name == "element_order_in_coker" else matrix
+    spoiled[data.draw(st.integers(0, len(spoiled) - 1), label="position")] = bad
+    with pytest.raises(OutOfRange):
+        NON_INT_ENTRY_POINTS[name](rows, cols, matrix, vector)
 
 
 # -- primes -------------------------------------------------------------------

@@ -35,6 +35,7 @@ COMMANDS = {
                                           "--n", "3", "--p", "999999999989"),
     "verify_max_n_6_jobs_1": ("verify", "--max-n", "6", "--jobs", "1"),
     "verify_max_n_6_jobs_2": ("verify", "--max-n", "6", "--jobs", "2"),
+    "verify_max_n_200": ("verify", "--max-n", "200", "--jobs", "1"),
 }
 EXTENSIONS = {"markdown": "md", "csv": "csv", "json": "json"}
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spgauge.phi as phi_mod
-from spgauge.arith import surjections
+from spgauge.arith import surjection_counts
 from spgauge.errors import GuardFailed, NotPrime, OutOfRange
 from spgauge.lattice import IntMatrix, element_order_in_coker, smith_normal_form
 from spgauge.phi import (
@@ -134,8 +134,8 @@ def test_identity_p_part_rejects_composite():
 
 def _oracle_gens(n):
     scale = 2 * n * (2 * n + 1)
-    return (2 * scale,) + tuple(
-        scale * surjections(2 * n - 1, k) for k in range(2, n + 1))
+    counts = surjection_counts(2 * n - 1, n)
+    return (2 * scale,) + tuple(scale * counts[k] for k in range(2, n + 1))
 
 
 def test_stream_matches_inclusion_exclusion_oracle():
@@ -190,7 +190,7 @@ def test_phi_image_builds_only_its_own_result(monkeypatch, n):
 
 def _order_from_full_smith_form(a, vec):
     snf = smith_normal_form(a)
-    w = snf.u.apply(vec)
+    w = snf.u.mul(IntMatrix.from_rows([[x] for x in vec])).entries
     diag = snf.d.diagonal()
     order = 1
     for i, wi in enumerate(w):
