@@ -12,10 +12,10 @@ transforms are reproducible run to run.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd, lcm
-from typing import Sequence
+from math import gcd, lcm, prod
 
 from .errors import DimensionMismatch, OutOfRange
 
@@ -30,6 +30,8 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.rows, int) and isinstance(self.cols, int)):
+            raise OutOfRange("matrix dimensions must be integers")
         if self.rows < 1 or self.cols < 1:
             raise OutOfRange("matrix dimensions must be positive")
         if len(self.entries) != self.rows * self.cols:
@@ -39,6 +41,9 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
+        if not (isinstance(rows, Sequence)
+                and all(isinstance(row, Sequence) for row in rows)):
+            raise OutOfRange("matrix rows must be sequences")
         if not rows or not rows[0]:
             raise OutOfRange("matrix dimensions must be positive")
         ncols = len(rows[0])
@@ -121,10 +126,7 @@ class FinAbGroup:
         """Group order, or None when the group is infinite."""
         if self.free_rank > 0:
             return None
-        out = 1
-        for f in self.invariant_factors:
-            out *= f
-        return out
+        return prod(self.invariant_factors)
 
 
 def smith_normal_form(a: IntMatrix) -> SmithForm:
@@ -263,6 +265,8 @@ def element_order_in_coker(a: IntMatrix, v: Sequence[int]) -> int | None:
     such m exists (infinite order).  The zero class has order 1.  Entries
     of v must be ints, as in an IntMatrix, else OutOfRange.
     """
+    if not isinstance(v, Sequence):
+        raise OutOfRange("the vector must be a sequence")
     if len(v) != a.rows:
         raise DimensionMismatch(
             f"vector length {len(v)} does not match {a.rows} rows"

@@ -56,9 +56,7 @@ class PhiResult:
 def _image(n: int, backend: str, gens: list[int]) -> PhiResult:
     """PhiResult for the generators gens, gens[0] being the anchor."""
     lower = gens[0]
-    g = 0
-    for x in gens:
-        g = gcd(g, x)
+    g = gcd(*gens)
     return PhiResult(
         n=n,
         backend=backend,

@@ -5,6 +5,8 @@ table.  All numeric values are carried as exact decimal strings (rationals
 as "p/q"), construction order is preserved everywhere, and the output is
 byte-stable run to run.  A report is written incrementally, header, rows in
 blocks, footer, so rows that come from a generator are never held whole.
+The JSON header and footer are json.dumps(..., indent=2) of the fields
+around the rows.
 
 A row is a string-to-string dict or a Run, the rows that share a lead of
 leading columns.  One routine encodes every row from its format's row
@@ -38,15 +40,6 @@ def fmt_frac(x: Fraction) -> str:
 
 def fmt_bool(x: bool) -> str:
     return "true" if x else "false"
-
-
-def _json_block(opener: str, items: list[str], closer: str, indent: int) -> str:
-    """A JSON object or array of already-encoded members, laid out as
-    json.dumps(..., indent=2) lays it out at the given depth."""
-    if not items:
-        return opener + closer
-    pad = "\n" + " " * (indent + 2)
-    return opener + pad + ("," + pad).join(items) + "\n" + " " * indent + closer
 
 
 def _csv_cell(value: str) -> str:
@@ -151,19 +144,6 @@ class Report:
     def status(self) -> str:
         return "ok" if not self.failures else "failed"
 
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        data = json.loads(text)
-        report = cls(
-            command=data["command"],
-            parameters=dict(data["parameters"]),
-            rows=[dict(r) for r in data["rows"]],
-            failures=list(data["failures"]),
-        )
-        if report.status != data["status"]:
-            raise ValueError("status field inconsistent with failures")
-        return report
-
     def _columns(self) -> tuple[str, ...]:
         if self.columns is not None:
             return tuple(self.columns)
@@ -209,16 +189,13 @@ class Report:
     # the footer.
 
     def _json_frame(self, encode):
-        params = [_quote(k) + ": " + _quote(v) for k, v in self.parameters.items()]
-        head = ('{\n  "command": ' + _quote(self.command)
-                + ',\n  "parameters": ' + _json_block("{", params, "}", 2)
-                + ',\n  "rows": [')
+        head = json.dumps({"command": self.command, "parameters": self.parameters},
+                          indent=2)[:-2] + ',\n  "rows": ['
 
         def tail(any_rows):
-            failures = _json_block("[", [_quote(f) for f in self.failures], "]", 2)
-            return (("\n  ]" if any_rows else "]")
-                    + ',\n  "status": ' + _quote(self.status)
-                    + ',\n  "failures": ' + failures + "\n}\n")
+            foot = json.dumps({"status": self.status, "failures": self.failures},
+                              indent=2)
+            return ("\n  ]" if any_rows else "]") + ",\n" + foot[2:] + "\n"
 
         return head, tail
 

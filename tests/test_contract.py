@@ -7,14 +7,16 @@ same holds for the counts of surjections and sweeps below their least
 valid value, and for every p that is not prime or is too large for the
 primality test to decide.  A verdict that claims EQUIVALENT or DISTINCT has
 passed all of its guards.  A matrix or vector entry that is not an int
-raises OutOfRange, never a rounded answer.
+raises OutOfRange, never a rounded answer; so does a matrix dimension that
+is not an int, or a matrix row or vector that is not a sequence.
 """
 
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spgauge.arith import PRIME_BOUND, p_part, surjection_counts
 from spgauge.errors import OutOfRange, SpgaugeError
@@ -25,7 +27,11 @@ from spgauge.gauge import (
     Verdict,
     decide_local,
     decide_spin,
+    im_delta_gen,
+    im_partial_order,
+    mapping_group_order,
     pi_4n1_order,
+    q2_mapping_invariant,
     refined_invariant,
     retractible,
     sutherland_invariant,
@@ -56,6 +62,12 @@ ENTRY_POINTS = {
     "samelson_order": (lambda n, k, l, p: samelson_order(n), _SMALL_RANK),
     "decide_local": (decide_local, _ANY_RANK),
     "decide_spin": (decide_spin, _ANY_RANK),
+    # the rank-2 mapping pipeline takes factorials of 2n+1, so ranks stay small
+    "mapping_group_order": (lambda n, k, l, p: mapping_group_order(n), _SMALL_RANK),
+    "im_delta_gen": (lambda n, k, l, p: im_delta_gen(n, k), _SMALL_RANK),
+    "q2_mapping_invariant": (
+        lambda n, k, l, p: q2_mapping_invariant(n, k), _SMALL_RANK),
+    "im_partial_order": (lambda n, k, l, p: im_partial_order(n, k), _SMALL_RANK),
     **{
         f"retractible_{family.value}": (
             lambda n, k, l, p, family=family: retractible(family, n, p),
@@ -130,6 +142,40 @@ def test_a_non_int_entry_raises_out_of_range(name, data, rows, cols, bad):
     spoiled[data.draw(st.integers(0, len(spoiled) - 1), label="position")] = bad
     with pytest.raises(OutOfRange):
         NON_INT_ENTRY_POINTS[name](rows, cols, matrix, vector)
+
+
+_NON_SEQUENCE = st.one_of(st.integers(), st.floats(), st.fractions(), st.none())
+
+# each puts a value that is not a sequence where the rows, a row or the
+# vector belongs
+NON_SEQUENCE_ENTRY_POINTS = {
+    "from_rows": lambda bad: IntMatrix.from_rows(bad),
+    "from_rows_row": lambda bad: IntMatrix.from_rows([[4], bad]),
+    "element_order_in_coker": lambda bad: element_order_in_coker(
+        IntMatrix.from_rows([[4]]), bad),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SEQUENCE_ENTRY_POINTS))
+@settings(max_examples=50, deadline=None)
+@given(bad=_NON_SEQUENCE)
+@example(bad=5)
+def test_a_non_sequence_raises_out_of_range(name, bad):
+    with pytest.raises(OutOfRange):
+        NON_SEQUENCE_ENTRY_POINTS[name](bad)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.integers(1, 4), cols=st.integers(1, 4), which=st.integers(0, 1),
+       kind=st.sampled_from([float, Fraction, str]))
+@example(rows=2, cols=1, which=0, kind=float)
+def test_a_non_int_dimension_raises_out_of_range(rows, cols, which, kind):
+    """A valid matrix whose row or column count is given as a float, a
+    Fraction or a str of the same value."""
+    dims = [rows, cols]
+    dims[which] = kind(dims[which])
+    with pytest.raises(OutOfRange):
+        IntMatrix(*dims, tuple(range(rows * cols)))
 
 
 # -- primes -------------------------------------------------------------------
