@@ -3,14 +3,15 @@
 Every CLI command builds a Report and writes it as JSON, CSV, or a markdown
 table.  All numeric values are carried as exact decimal strings (rationals
 as "p/q"), construction order is preserved everywhere, and the output is
-byte-stable run to run.  A report is written incrementally, header, rows in
-blocks, footer, so rows that come from a generator are never held whole.
+byte-stable run to run.  A report is written incrementally, the header,
+one write per row or run, the footer, with no buffer of its own, so rows
+that come from a generator are never held whole.
 The JSON header and footer are json.dumps(..., indent=2) of the fields
 around the rows.
 
 A row is a string-to-string dict or a Run, the rows that share a lead of
 leading columns.  One routine encodes every row from its format's row
-syntax: a run's lead once per run and its tails once per write, so rows
+syntax: a run's lead once per run and its tails once per report, so rows
 that repeat the same tails cost their distinct cells, not their count.
 """
 
@@ -25,8 +26,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 FORMATS = ("json", "csv", "markdown")
-# rows per write; a report of at most this many rows is written at once
-_BLOCK = 4096
 
 
 def fmt_int(x: int) -> str:
@@ -154,31 +153,25 @@ class Report:
         return tuple(dict.fromkeys(key for row in self.rows for key in row))
 
     def write(self, fmt: str, out: TextIO) -> None:
-        """Write the report to out in fmt: the header, the rows in blocks of
-        _BLOCK, then the footer.  A report of at most one block of rows is
-        a single write.  A run is written as one join of its ends with its
-        lead; a run longer than the room left in a block is split."""
+        """Write the report to out in fmt: the header, then one write per
+        row or run, then the footer.  A run is written as one join of its
+        ends with its lead; a run with no rows writes nothing."""
         if fmt not in FORMATS:
             raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
         cols = self._columns()
         syntax = _LONE_CSV if fmt == "csv" and len(cols) == 1 else _SYNTAX[fmt]
         encode = _Encoder(syntax, cols)
         head, tail = getattr(self, f"_{fmt}_frame")(encode)
-        pending, count, first = [head], 0, True
+        out.write(head)
+        first = True
         for row in self.rows:
             lead, ends = encode(row)
-            while ends:
-                if count == _BLOCK:
-                    out.write("".join(pending))
-                    pending, count = [], 0
-                part, ends = ends[:_BLOCK - count], ends[_BLOCK - count:]
+            if ends:
                 # the first row of the report has no row separator
-                pending += [lead[len(syntax.rowsep):] if first else lead,
-                            lead.join(part)]
+                out.write((lead[len(syntax.rowsep):] if first else lead)
+                          + lead.join(ends))
                 first = False
-                count += len(part)
-        pending.append(tail(not first))
-        out.write("".join(pending))
+        out.write(tail(not first))
 
     def render(self, fmt: str) -> str:
         buf = io.StringIO()

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import comb, factorial, gcd
 
-from .arith import p_part, surjection_counts
+from .arith import surjection_counts
 from .errors import GuardFailed, OracleMismatch, OutOfRange
 from .gauge import (
     LieFamily,
@@ -66,9 +66,19 @@ class CheckResult:
         except OracleMismatch as exc:
             self.failures.append(str(exc))
 
+    def add(self, **cells: str) -> None:
+        """Append a row of this check: its name, then cells."""
+        self.rows.append({"check": self.name, **cells})
+
     def summarize(self, **cells: str) -> None:
         """Close the check with one row: its name, cells and verdict."""
-        self.rows.append({"check": self.name, **cells, "ok": fmt_bool(self.ok)})
+        self.add(**cells, ok=fmt_bool(self.ok))
+
+
+def _p_part(a: int, p: int) -> int:
+    """The p-part of a > 0, as gcd(a, p^e) with p^e > a; it shares no code
+    with the valuation loop of the engine."""
+    return gcd(a, p ** a.bit_length())
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +257,12 @@ def check_image_stream(max_n: int) -> tuple[CheckResult, CheckResult]:
     pairs = 0
     for image in phi_images(max_n):
         with orders.recording():
-            orders.rows.append({
-                "check": orders.name, "n": fmt_int(image.n),
-                "samelson_order": fmt_int(checked_order(image)),
-            })
+            orders.add(n=fmt_int(image.n),
+                       samelson_order=fmt_int(checked_order(image)))
         divisibility.failures.extend(_divisibility_row(image))
         pairs += image.n - 1
-    divisibility.rows.append({
-        "check": divisibility.name,
-        "pairs": fmt_int(pairs),
-        "all_divisible": fmt_bool(divisibility.ok),
-    })
+    divisibility.add(pairs=fmt_int(pairs),
+                     all_divisible=fmt_bool(divisibility.ok))
     return orders, divisibility
 
 
@@ -269,15 +274,10 @@ def check_printed_discrepancy() -> CheckResult:
     series = phi_image(3)
     scaled = printed.upper_gens[1]
     modulus = printed.lower_gen
-    res.rows.append({
-        "check": res.name,
-        "n": "3", "k": "2",
-        "scaled_coeff": fmt_int(scaled),
-        "modulus": fmt_int(modulus),
-        "divisible": fmt_bool(scaled % modulus == 0),
-        "printed_pinned": fmt_bool(printed.pinned_order is not None),
-        "series_order": fmt_int(series.pinned_order or 0),
-    })
+    res.add(n="3", k="2", scaled_coeff=fmt_int(scaled), modulus=fmt_int(modulus),
+            divisible=fmt_bool(scaled % modulus == 0),
+            printed_pinned=fmt_bool(printed.pinned_order is not None),
+            series_order=fmt_int(series.pinned_order or 0))
     if scaled != 150 or modulus != 84 or scaled % modulus == 0:
         res.failures.append(
             f"expected scaled 150 vs modulus 84 without divisibility, "
@@ -297,10 +297,7 @@ def check_mapping_group(max_n: int) -> CheckResult:
     res = CheckResult("mapping-group-order")
     with res.recording():
         for n in range(2, min(max_n, 40) + 1, 2):
-            res.rows.append({
-                "check": res.name, "n": fmt_int(n),
-                "order": fmt_int(mapping_group_order(n)),
-            })
+            res.add(n=fmt_int(n), order=fmt_int(mapping_group_order(n)))
     if max_n >= 2 and res.rows and res.rows[0]["order"] != "40":
         res.failures.append("anchor n=2 should give 40")
     return res
@@ -324,12 +321,7 @@ def check_separation(max_n: int) -> CheckResult:
                 res.failures.append(f"n={n}: equal gcds with different invariants")
             if any(len(v) != 1 for v in by_q2.values()):
                 res.failures.append(f"n={n}: equal invariants with different gcds")
-            res.rows.append({
-                "check": res.name,
-                "n": fmt_int(n),
-                "modulus": fmt_int(b),
-                "classes": fmt_int(len(by_gcd)),
-            })
+            res.add(n=fmt_int(n), modulus=fmt_int(b), classes=fmt_int(len(by_gcd)))
     return res
 
 
@@ -341,7 +333,7 @@ def check_rank2_constants() -> CheckResult:
         for k in range(81):
             if q2_mapping_invariant(2, k) != gcd(k, 40):
                 res.failures.append(f"k={k}: invariant differs from gcd(k, 40)")
-    parts = {k: p_part(gcd(k, 40), 5) for k in range(41)}
+    parts = {k: _p_part(gcd(k, 40), 5) for k in range(41)}
     if set(parts.values()) != {1, 5}:
         res.failures.append(f"5-parts over [0,40] were {sorted(set(parts.values()))}")
     for k in range(41):
@@ -506,11 +498,15 @@ def check_guards(max_n: int) -> CheckResult:
                 value = None
             if failed != should_fail:
                 res.failures.append(f"n={n} p={p}: guard exception mismatch")
-            if not failed and value != p_part(closed_form_order(n), p):
+            b = closed_form_order(n)
+            if not failed and value != _p_part(b, p):
                 res.failures.append(f"n={n} p={p}: wrong p-part {value}")
             verdict = decide_local(n, 1, 2, p)
             if (verdict.outcome is Outcome.NOT_DETERMINED) != should_fail:
                 res.failures.append(f"n={n} p={p}: verdict guard mismatch")
+            if verdict.invariant_values != (1, _p_part(gcd(2, b), p)):
+                res.failures.append(f"n={n} p={p}: verdict invariants "
+                                    f"{verdict.invariant_values}")
     for p in _GUARD_PRIMES:
         bound = (p - 1) ** 2 + 1
         for rank in range(1, top + 1):
@@ -546,6 +542,10 @@ def verify_sweep(max_n: int) -> Report:
     if max_n < 2:
         raise OutOfRange("verify needs max_n >= 2")
     orders, divisibility = check_image_stream(max_n)
+    # the orders pass compared the gcd and cokernel routes at every rank;
+    # this row keeps its scale and repeats none of the orders failures
+    two_path = CheckResult("two-path-order-agreement")
+    two_path.add(max_n=fmt_int(min(max_n, 60)), ok=fmt_bool(orders.ok))
     checks = [orders, divisibility]
     if max_n >= 3:
         checks.append(check_printed_discrepancy())
@@ -553,13 +553,7 @@ def verify_sweep(max_n: int) -> Report:
         check_mapping_group(max_n),
         check_separation(max_n),
         check_rank2_constants(),
-        # the orders pass compared the gcd and cokernel routes at every rank;
-        # this row keeps its scale and repeats none of the orders failures
-        CheckResult("two-path-order-agreement", [{
-            "check": "two-path-order-agreement",
-            "max_n": fmt_int(min(max_n, 60)),
-            "ok": fmt_bool(orders.ok),
-        }]),
+        two_path,
         check_smith_random(),
         check_coset_oracle(),
         check_series_identity(),

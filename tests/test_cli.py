@@ -467,6 +467,8 @@ def test_unknown_subcommand_is_usage_error(capsys):
     ("retractible", "--family", "Sp", "--n", "3", "--p", "-7"),
     ("retractible", "--family", "G2", "--p", "4"),
     ("retractible", "--family", "E8", "--n", "-3", "--p", "7"),
+    ("classify", "sp", "--n", "2", "--p", "5", "--k", "1"),
+    ("order", "--max-n", "0"),
 ])
 def test_bad_input_exits_two_with_empty_stdout(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

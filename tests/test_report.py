@@ -3,13 +3,12 @@
 import csv
 import io
 import json
+import os
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import spgauge.report as report_mod
 from spgauge.report import FORMATS, Report, Run, fmt_bool, fmt_frac, fmt_int
 
 
@@ -115,28 +114,6 @@ def test_render_dispatch_and_unknown_format():
     assert FORMATS == ("json", "csv", "markdown")
 
 
-class _Recorder(io.StringIO):
-    def __init__(self):
-        super().__init__()
-        self.writes = 0
-
-    def write(self, text):
-        self.writes += 1
-        return super().write(text)
-
-
-@pytest.mark.parametrize("fmt", FORMATS)
-def test_small_report_is_one_write_and_large_one_a_write_per_block(fmt):
-    out = _Recorder()
-    _sample_report().write(fmt, out)
-    assert out.writes == 1
-    rows = [{"i": str(i)} for i in range(2 * report_mod._BLOCK + 1)]
-    out = _Recorder()
-    Report("x", {}, rows).write(fmt, out)
-    assert out.writes == 3
-    assert out.getvalue() == Report("x", {}, rows).render(fmt)
-
-
 def test_streamed_rows_need_declared_columns():
     with pytest.raises(ValueError):
         Report("x", {}, iter([{"a": "1"}])).render("csv")
@@ -230,12 +207,10 @@ def test_writer_equals_whole_document_renderers(command, params, rows, failures)
     report = Report(command, params, rows, failures)
     for fmt, oracle in ORACLES.items():
         want = oracle(report)
-        for block in (1, 2, report_mod._BLOCK):
-            with mock.patch.object(report_mod, "_BLOCK", block):
-                assert report.render(fmt) == want
-                streamed = Report(command, params, iter(rows), failures,
-                                  columns=tuple(_oracle_columns(rows)))
-                assert streamed.render(fmt) == want
+        assert report.render(fmt) == want
+        streamed = Report(command, params, iter(rows), failures,
+                          columns=tuple(_oracle_columns(rows)))
+        assert streamed.render(fmt) == want
 
 
 _cell = st.text(
@@ -306,7 +281,7 @@ _SHARED = [{"b": "x,y", "c": ""}, {"c": '"q"'}, {}]
 
 @settings(max_examples=200, deadline=None)
 @given(_columns_and_rows(), _text, st.lists(_text, max_size=3))
-# one tails list shared by several runs, and split by small blocks
+# one tails list shared by several runs
 @example((("a", "b", "c"), [Run({"a": "1"}, _SHARED), {"b": "2"},
                             Run({"a": "é|\n"}, _SHARED)]), "grid", [])
 # an empty lead with empty tails: no rows, then one empty row
@@ -325,13 +300,10 @@ def test_runs_write_as_their_expanded_rows(columns_and_rows, command, failures):
                       columns=cols)
     for fmt, oracle in ORACLES.items():
         want = oracle(expanded)
-        for block in (1, 2, report_mod._BLOCK):
-            with mock.patch.object(report_mod, "_BLOCK", block):
-                report = Report(command, params, rows, failures, columns=cols)
-                assert report.render(fmt) == want
-                streamed = Report(command, params, iter(rows), failures,
-                                  columns=cols)
-                assert streamed.render(fmt) == want
+        report = Report(command, params, rows, failures, columns=cols)
+        assert report.render(fmt) == want
+        streamed = Report(command, params, iter(rows), failures, columns=cols)
+        assert streamed.render(fmt) == want
 
 
 def test_runs_are_checked_against_the_columns():
@@ -347,11 +319,22 @@ def test_runs_are_checked_against_the_columns():
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_a_run_longer_than_a_block_is_split_across_writes(fmt):
-    tails = [{"l": str(i)} for i in range(report_mod._BLOCK + 1)]
-    rows = [Run({"k": "0"}, tails), Run({"k": "1"}, tails)]
-    out = _Recorder()
-    Report("x", {}, rows, columns=("k", "l")).write(fmt, out)
-    assert out.writes == 3  # 2 * _BLOCK + 2 rows: two full blocks, the rest
-    want = ORACLES[fmt](Report("x", {}, list(_expand(rows))))
+def test_a_generator_of_rows_is_written_as_it_is_drawn(fmt):
+    cols = ("k", "l")
+    rows = [{"k": str(i), "l": "a,b" if i % 2 else ""} for i in range(5)]
+    want = ORACLES[fmt](Report("x", {"n": "2"}, rows, columns=cols))
+    out = io.StringIO()
+    written = []
+
+    def drawn():
+        for row in rows:
+            written.append(out.getvalue())
+            yield row
+
+    Report("x", {"n": "2"}, drawn(), columns=cols).write(fmt, out)
     assert out.getvalue() == want
+    # a document of the first i rows agrees with the whole one up to the end
+    # of row i - 1, where its footer begins: the header and rows 0..i-1
+    for i, text in enumerate(written):
+        head = ORACLES[fmt](Report("x", {"n": "2"}, rows[:i], columns=cols))
+        assert text == os.path.commonprefix([head, want])

@@ -8,6 +8,9 @@ from collections import Counter
 
 import pytest
 
+import spgauge.arith as arith
+import spgauge.gauge as gauge
+import spgauge.phi as phi
 import spgauge.verify as verify_mod
 from spgauge.errors import OutOfRange
 from spgauge.lattice import IntMatrix, smith_normal_form
@@ -186,3 +189,67 @@ def test_smith_forms_of_the_random_check_are_pinned():
         digest.update(repr((snf.u.entries, snf.d.entries, snf.v.entries)).encode())
     assert digest.hexdigest() == (
         "ea1f22a856ee07cc0a32fb9f54d6eab31c40ea1f23ebfc8efe11250bb172661e")
+
+
+def test_a_valuation_off_at_one_prime_fails_the_sweep(monkeypatch):
+    # the engine takes every p-part through arith.valuation; verify's own
+    # p-parts must not, or a fault there shows on both sides and cancels
+    real = arith.valuation
+
+    def one_too_large_at_seven(a, p):
+        return real(a, p) + (p == 7)
+
+    for mod in (arith, gauge, phi):
+        monkeypatch.setattr(mod, "valuation", one_too_large_at_seven)
+    assert verify_sweep(20).status == "failed"
+
+
+def _negated(m):
+    return IntMatrix.from_rows([[-x for x in row] for row in m.to_lists()])
+
+
+def _doubled_at_k_one(real):
+    return lambda n, k: real(n, k) * (2 if k == 1 else 1)
+
+
+# (engine name as verify imported it, a wrong variant of the real one, the
+# check that must catch it and its arguments)
+_WRONG_ENGINES = [
+    # U A V = D still holds, but D has a negative diagonal
+    ("smith_normal_form",
+     lambda real: lambda a: dataclasses.replace(
+         real(a), u=_negated(real(a).u), d=_negated(real(a).d)),
+     "check_smith_random", ()),
+    ("cokernel",
+     lambda real: lambda a: dataclasses.replace(
+         real(a), invariant_factors=real(a).invariant_factors + (2,)),
+     "check_coset_oracle", ()),
+    ("element_order_in_coker",
+     lambda real: lambda a, v: real(a, v) + 1,
+     "check_coset_oracle", ()),
+    ("q2_mapping_invariant", _doubled_at_k_one, "check_separation", (20,)),
+    ("q2_mapping_invariant", _doubled_at_k_one, "check_rank2_constants", ()),
+    ("mapping_group_order",
+     lambda real: lambda n: 2 * real(n),
+     "check_mapping_group", (20,)),
+    ("retractible",
+     lambda real: lambda family, rank, p: not real(family, rank, p),
+     "check_guards", (20,)),
+    ("identity_samelson_p_part",
+     lambda real: lambda n, p: p * real(n, p),
+     "check_guards", (20,)),
+    ("phi_image",
+     lambda real: lambda n, backend="series": real(n, "printed"),
+     "check_printed_discrepancy", ()),
+]
+
+
+@pytest.mark.parametrize("name, wrong, check, args", _WRONG_ENGINES,
+                         ids=[f"{name}-{check}" for name, _, check, _
+                              in _WRONG_ENGINES])
+def test_every_check_fails_on_a_wrong_engine(monkeypatch, name, wrong, check,
+                                             args):
+    monkeypatch.setattr(verify_mod, name, wrong(getattr(verify_mod, name)))
+    result = getattr(verify_mod, check)(*args)
+    assert result.failures and not result.ok
+    assert verify_sweep(20).status == "failed"
