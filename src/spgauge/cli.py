@@ -291,9 +291,20 @@ def _cmd_verify(args) -> Report:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
-        # exact answers outgrow the default 4,300-digit int-to-str limit
-        sys.set_int_max_str_digits(0)
+    if not hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
+        return _main(argv)
+    # exact answers outgrow the default 4,300-digit int-to-str limit; lift
+    # it for this call only, so the caller's limit comes back however main
+    # ends
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

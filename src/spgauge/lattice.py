@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm, prod
 
 from .errors import DimensionMismatch, OutOfRange
@@ -36,7 +36,7 @@ class IntMatrix:
             raise OutOfRange("matrix dimensions must be positive")
         if len(self.entries) != self.rows * self.cols:
             raise DimensionMismatch("entry count does not match dimensions")
-        if not all(isinstance(x, int) for x in self.entries):
+        if not all(map(isinstance, self.entries, repeat(int))):
             raise OutOfRange("matrix entries must be integers")
 
     @classmethod

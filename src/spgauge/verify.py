@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import comb, factorial, gcd
 
-from .arith import surjection_counts
+from .arith import surjection_counts, surjection_counts_by_rank
 from .errors import GuardFailed, OracleMismatch, OutOfRange
 from .gauge import (
     LieFamily,
@@ -213,17 +213,17 @@ def _divisors(x: int) -> list[int]:
 # per-rank oracle over the image stream
 
 
-def _divisibility_row(res: PhiResult) -> list[str]:
+def _divisibility_row(res: PhiResult, counts: list[int]) -> list[str]:
     """Each generator of the rank-n image against the inclusion-exclusion
     oracle 2n(2n+1) * surj(2n-1, k), once per k, plus divisibility by the
-    anchor and parity of the count.  The counts come from one
-    surjection_counts row per rank, which differences a table of powers and
-    so shares nothing with the Stirling recurrence behind the image."""
+    anchor and parity of the count.  counts is the rank's oracle row
+    surj(2n-1, 0..n), from surjection_counts or surjection_counts_by_rank,
+    which difference a table of powers and so share nothing with the
+    Stirling recurrence behind the image."""
     bad = []
     n = res.n
     modulus = res.lower_gen
     scale = 2 * n * (2 * n + 1)
-    counts = surjection_counts(2 * n - 1, n)
     for k in range(2, n + 1):
         gen = res.upper_gens[k - 1]
         count = counts[k]
@@ -251,15 +251,18 @@ def check_image_stream(max_n: int) -> tuple[CheckResult, CheckResult]:
 
     Divisibility, at every rank: scaled top coefficients equal 2n(2n+1)
     times the inclusion-exclusion surjection count, are divisible by
-    4n(2n+1), and the count is even, for 2 <= k <= n <= max_n."""
+    4n(2n+1), and the count is even, for 2 <= k <= n <= max_n.  The counts
+    come from surjection_counts_by_rank, one oracle row per rank, walked
+    beside the image stream."""
     orders = CheckResult("samelson-orders")
     divisibility = CheckResult("scaled-coefficient-divisibility")
     pairs = 0
-    for image in phi_images(max_n):
+    for image, counts in zip(phi_images(max_n),
+                             surjection_counts_by_rank(max_n)):
         with orders.recording():
             orders.add(n=fmt_int(image.n),
                        samelson_order=fmt_int(checked_order(image)))
-        divisibility.failures.extend(_divisibility_row(image))
+        divisibility.failures.extend(_divisibility_row(image, counts))
         pairs += image.n - 1
     divisibility.add(pairs=fmt_int(pairs),
                      all_divisible=fmt_bool(divisibility.ok))

@@ -9,6 +9,7 @@ from math import factorial
 
 import pytest
 
+from spgauge.arith import surjection_counts
 from spgauge.gauge import LieFamily, retractible
 from spgauge.phi import phi_image
 from spgauge.verify import (
@@ -63,7 +64,7 @@ def test_divisibility_at_rank_1000():
     """Every generator of the rank-1000 image (the last item of phi_images)
     against the oracle, with the anchor divisibility and parity checks
     (budget: seconds)."""
-    failures = _divisibility_row(phi_image(1000))
+    failures = _divisibility_row(phi_image(1000), surjection_counts(1999, 1000))
     _line("coefficient-divisibility n=1000", not failures,
           "999 (n,k) pairs" if not failures else "; ".join(failures[:5]))
     assert not failures, failures[:5]

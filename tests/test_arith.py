@@ -15,6 +15,7 @@ from spgauge.arith import (
     require_prime,
     require_rank,
     surjection_counts,
+    surjection_counts_by_rank,
 )
 from spgauge.errors import AllZero, NotPrime, OutOfRange, ZeroArgument
 
@@ -226,3 +227,13 @@ def test_surjection_counts_short_rows_and_rejections():
         surjection_counts(0, 3)
     with pytest.raises(OutOfRange):
         surjection_counts(3, -1)
+
+
+def test_surjection_counts_by_rank_is_one_row_per_rank():
+    assert list(surjection_counts_by_rank(80)) == [
+        surjection_counts(2 * n - 1, n) for n in range(1, 81)]
+
+
+def test_surjection_counts_by_rank_at_rank_200():
+    *_, last = surjection_counts_by_rank(200)
+    assert last == surjection_counts(399, 200)

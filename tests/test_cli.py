@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import csv
 import io
 import json
@@ -230,6 +231,25 @@ def test_phi_gens_prints_integers_past_the_default_digit_limit(tmp_path):
     assert anchor == 4 * 800 * 1601
     assert all(_decimal(t) % anchor == 0 for t in texts)
     assert max(map(len, texts)) > 4300
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit before Python 3.10.7")
+@pytest.mark.parametrize("argv", [
+    ["order", "--n", "3"],  # exit 0
+    ["order", "--n", "0"],  # exit 2
+    ["order", "--n", "2", "--max-n", "4"],  # argparse's SystemExit(2)
+])
+def test_main_leaves_the_int_to_str_digit_limit_as_it_found_it(capsys, argv):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with contextlib.suppress(SystemExit):
+            main(argv)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
+    capsys.readouterr()
 
 
 def test_grid_memory_stays_flat():

@@ -8,9 +8,15 @@ valid value, and for every p that is not prime or is too large for the
 primality test to decide.  A verdict that claims EQUIVALENT or DISTINCT has
 passed all of its guards.  A matrix or vector entry that is not an int
 raises OutOfRange, never a rounded answer; so does a matrix dimension that
-is not an int, or a matrix row or vector that is not a sequence.
+is not an int, or a matrix row or vector that is not a sequence.  The
+command line exits 0, 1 or 2 on every argv, and each exit code prints what
+it promises.
 """
 
+import csv
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import mul
@@ -18,7 +24,13 @@ from operator import mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spgauge.arith import PRIME_BOUND, p_part, surjection_counts
+from spgauge.arith import (
+    PRIME_BOUND,
+    p_part,
+    surjection_counts,
+    surjection_counts_by_rank,
+)
+from spgauge.cli import main
 from spgauge.errors import OutOfRange, SpgaugeError
 from spgauge.gauge import (
     Bundle,
@@ -37,7 +49,14 @@ from spgauge.gauge import (
     sutherland_invariant,
 )
 from spgauge.lattice import IntMatrix, element_order_in_coker
-from spgauge.phi import identity_samelson_p_part, phi_image, phi_images, samelson_order
+from spgauge.phi import (
+    BACKENDS,
+    identity_samelson_p_part,
+    phi_image,
+    phi_images,
+    samelson_order,
+)
+from spgauge.report import FORMATS
 from spgauge.verify import verify_sweep
 
 _NONPOSITIVE = st.integers(max_value=0)
@@ -102,6 +121,14 @@ def test_surjection_counts_below_their_domain_raise_spgauge_error(m, k):
     else:
         with pytest.raises(SpgaugeError):
             surjection_counts(m, k)
+
+
+@settings(max_examples=50, deadline=None)
+@given(max_n=st.integers(max_value=0))
+def test_surjection_counts_by_rank_below_one_raises_before_any_row(max_n):
+    # the call itself raises: the stream is never iterated
+    with pytest.raises(SpgaugeError):
+        surjection_counts_by_rank(max_n)
 
 
 @settings(max_examples=50, deadline=None)
@@ -256,3 +283,100 @@ def test_every_p_returns_or_raises_spgauge_error(name, n, k, l, arg):
         return
     if isinstance(result, Verdict) and result.outcome is not Outcome.NOT_DETERMINED:
         assert result.guards_passed()
+
+
+# -- the command line ---------------------------------------------------------
+
+
+_COMPOSITES = (4, 6, 8, 9, 15, 25, 1001, 10**12)
+_PRIMES = (2, 3, 5, 7, 11, 13, 31, 999_999_999_989)
+
+
+def _cli_int(cap=None):
+    """Negatives, 0, 1, composites and primes, and with no cap also huge
+    integers and integers at or above PRIME_BOUND.  A cap bounds an option
+    whose work grows with its value."""
+    parts = [
+        st.integers(-3, 1),
+        st.sampled_from([c for c in _COMPOSITES if cap is None or c <= cap]),
+        st.sampled_from([p for p in _PRIMES if cap is None or p <= cap]),
+    ]
+    if cap is None:
+        parts += [
+            st.sampled_from([10**20, 2**89 - 1, 10**30 + 1]),
+            st.integers(min_value=PRIME_BOUND),
+        ]
+    return st.one_of(parts)
+
+
+_ANY_INT = _cli_int()
+
+# each subcommand's options; None marks a flag that takes no value.  The
+# ranks of the image pipelines stay small, as does invariant's rank, whose
+# even values take factorials of 2n+1.
+_CLI_OPTIONS = {
+    ("order",): {"--n": _cli_int(40), "--max-n": _cli_int(30)},
+    ("phi-gens",): {"--n": _cli_int(40),
+                    "--backend": st.sampled_from([*BACKENDS, "tabulated"])},
+    ("classify", "sp"): {"--grid": None, "--n": _ANY_INT, "--p": _ANY_INT,
+                         "--k": _ANY_INT, "--l": _ANY_INT},
+    ("classify", "spin"): {"--n": _ANY_INT, "--epsilon": _ANY_INT,
+                           "--k": _ANY_INT, "--l": _ANY_INT, "--p": _ANY_INT},
+    ("invariant",): {"--n": _cli_int(40), "--k": _ANY_INT},
+    ("retractible",): {
+        "--family": st.sampled_from([f.value for f in LieFamily] + ["SO"]),
+        "--p": _ANY_INT, "--n": _ANY_INT},
+    ("verify",): {"--max-n": _cli_int(30), "--jobs": _ANY_INT},
+}
+
+
+def _parses_as(fmt, out):
+    if fmt == "json":
+        json.loads(out)
+    elif fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(out))
+        assert all(len(row) == len(header) for row in rows)
+    else:
+        lines = out.splitlines()
+        header, rule, *rows = [line for line in lines if line.startswith("|")]
+        width = header.count("|")
+        assert rule == "|" + "|".join([" --- "] * (width - 1)) + "|"
+        assert all(row.count("|") == width for row in rows)
+        assert lines[0].startswith("# ") and lines[-1] == "status: ok"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_argv_exits_0_1_or_2_with_the_output_its_code_promises(data):
+    """Every subcommand, each option present or missing, so that required
+    flags go missing and exclusive ones conflict.  The grid's rank stays at
+    most 8 and every sweep's at most 30, so each example is bounded."""
+    command = data.draw(st.sampled_from(sorted(_CLI_OPTIONS)), label="command")
+    argv = list(command)
+    for flag, values in _CLI_OPTIONS[command].items():
+        if "--grid" in argv and flag == "--n":
+            values = _cli_int(8)
+        repeats = 2 if command == ("invariant",) and flag == "--k" else 1
+        for _ in range(data.draw(st.integers(0, repeats), label=flag)):
+            argv.append(flag)
+            if values is not None:
+                argv.append(str(data.draw(values, label=flag)))
+    fmt = data.draw(st.sampled_from([None, *FORMATS]), label="--format")
+    if fmt is not None:
+        argv += ["--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            assert exc.code == 2
+            code = 2
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert command == ("verify",)
+    elif code == 2:
+        assert out == ""
+        assert "error: " in err.splitlines()[-1]
+    else:
+        _parses_as(fmt or "markdown", out)

@@ -144,6 +144,24 @@ def test_divisibility_check_catches_a_generator_off_the_oracle(monkeypatch):
         "n=5 k=3: generator 1996940 differs from the surjection oracle")
 
 
+def test_a_wrong_oracle_count_fails_the_sweep(monkeypatch):
+    # the oracle rows are walked beside the image stream; one count off at
+    # one rank must show as a divisibility failure at that rank
+    real = verify_mod.surjection_counts_by_rank
+
+    def one_wrong(max_n):
+        for n, counts in enumerate(real(max_n), 1):
+            if n == 7:
+                counts[3] += 2
+            yield counts
+
+    monkeypatch.setattr(verify_mod, "surjection_counts_by_rank", one_wrong)
+    report = verify_sweep(20)
+    assert report.status == "failed"
+    assert any(f.startswith("scaled-coefficient-divisibility: n=7 k=3: ")
+               for f in report.failures)
+
+
 def test_verify_sweep_walks_the_image_stream_once(monkeypatch):
     real = verify_mod.phi_images
     calls = []
