@@ -23,6 +23,7 @@ from .gauge import (
     decide_local,
     decide_spin,
     im_partial_order,
+    mapping_group_order,
     q2_mapping_invariant,
     refined_invariant,
     retractible,
@@ -36,7 +37,7 @@ from .phi import (
     phi_images,
     samelson_order,
 )
-from .report import FORMATS, Report, Run, fmt_bool, fmt_frac, fmt_int
+from .report import FORMATS, Product, Report, fmt_bool, fmt_frac, fmt_int
 from .verify import verify_sweep
 
 _RANKED_FAMILIES = (LieFamily.SU, LieFamily.SP, LieFamily.SPIN_ODD)
@@ -189,11 +190,11 @@ def _classify_grid(n: int, p: int) -> Report:
     call checks n and p; every verdict then reuses its guards through the
     gauge._local_verdict that decide_local ends in, so p is tested for
     primality once, not once per verdict.  All of it runs before any row
-    is made, so bad input raises before anything is written.  Row k of
-    the grid is the run of its label and the tails of its class: one list
-    per class of the l label and the verdict columns for every l, shared
-    by every k of the class, so the writer encodes each class's tails
-    once."""
+    is made, so bad input raises before anything is written.  The grid is
+    one report.Product: the k labels with their classes, the l labels
+    with theirs, and the verdict cells of each pair of classes, so the
+    writer encodes each l label and each pair's verdict cells once and
+    writes row k as one join."""
     guards = decide_local(n, 0, 0, p).guards
     b = closed_form_order(n)
 
@@ -204,14 +205,13 @@ def _classify_grid(n: int, p: int) -> Report:
     reps = {}  # class -> its smallest k
     for k, c in enumerate(classes):
         reps.setdefault(c, k)
+    cells = {(ck, cl): _verdict_row({}, verdict(k, l))
+             for ck, k in reps.items() for cl, l in reps.items()}
     labels = [fmt_int(k) for k in range(b + 1)]
-    tails = {}
-    for ck, k in reps.items():
-        by_l = {cl: _verdict_row({}, verdict(k, l)) for cl, l in reps.items()}
-        tails[ck] = [{"l": l, **by_l[cl]} for l, cl in zip(labels, classes)]
-    rows = [Run({"k": k}, tails[ck]) for k, ck in zip(labels, classes)]
+    grid = Product([({"k": k}, c) for k, c in zip(labels, classes)],
+                   [({"l": l}, c) for l, c in zip(labels, classes)], cells)
     params = {"n": fmt_int(n), "p": fmt_int(p), "grid": f"0..{b}"}
-    return Report("classify-sp", params, rows, columns=_GRID_COLUMNS)
+    return Report("classify-sp", params, [grid], columns=_GRID_COLUMNS)
 
 
 def _cmd_classify_sp(args) -> Report:
@@ -239,6 +239,8 @@ def _cmd_classify_spin(args) -> Report:
 def _cmd_invariant(args) -> Report:
     rows = []
     even = args.n >= 2 and args.n % 2 == 0
+    # (2n+1)!/3, checked in gauge against its table-driven value
+    group = mapping_group_order(args.n) if even else None
     for k in args.k:
         bundle = Bundle(args.n, k)
         refined = refined_invariant(bundle)
@@ -256,8 +258,7 @@ def _cmd_invariant(args) -> Report:
             row["q2_gcd_form"] = fmt_int(refined)
             row["q2_matches_gcd_form"] = fmt_bool(q2 == refined)
             row["boundary_image_order"] = fmt_int(im_partial_order(args.n, k))
-            row["boundary_factorial_form"] = fmt_int(
-                factorial(2 * args.n + 1) // (3 * refined))
+            row["boundary_factorial_form"] = fmt_int(group // refined)
         rows.append(row)
     return Report(
         "invariant",

@@ -9,6 +9,7 @@ only ever claim what their theorem guards cover.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -55,8 +56,14 @@ def refined_invariant(bundle: Bundle) -> int:
 
 
 def _require_even_rank(n: int) -> None:
+    """OddRank unless n is even and at least 2; OutOfRange where 2n+1
+    exceeds sys.maxsize, past which math.factorial raises OverflowError
+    (n >= 2^62 on a 64-bit build)."""
     if n < 2 or n % 2 != 0:
         raise OddRank(f"rank-2 mapping pipeline needs even n >= 2, got {n}")
+    if 2 * n + 1 > sys.maxsize:
+        raise OutOfRange(f"rank-2 mapping pipeline takes (2n+1)!, past the "
+                         f"factorial's range at n={n}")
 
 
 def mapping_group_order(n: int) -> int:

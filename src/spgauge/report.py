@@ -4,15 +4,18 @@ Every CLI command builds a Report and writes it as JSON, CSV, or a markdown
 table.  All numeric values are carried as exact decimal strings (rationals
 as "p/q"), construction order is preserved everywhere, and the output is
 byte-stable run to run.  A report is written incrementally, the header,
-one write per row or run, the footer, with no buffer of its own, so rows
-that come from a generator are never held whole.
+one write per row or per run of a Product, the footer, with no buffer of
+its own, so rows that come from a generator are never held whole.
 The JSON header and footer are json.dumps(..., indent=2) of the fields
 around the rows.
 
-A row is a string-to-string dict or a Run, the rows that share a lead of
-leading columns.  One routine encodes every row from its format's row
-syntax: a run's lead once per run and its tails once per report, so rows
-that repeat the same tails cost their distinct cells, not their count.
+A row is a string-to-string dict or a Product, the rows of every outer
+lead paired with every inner lead and ended by the cells of their classes.
+One routine encodes every row from its format's row syntax.  A product's
+inner leads and the cells of each pair of classes are encoded once per
+write, each outer class's row ends are made from them by one C-level map,
+and each outer lead is one join of its rows, so a product costs its
+distinct cells and one join per outer lead, not its row count.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
+from operator import add
+from typing import (Callable, Hashable, Iterable, Iterator, Mapping,
+                    NamedTuple, Sequence, TextIO)
 
 FORMATS = ("json", "csv", "markdown")
 
@@ -51,14 +56,19 @@ def _csv_cell(value: str) -> str:
     return buf.getvalue()[:-2]
 
 
-class Run(NamedTuple):
-    """The rows {**lead, **t} for t in tails.  The keys of lead are the
-    leading declared columns of the report, and no tail repeats them.  A
-    write encodes each tails object once, found by identity, so runs with
-    equal tails should share one object."""
+class Product(NamedTuple):
+    """The rows {**a, **b, **cells[i, j]} for each (a, i) in outer and,
+    within it, each (b, j) in inner: every outer lead meets every inner
+    lead, and the cells of their classes i and j end the row.  Every outer
+    lead holds the same leading declared columns, every inner lead the same
+    columns after them, at least one each, and no cells repeat them.  A
+    write encodes each inner lead once and the cells of each pair of
+    classes once, and writes the rows of each outer lead, its run, as one
+    text."""
 
-    lead: dict[str, str]
-    tails: Sequence[dict[str, str]]
+    outer: Sequence[tuple[dict[str, str], Hashable]]
+    inner: Sequence[tuple[dict[str, str], Hashable]]
+    cells: Mapping[tuple[Hashable, Hashable], dict[str, str]]
 
 
 class _Syntax(NamedTuple):
@@ -86,56 +96,79 @@ _LONE_CSV = _SYNTAX["csv"]._replace(cell=lambda k, v: _csv_cell(v) or '""')
 
 
 class _Encoder:
-    """The row encoder of one write.  It turns a row or a run into its lead
-    text, which opens every row (the row separator and the lead's cells),
-    and the list of texts that end the rows, so the run is
-    lead + lead.join(ends).  A plain row is the run of one row with an
-    empty lead."""
+    """The row encoder of one write.  It turns a row into the texts that
+    write it, each opened by the row separator: one for a plain row, one
+    per run for a Product."""
 
     def __init__(self, syntax: _Syntax, cols: tuple[str, ...]):
         self.syntax = syntax
         self.cols = cols
-        self._ends = {}  # (id(tails), lead length) -> (tails, their ends)
 
-    def end(self, row: dict[str, str], skip: int) -> str:
-        """The text of row after a lead of skip cells, all of it if none."""
+    def cells(self, row: dict[str, str], start: int = 0,
+              stop: int | None = None) -> list[str]:
+        """The encoded cells of row: its own items when the syntax is keyed,
+        otherwise the declared columns start:stop, "" where absent."""
         s = self.syntax
         items = row.items() if s.keyed else [
-            (c, row.get(c, "")) for c in self.cols[skip:]]
-        cells = [s.cell(k, v) for k, v in items]
-        if skip:
-            return "".join([s.sep + c for c in cells]) + s.closer
+            (c, row.get(c, "")) for c in self.cols[start:stop]]
+        return [s.cell(k, v) for k, v in items]
+
+    def row(self, row: dict[str, str]) -> str:
+        """The text of a whole row, without the row separator."""
+        s = self.syntax
+        cells = self.cells(row)
         return s.opener + s.sep.join(cells) + s.closer if cells else s.empty
 
-    def __call__(self, row) -> tuple[str, list[str]]:
+    def __call__(self, row) -> Iterable[str]:
+        if isinstance(row, Product):
+            return self._runs(row)
+        return (self.syntax.rowsep + self.row(row),)
+
+    def _runs(self, product: Product) -> Iterator[str]:
+        """Each outer lead's run: the lead's text, which opens every row
+        (the row separator and the lead's cells), joined with the texts
+        that end the rows of its class.  Those ends are the inner leads'
+        cells each followed by the cells of its pair of classes, added in
+        C once per outer class."""
         s = self.syntax
-        if not isinstance(row, Run):
-            return s.rowsep, [self.end(row, 0)]
-        lead, tails = row
-        skip = len(lead)
-        if tuple(lead) != self.cols[:skip]:
-            raise ValueError("a run's lead must be the leading columns")
-        key = (id(tails), skip)
-        if key not in self._ends:
-            if any(k in lead for t in tails for k in t):
-                raise ValueError("a run's tail repeats a lead column")
-            self._ends[key] = (tails, [self.end(t, skip) for t in tails])
-        if skip:  # with no lead, each end opens its own row
-            cells = [s.cell(k, v) for k, v in lead.items()]
-            return s.rowsep + s.opener + s.sep.join(cells), self._ends[key][1]
-        return s.rowsep, self._ends[key][1]
+        outer, inner, cells = product
+        if not (outer and inner):
+            return
+        i = len(outer[0][0])
+        j = i + len(inner[0][0])
+        head, mid = self.cols[:i], self.cols[i:j]
+        if (not 0 < i < j or any(tuple(a) != head for a, _ in outer)
+                or any(tuple(b) != mid for b, _ in inner)):
+            raise ValueError("a product's outer and inner leads must each be "
+                             "the same leading columns, at least one")
+        leading = set(self.cols[:j])
+        mids = [s.sep + s.sep.join(self.cells(b, i, j)) for b, _ in inner]
+        classes = [c for _, c in inner]
+        ends = {}  # outer class -> the texts that end its rows
+        for r in dict.fromkeys(r for _, r in outer):
+            tails = {}
+            for c in dict.fromkeys(classes):
+                tail = cells[r, c]
+                if not leading.isdisjoint(tail):
+                    raise ValueError("a product's cells repeat a lead column")
+                tails[c] = "".join(
+                    [s.sep + x for x in self.cells(tail, j)]) + s.closer
+            ends[r] = list(map(add, mids, map(tails.__getitem__, classes)))
+        for a, r in outer:
+            lead = s.rowsep + s.opener + s.sep.join(self.cells(a, 0, i))
+            yield lead + lead.join(ends[r])
 
 
 @dataclass
 class Report:
     """A command's answer.  rows is a list of string-to-string records whose
     columns are the union of their keys in first-seen order, or, when
-    columns declares the fields, any iterable of records and Runs; a report
-    whose rows are a one-pass iterable can be written once."""
+    columns declares the fields, any iterable of records and Products; a
+    report whose rows are a one-pass iterable can be written once."""
 
     command: str
     parameters: dict[str, str]
-    rows: Iterable[dict[str, str] | Run]
+    rows: Iterable[dict[str, str] | Product]
     failures: list[str] = field(default_factory=list)
     columns: tuple[str, ...] | None = None
 
@@ -148,14 +181,14 @@ class Report:
             return tuple(self.columns)
         if iter(self.rows) is self.rows:
             raise ValueError("a report with streamed rows must declare its columns")
-        if any(isinstance(row, Run) for row in self.rows):
-            raise ValueError("a report with runs must declare its columns")
+        if any(isinstance(row, Product) for row in self.rows):
+            raise ValueError("a report with products must declare its columns")
         return tuple(dict.fromkeys(key for row in self.rows for key in row))
 
     def write(self, fmt: str, out: TextIO) -> None:
         """Write the report to out in fmt: the header, then one write per
-        row or run, then the footer.  A run is written as one join of its
-        ends with its lead; a run with no rows writes nothing."""
+        row and one per run of a Product, then the footer.  A Product with
+        no outer or no inner leads writes nothing."""
         if fmt not in FORMATS:
             raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
         cols = self._columns()
@@ -165,11 +198,9 @@ class Report:
         out.write(head)
         first = True
         for row in self.rows:
-            lead, ends = encode(row)
-            if ends:
+            for text in encode(row):
                 # the first row of the report has no row separator
-                out.write((lead[len(syntax.rowsep):] if first else lead)
-                          + lead.join(ends))
+                out.write(text[len(syntax.rowsep):] if first else text)
                 first = False
         out.write(tail(not first))
 
@@ -195,7 +226,7 @@ class Report:
     def _csv_frame(self, encode):
         """Rows only, LF line endings, a header of the columns."""
         cols = encode.cols
-        return encode.end(dict(zip(cols, cols)), 0), lambda any_rows: ""
+        return encode.row(dict(zip(cols, cols))), lambda any_rows: ""
 
     def _markdown_frame(self, encode):
         cols = encode.cols
@@ -204,7 +235,7 @@ class Report:
             head += "".join(f"- {k}: {v}\n" for k, v in self.parameters.items())
             head += "\n"
         if cols:
-            head += encode.end(dict(zip(cols, cols)), 0)
+            head += encode.row(dict(zip(cols, cols)))
             head += "|" + "|".join(" --- " for _ in cols) + "|\n"
 
         def tail(any_rows):

@@ -168,9 +168,10 @@ class _NullSink(io.TextIOBase):
         return len(text)
 
 
-def test_json_grid_encodes_each_class_tail_once(monkeypatch):
-    # at n = 8, p = 5 every k is of one class: the cells of 545 tails and
-    # 545 leads are encoded, not those of 545^2 rows
+def test_json_grid_encodes_each_label_and_class_pair_once(monkeypatch):
+    # at n = 8, p = 2 the k of [0, 544] fall into 6 classes: the 545 k and
+    # 545 l labels and the verdict cells of the 36 pairs of classes are
+    # encoded; encoding the 6 * 545 l-and-verdict tails takes about 33,800
     calls = 0
     real = report_mod._quote
 
@@ -180,8 +181,8 @@ def test_json_grid_encodes_each_class_tail_once(monkeypatch):
         return real(text)
 
     monkeypatch.setattr(report_mod, "_quote", counted)
-    _classify_grid(8, 5).write("json", _NullSink())
-    assert 0 < calls < 20 * (544 + 1)
+    _classify_grid(8, 2).write("json", _NullSink())
+    assert 0 < calls < 5 * 545 + 10 * 36
 
 
 @pytest.mark.parametrize("n,p", [(2, 5), (3, 2), (2, 999999999989)])

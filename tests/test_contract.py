@@ -112,6 +112,19 @@ def test_rank_below_one_always_raises_spgauge_error(name, data, k, l, p):
             pass
 
 
+_RANK_2 = ("mapping_group_order", "im_delta_gen", "q2_mapping_invariant",
+           "im_partial_order")
+
+
+@pytest.mark.parametrize("name", _RANK_2)
+@pytest.mark.parametrize("n", [2**62, 10**20])
+def test_rank_2_pipeline_past_the_factorial_range_raises_out_of_range(name, n):
+    # (2n+1)! is past math.factorial's range from n = 2^62 on
+    fn, _ = ENTRY_POINTS[name]
+    with pytest.raises(OutOfRange):
+        fn(n, 5, 0, 2)
+
+
 @settings(max_examples=150, deadline=None)
 @given(m=st.integers(max_value=40), k=st.integers(max_value=40))
 def test_surjection_counts_below_their_domain_raise_spgauge_error(m, k):
@@ -345,25 +358,34 @@ def _parses_as(fmt, out):
         assert lines[0].startswith("# ") and lines[-1] == "status: ok"
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_every_argv_exits_0_1_or_2_with_the_output_its_code_promises(data):
+@st.composite
+def _argv(draw):
     """Every subcommand, each option present or missing, so that required
     flags go missing and exclusive ones conflict.  The grid's rank stays at
     most 8 and every sweep's at most 30, so each example is bounded."""
-    command = data.draw(st.sampled_from(sorted(_CLI_OPTIONS)), label="command")
+    command = draw(st.sampled_from(sorted(_CLI_OPTIONS)), label="command")
     argv = list(command)
     for flag, values in _CLI_OPTIONS[command].items():
         if "--grid" in argv and flag == "--n":
             values = _cli_int(8)
         repeats = 2 if command == ("invariant",) and flag == "--k" else 1
-        for _ in range(data.draw(st.integers(0, repeats), label=flag)):
+        for _ in range(draw(st.integers(0, repeats), label=flag)):
             argv.append(flag)
             if values is not None:
-                argv.append(str(data.draw(values, label=flag)))
-    fmt = data.draw(st.sampled_from([None, *FORMATS]), label="--format")
+                argv.append(str(draw(values, label=flag)))
+    fmt = draw(st.sampled_from([None, *FORMATS]), label="--format")
     if fmt is not None:
         argv += ["--format", fmt]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argv())
+# even ranks whose (2n+1)! is past math.factorial's range
+@example(argv=["invariant", "--n", str(10**20), "--k", "5"])
+@example(argv=["invariant", "--n", str(2**62), "--k", "5", "--format", "json"])
+def test_every_argv_exits_0_1_or_2_with_the_output_its_code_promises(argv):
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "markdown"
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -374,9 +396,9 @@ def test_every_argv_exits_0_1_or_2_with_the_output_its_code_promises(data):
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2)
     if code == 1:
-        assert command == ("verify",)
+        assert argv[0] == "verify"
     elif code == 2:
         assert out == ""
         assert "error: " in err.splitlines()[-1]
     else:
-        _parses_as(fmt or "markdown", out)
+        _parses_as(fmt, out)

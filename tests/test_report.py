@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spgauge.report import FORMATS, Report, Run, fmt_bool, fmt_frac, fmt_int
+from spgauge.report import FORMATS, Product, Report, fmt_bool, fmt_frac, fmt_int
 
 
 def test_formatters():
@@ -237,14 +237,17 @@ def test_json_round_trip_arbitrary_payload(params, rows, failures):
     assert again.render("json") == text
 
 
-# -- runs: rows that share a lead ---------------------------------------------
+# -- products: every outer lead with every inner lead ------------------------
+
+_CLASSES = st.integers(0, 2)
+
 
 @st.composite
 def _columns_and_rows(draw):
-    """Declared columns and rows mixing Runs and plain dicts.  Runs draw
-    their tails from a small pool of lists, so one list is often shared by
-    several runs, with leads of different lengths; leads run from empty to
-    every column."""
+    """Declared columns and rows mixing Products and plain dicts.  A
+    product's outer leads hold one or more leading columns and its inner
+    leads one or more after them; its classes come from a pool of three, so
+    they repeat, and each pair's cells hold any of the other columns."""
     cols = draw(st.lists(_key, unique=True, max_size=4))
 
     def tail(rest):
@@ -252,47 +255,61 @@ def _columns_and_rows(draw):
             return st.just({})
         return st.dictionaries(st.sampled_from(rest), _text, max_size=len(rest))
 
-    pool = []
-    for _ in range(draw(st.integers(1, 3))):
-        i = draw(st.integers(0, len(cols)))
-        pool.append((i, draw(st.lists(tail(cols[i:]), max_size=4))))
+    def leads(keys):
+        lead = st.tuples(*[_text] * len(keys)).map(
+            lambda values: dict(zip(keys, values)))
+        return st.lists(st.tuples(lead, _CLASSES), max_size=4)
+
     rows = []
-    for _ in range(draw(st.integers(0, 6))):
-        if draw(st.booleans()):
+    for _ in range(draw(st.integers(0, 4))):
+        if len(cols) < 2 or draw(st.booleans()):
             rows.append(draw(tail(cols)))
             continue
-        i, tails = draw(st.sampled_from(pool))
-        # the tails fit any lead of at most i columns
-        j = draw(st.integers(0, i))
-        rows.append(Run({c: draw(_text) for c in cols[:j]}, tails))
+        i = draw(st.integers(1, len(cols) - 1))
+        j = draw(st.integers(i + 1, len(cols)))
+        cells = {(r, c): draw(tail(cols[j:])) for r in range(3) for c in range(3)}
+        rows.append(Product(draw(leads(cols[:i])), draw(leads(cols[i:j])), cells))
     return tuple(cols), rows
 
 
 def _expand(rows):
     for row in rows:
-        if isinstance(row, Run):
-            yield from ({**row.lead, **t} for t in row.tails)
+        if isinstance(row, Product):
+            yield from ({**a, **b, **row.cells[i, j]}
+                        for a, i in row.outer for b, j in row.inner)
         else:
             yield row
 
 
-_SHARED = [{"b": "x,y", "c": ""}, {"c": '"q"'}, {}]
+def _cells(text):
+    """Cells for every pair of the classes 0..2, row class by column class."""
+    return {(r, c): {"c": f"{text}{r}{c}"} for r in range(3) for c in range(3)}
 
 
 @settings(max_examples=200, deadline=None)
 @given(_columns_and_rows(), _text, st.lists(_text, max_size=3))
-# one tails list shared by several runs
-@example((("a", "b", "c"), [Run({"a": "1"}, _SHARED), {"b": "2"},
-                            Run({"a": "é|\n"}, _SHARED)]), "grid", [])
-# an empty lead with empty tails: no rows, then one empty row
-@example(((), [Run({}, []), Run({}, [{}]), {}]), "", [])
-# one tails list after leads of different lengths
-@example((("a", "b", "c"), [Run({}, _SHARED), Run({"a": "1"}, _SHARED)]),
-         "x", [])
-@example((("a",), [Run({}, [])]), "x", ["f"])
-# single-column rows, the one cell in the lead or in the tails
-@example((("a",), [Run({"a": ""}, [{}, {}]), Run({}, [{"a": ""}, {}])]),
-         "x", [])
+# classes repeat in both leads, among plain rows, with text to escape
+@example((("a", "b", "c"), [
+    Product([({"a": "1"}, 0), ({"a": "é|\n"}, 1), ({"a": ""}, 0)],
+            [({"b": "x,y"}, 2), ({"b": '"q"'}, 0), ({"b": "z"}, 2)],
+            _cells("v")),
+    {"b": "2"},
+    Product([({"a": "2"}, 2)], [({"b": "w"}, 1)], _cells(",")),
+]), "grid", [])
+# products with no outer or no inner leads write no rows; then an empty row
+@example((("a", "b"), [Product([], [({"b": "1"}, 0)], {}),
+                       Product([({"a": "1"}, 0)], [], {}), {}]), "", [])
+# every column in the leads, so the cells are empty
+@example((("a", "b"), [Product([({"a": "1"}, 0), ({"a": "2"}, 1)],
+                               [({"b": ""}, 1)],
+                               {(0, 1): {}, (1, 1): {}})]), "x", ["f"])
+# leads of two columns each, and cells that leave columns out
+@example((("a", "b", "c", "d", "e"), [
+    Product([({"a": "1", "b": ""}, 0)], [({"c": "", "d": "4"}, 0)],
+            {(0, 0): {}}),
+    Product([({"a": "", "b": "2"}, 0)], [({"c": "3", "d": ""}, 0)],
+            {(0, 0): {"e": ""}}),
+]), "x", [])
 def test_runs_write_as_their_expanded_rows(columns_and_rows, command, failures):
     cols, rows = columns_and_rows
     params = {"n": "2"}
@@ -306,16 +323,32 @@ def test_runs_write_as_their_expanded_rows(columns_and_rows, command, failures):
         assert streamed.render(fmt) == want
 
 
+_BAD_PRODUCTS = [
+    # no declared columns
+    (Product([({"a": "0"}, 0)], [({"b": "1"}, 0)], {(0, 0): {}}), None),
+    # an outer lead that is not the leading columns
+    (Product([({"b": "0"}, 0)], [({"a": "1"}, 0)], {(0, 0): {}}), ("a", "b")),
+    # outer leads of different columns
+    (Product([({"a": "0"}, 0), ({"a": "0", "b": "1"}, 0)], [({"c": "1"}, 0)],
+             {(0, 0): {}}), ("a", "b", "c")),
+    # an empty outer lead
+    (Product([({}, 0)], [({"a": "1"}, 0)], {(0, 0): {}}), ("a", "b")),
+    # an empty inner lead
+    (Product([({"a": "0"}, 0)], [({}, 0)], {(0, 0): {"b": "1"}}), ("a", "b")),
+    # an inner lead that is not the columns after the outer lead
+    (Product([({"a": "0"}, 0)], [({"c": "1"}, 0)], {(0, 0): {}}),
+     ("a", "b", "c")),
+    # cells that repeat a lead column
+    (Product([({"a": "0"}, 0)], [({"b": "1"}, 0)], {(0, 0): {"a": "1"}}),
+     ("a", "b")),
+]
+
+
 def test_runs_are_checked_against_the_columns():
-    tails = [{"b": "1"}]
-    with pytest.raises(ValueError):  # no declared columns
-        Report("x", {}, [Run({"a": "0"}, tails)]).render("csv")
-    with pytest.raises(ValueError):  # the lead is not the leading columns
-        Report("x", {}, [Run({"b": "0"}, tails)],
-               columns=("a", "b")).render("csv")
-    with pytest.raises(ValueError):  # a tail repeats a lead column
-        Report("x", {}, [Run({"a": "0"}, [{"a": "1"}])],
-               columns=("a", "b")).render("json")
+    for product, columns in _BAD_PRODUCTS:
+        for fmt in FORMATS:
+            with pytest.raises(ValueError):
+                Report("x", {}, [product], columns=columns).render(fmt)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
