@@ -6,59 +6,60 @@ K-theory to top cohomology on suspended quasi-projective spaces, reads off
 Samelson product orders (4n(2n+1)), and answers p-local homotopy
 classification queries for the associated gauge groups, all over exact
 integers and rationals.
+
+Importing the package loads none of its modules.  Each public name below,
+and each module that holds one, is loaded on first access (PEP 562), so a
+command pays to import only the modules it runs.
 """
 
-from .arith import frac_gcd, is_prime, p_exponent, p_part
-from .errors import (
-    AllZero,
-    BadDimension,
-    DimensionMismatch,
-    EvenPrime,
-    GuardFailed,
-    NonIntegralGenerator,
-    NotPrime,
-    OddRank,
-    OracleMismatch,
-    OutOfRange,
-    SpgaugeError,
-    ZeroArgument,
-)
-from .gauge import (
-    Bundle,
-    GuardCheck,
-    LieFamily,
-    Outcome,
-    Verdict,
-    decide_local,
-    decide_spin,
-    im_delta_gen,
-    im_partial_order,
-    mapping_group_order,
-    pi_4n1_order,
-    q2_mapping_invariant,
-    refined_invariant,
-    retractible,
-    sutherland_invariant,
-)
-from .lattice import (
-    FinAbGroup,
-    IntMatrix,
-    SmithForm,
-    cokernel,
-    element_order_in_coker,
-    smith_normal_form,
-)
-from .phi import (
-    PhiResult,
-    checked_order,
-    closed_form_order,
-    identity_samelson_p_part,
-    phi_image,
-    phi_images,
-    samelson_order,
-)
-from .report import Report
-from .series import exp_minus_one_powers, printed_top_coeffs, truncated_powers
-from .verify import verify_sweep
+from importlib import import_module as _import_module
+
+# the public names, by the module that defines them
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "arith": ("frac_gcd", "is_prime", "p_exponent", "p_part"),
+        "errors": (
+            "AllZero", "BadDimension", "DimensionMismatch", "EvenPrime",
+            "GuardFailed", "NonIntegralGenerator", "NotPrime", "OddRank",
+            "OracleMismatch", "OutOfRange", "SpgaugeError", "ZeroArgument",
+        ),
+        "gauge": (
+            "Bundle", "GuardCheck", "LieFamily", "Outcome", "Verdict",
+            "decide_local", "decide_spin", "im_delta_gen", "im_partial_order",
+            "mapping_group_order", "pi_4n1_order", "q2_mapping_invariant",
+            "refined_invariant", "retractible", "sutherland_invariant",
+        ),
+        "lattice": (
+            "FinAbGroup", "IntMatrix", "SmithForm", "cokernel",
+            "element_order_in_coker", "smith_normal_form",
+        ),
+        "phi": (
+            "PhiResult", "checked_order", "closed_form_order",
+            "identity_samelson_p_part", "phi_image", "phi_images",
+            "samelson_order",
+        ),
+        "report": ("Report",),
+        "series": ("exp_minus_one_powers", "printed_top_coeffs",
+                   "truncated_powers"),
+        "verify": ("verify_sweep",),
+    }.items()
+    for name in names
+}
+_MODULES = set(_EXPORTS.values())
+# what `from spgauge import *` gives, as when every module was imported here
+__all__ = sorted({*_EXPORTS, *_MODULES})
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return getattr(_import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name in _MODULES:
+        return _import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

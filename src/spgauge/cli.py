@@ -38,7 +38,6 @@ from .phi import (
     samelson_order,
 )
 from .report import FORMATS, Product, Report, fmt_bool, fmt_frac, fmt_int
-from .verify import verify_sweep
 
 _RANKED_FAMILIES = (LieFamily.SU, LieFamily.SP, LieFamily.SPIN_ODD)
 
@@ -286,6 +285,9 @@ def _cmd_verify(args) -> Report:
         raise SpgaugeError("verify needs --max-n >= 2")
     if args.jobs < 1:
         raise SpgaugeError("--jobs must be at least 1")
+    # the sweep alone loads verify, and through it lattice and series
+    from .verify import verify_sweep
+
     report = verify_sweep(args.max_n)
     report.parameters["jobs"] = fmt_int(args.jobs)
     return report

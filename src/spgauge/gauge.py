@@ -76,11 +76,12 @@ def mapping_group_order(n: int) -> int:
     checked against that closed form.
     """
     _require_even_rank(n)
-    order = factorial(2 * n + 1) * _RHO_UNIT
+    fact = factorial(2 * n + 1)
+    order = fact * _RHO_UNIT
     if order.denominator != 1:
         raise OracleMismatch(f"mapping group order is not integral at n={n}")
     order = int(order)
-    if order != factorial(2 * n + 1) // 3:
+    if order != fact // 3:
         raise OracleMismatch(
             f"table-driven order {order} differs from (2n+1)!/3 at n={n}"
         )

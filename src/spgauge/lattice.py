@@ -173,13 +173,6 @@ def _reduce(
             d[dst] = [x - q * y for x, y in zip(d[dst], d[src])]
             u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
 
-    def add_col(src, dst, q):
-        if q:
-            for row in d:
-                row[dst] -= q * row[src]
-            for row in v:
-                row[dst] -= q * row[src]
-
     def find_pivot(t):
         best = None
         best_abs = None
@@ -193,7 +186,8 @@ def _reduce(
 
     t = 0
     while t < min(m, n):
-        if find_pivot(t) is None:
+        pivot = find_pivot(t)
+        if pivot is None:
             break
 
         # Clear column t below and row t to the right.  Each pass moves the
@@ -203,7 +197,7 @@ def _reduce(
         # pass and the loop terminates.  Re-selecting the pivot per pass
         # keeps quotients, and hence entry growth, small.
         while True:
-            pi, pj = find_pivot(t)
+            pi, pj = pivot
             if pi != t:
                 swap_rows(t, pi)
             if pj != t:
@@ -215,13 +209,23 @@ def _reduce(
                     add_row(t, i, d[i][t] // p)
                     if d[i][t]:
                         dirty = True
+            # column j -= q * column t, with the pivot row's entry set to
+            # the remainder directly; rows above t are zero in column t
+            pivot_row, below = d[t], d[t + 1:]
             for j in range(t + 1, n):
-                if d[t][j]:
-                    add_col(t, j, d[t][j] // p)
-                    if d[t][j]:
+                if pivot_row[j]:
+                    q, r = divmod(pivot_row[j], p)
+                    if q:
+                        pivot_row[j] = r
+                        for row in below:
+                            row[j] -= q * row[t]
+                        for row in v:
+                            row[j] -= q * row[t]
+                    if r:
                         dirty = True
             if not dirty:
                 break
+            pivot = find_pivot(t)
 
         # The pivot must divide the rest of the block before it is frozen,
         # or the diagonal would not form a divisibility chain.  Folding an

@@ -13,6 +13,8 @@ streams them rank by rank from a single row of surjection counts advanced
 by the Stirling recurrence, so a sweep over n = 1..N never rebuilds a count.
 BACKENDS names the coefficient conventions; phi_image alone dispatches on
 them, and the printed one, kept for comparison, comes from series.
+lattice and series are imported where they are first used, so a command
+that reads neither route does not load them.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from typing import Iterator
 
 from .arith import require_prime, require_rank, valuation
 from .errors import GuardFailed, NonIntegralGenerator, OracleMismatch, OutOfRange
-from .lattice import IntMatrix, element_order_in_coker
-from .series import printed_top_coeffs
 
 # the coefficient conventions phi_image knows; the first is the engine's
 BACKENDS = ("series", "printed")
@@ -119,6 +119,8 @@ def phi_image(n: int, backend: str = "series") -> PhiResult:
         for row in _surjection_rows(n):
             pass
         return _series_image(n, row)
+    from .series import printed_top_coeffs
+
     scale = factorial(2 * n + 1)
     gens = [closed_form_order(n)]
     for top in islice(printed_top_coeffs(n), 1, None):
@@ -145,6 +147,8 @@ def checked_order(result: PhiResult) -> int:
     checks both against the closed form 4n(2n+1).  Any disagreement raises
     OracleMismatch.
     """
+    from .lattice import IntMatrix, element_order_in_coker
+
     n = result.n
     if result.pinned_order is None:
         raise OracleMismatch(

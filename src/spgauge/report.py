@@ -20,7 +20,6 @@ distinct cells and one join per outer lead, not its row count.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass, field
@@ -51,6 +50,8 @@ def _csv_cell(value: str) -> str:
     if (value.isascii() and value.isprintable()
             and "," not in value and '"' not in value):
         return value
+    import csv
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow((value, ""))
     return buf.getvalue()[:-2]
