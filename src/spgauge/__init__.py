@@ -27,8 +27,9 @@ _EXPORTS = {
         "gauge": (
             "Bundle", "GuardCheck", "LieFamily", "Outcome", "Verdict",
             "decide_local", "decide_spin", "im_delta_gen", "im_partial_order",
-            "mapping_group_order", "pi_4n1_order", "q2_mapping_invariant",
-            "refined_invariant", "retractible", "sutherland_invariant",
+            "local_partition", "mapping_group_order", "pi_4n1_order",
+            "q2_mapping_invariant", "refined_invariant", "retractible",
+            "sutherland_invariant",
         ),
         "lattice": (
             "FinAbGroup", "IntMatrix", "SmithForm", "cokernel",

@@ -19,10 +19,10 @@ from .errors import SpgaugeError
 from .gauge import (
     Bundle,
     LieFamily,
-    _local_verdict,
     decide_local,
     decide_spin,
     im_partial_order,
+    local_partition,
     mapping_group_order,
     q2_mapping_invariant,
     refined_invariant,
@@ -32,7 +32,6 @@ from .gauge import (
 from .phi import (
     BACKENDS,
     checked_order,
-    closed_form_order,
     phi_image,
     phi_images,
     samelson_order,
@@ -176,41 +175,19 @@ def _verdict_row(extra: dict, verdict) -> dict[str, str]:
     return row
 
 
-_GRID_COLUMNS = ("k", "l", "outcome", "invariant_k", "invariant_l",
-                 "guards_passed")
-
-
 def _classify_grid(n: int, p: int) -> Report:
-    """The verdict grid over k, l in [0, B], B = 4n(2n+1), k-major.
-
-    A verdict depends on k only through its class, the p-part of
-    gcd(k, B), so one verdict per k (against l = 0) finds the classes and
-    one per pair of classes gives the verdict fields.  One decide_local
-    call checks n and p; every verdict then reuses its guards through the
-    gauge._local_verdict that decide_local ends in, so p is tested for
-    primality once, not once per verdict.  All of it runs before any row
-    is made, so bad input raises before anything is written.  The grid is
-    one report.Product: the k labels with their classes, the l labels
-    with theirs, and the verdict cells of each pair of classes, so the
-    writer encodes each l label and each pair's verdict cells once and
-    writes row k as one join."""
-    guards = decide_local(n, 0, 0, p).guards
-    b = closed_form_order(n)
-
-    def verdict(k, l):
-        return _local_verdict(n, k, l, p, guards)
-
-    classes = [verdict(k, 0).invariant_values[0] for k in range(b + 1)]
-    reps = {}  # class -> its smallest k
-    for k, c in enumerate(classes):
-        reps.setdefault(c, k)
-    cells = {(ck, cl): _verdict_row({}, verdict(k, l))
-             for ck, k in reps.items() for cl, l in reps.items()}
+    """The verdict grid over k, l in [0, B], B = 4n(2n+1), k-major: one
+    report.Product of the k labels with their classes, the l labels with
+    theirs, and the verdict cells of each pair of classes, all from
+    gauge.local_partition, which checks n and p before any row is made."""
+    classes, verdicts = local_partition(n, p)
+    cells = {pair: _verdict_row({}, v) for pair, v in verdicts.items()}
+    b = len(classes) - 1
     labels = [fmt_int(k) for k in range(b + 1)]
     grid = Product([({"k": k}, c) for k, c in zip(labels, classes)],
                    [({"l": l}, c) for l, c in zip(labels, classes)], cells)
     params = {"n": fmt_int(n), "p": fmt_int(p), "grid": f"0..{b}"}
-    return Report("classify-sp", params, [grid], columns=_GRID_COLUMNS)
+    return Report("classify-sp", params, [grid])
 
 
 def _cmd_classify_sp(args) -> Report:

@@ -173,11 +173,13 @@ def _retract_guard(n: int, p: int) -> GuardCheck:
     )
 
 
-def _local_verdict(n: int, k: int, l: int, p: int,
+def _local_class(n: int, k: int, p: int) -> int:
+    # the p-part of gcd(k, 4n(2n+1)); n >= 1, so the gcd is nonzero
+    return p ** valuation(gcd(k, closed_form_order(n)), p)
+
+
+def _local_verdict(values: tuple[int, int],
                    guards: tuple[GuardCheck, ...]) -> Verdict:
-    # n >= 1, so b > 0 and both gcds are nonzero
-    b = closed_form_order(n)
-    values = (p ** valuation(gcd(k, b), p), p ** valuation(gcd(l, b), p))
     if not all(g.passed for g in guards):
         outcome = Outcome.NOT_DETERMINED
     elif values[0] == values[1]:
@@ -197,7 +199,23 @@ def decide_local(n: int, k: int, l: int, p: int) -> Verdict:
     NotDetermined.  Raises OutOfRange for n < 1."""
     require_rank(n)
     require_prime(p)
-    return _local_verdict(n, k, l, p, (_retract_guard(n, p),))
+    return _local_verdict((_local_class(n, k, p), _local_class(n, l, p)),
+                          (_retract_guard(n, p),))
+
+
+def local_partition(n: int, p: int) -> tuple[list[int], dict]:
+    """The decide_local grid of rank n at p by class: classes[k], the
+    p-part of gcd(k, 4n(2n+1)), for each k in [0, 4n(2n+1)], and
+    verdicts[a, c], the verdict of every k of class a against every l of
+    class c.  n and p are checked once, as decide_local checks them."""
+    require_rank(n)
+    require_prime(p)
+    guards = (_retract_guard(n, p),)
+    classes = [_local_class(n, k, p) for k in range(closed_form_order(n) + 1)]
+    distinct = dict.fromkeys(classes)
+    verdicts = {(a, c): _local_verdict((a, c), guards)
+                for a in distinct for c in distinct}
+    return classes, verdicts
 
 
 def decide_spin(m: int, k: int, l: int, p: int) -> Verdict:
@@ -217,7 +235,7 @@ def decide_spin(m: int, k: int, l: int, p: int) -> Verdict:
         GuardCheck("odd-prime", p != 2, f"p = {p}"),
         _retract_guard(n, p),
     )
-    return _local_verdict(n, k, l, p, guards)
+    return _local_verdict((_local_class(n, k, p), _local_class(n, l, p)), guards)
 
 
 def pi_4n1_order(n: int, k: int, p: int) -> int:
@@ -228,8 +246,7 @@ def pi_4n1_order(n: int, k: int, p: int) -> int:
     require_prime(p)
     if p == 2:
         raise EvenPrime("the degree-(4n+1) order is only computed at odd primes")
-    # n >= 1, so the gcd is nonzero
-    return p ** valuation(gcd(k, closed_form_order(n)), p)
+    return _local_class(n, k, p)
 
 
 class LieFamily(Enum):

@@ -5,9 +5,8 @@ table.  All numeric values are carried as exact decimal strings (rationals
 as "p/q"), construction order is preserved everywhere, and the output is
 byte-stable run to run.  A report is written incrementally, the header,
 one write per row or per run of a Product, the footer, with no buffer of
-its own, so rows that come from a generator are never held whole.
-The JSON header and footer are json.dumps(..., indent=2) of the fields
-around the rows.
+its own.  The JSON header and footer are json.dumps(..., indent=2) of the
+fields around the rows.
 
 A row is a string-to-string dict or a Product, the rows of every outer
 lead paired with every inner lead and ended by the cells of their classes.
@@ -24,6 +23,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import add
 from typing import (Callable, Hashable, Iterable, Iterator, Mapping,
@@ -61,8 +61,8 @@ class Product(NamedTuple):
     """The rows {**a, **b, **cells[i, j]} for each (a, i) in outer and,
     within it, each (b, j) in inner: every outer lead meets every inner
     lead, and the cells of their classes i and j end the row.  Every outer
-    lead holds the same leading declared columns, every inner lead the same
-    columns after them, at least one each, and no cells repeat them.  A
+    lead holds the same leading columns of the report, every inner lead the
+    same columns after them, at least one each, and no cells repeat them.  A
     write encodes each inner lead once and the cells of each pair of
     classes once, and writes the rows of each outer lead, its run, as one
     text."""
@@ -70,6 +70,21 @@ class Product(NamedTuple):
     outer: Sequence[tuple[dict[str, str], Hashable]]
     inner: Sequence[tuple[dict[str, str], Hashable]]
     cells: Mapping[tuple[Hashable, Hashable], dict[str, str]]
+
+
+def _keys(row: dict[str, str] | Product) -> Iterable[str]:
+    """The keys of row; a Product's are those of the rows it stands for: its
+    first outer lead's, its first inner lead's, then its cells' for each
+    pair of classes in the order its rows meet them."""
+    if not isinstance(row, Product):
+        return row
+    outer, inner, cells = row
+    if not (outer and inner):
+        return ()
+    classes = dict.fromkeys(c for _, c in inner)
+    return chain(outer[0][0], inner[0][0],
+                 *(cells[r, c] for r in dict.fromkeys(r for _, r in outer)
+                   for c in classes))
 
 
 class _Syntax(NamedTuple):
@@ -108,7 +123,7 @@ class _Encoder:
     def cells(self, row: dict[str, str], start: int = 0,
               stop: int | None = None) -> list[str]:
         """The encoded cells of row: its own items when the syntax is keyed,
-        otherwise the declared columns start:stop, "" where absent."""
+        otherwise the report's columns start:stop, "" where absent."""
         s = self.syntax
         items = row.items() if s.keyed else [
             (c, row.get(c, "")) for c in self.cols[start:stop]]
@@ -162,29 +177,24 @@ class _Encoder:
 
 @dataclass
 class Report:
-    """A command's answer.  rows is a list of string-to-string records whose
-    columns are the union of their keys in first-seen order, or, when
-    columns declares the fields, any iterable of records and Products; a
-    report whose rows are a one-pass iterable can be written once."""
+    """A command's answer.  rows is a list or tuple of string-to-string
+    records and Products, and the columns are their keys in first-seen
+    order."""
 
     command: str
     parameters: dict[str, str]
-    rows: Iterable[dict[str, str] | Product]
+    rows: Sequence[dict[str, str] | Product]
     failures: list[str] = field(default_factory=list)
-    columns: tuple[str, ...] | None = None
 
     @property
     def status(self) -> str:
         return "ok" if not self.failures else "failed"
 
     def _columns(self) -> tuple[str, ...]:
-        if self.columns is not None:
-            return tuple(self.columns)
-        if iter(self.rows) is self.rows:
-            raise ValueError("a report with streamed rows must declare its columns")
-        if any(isinstance(row, Product) for row in self.rows):
-            raise ValueError("a report with products must declare its columns")
-        return tuple(dict.fromkeys(key for row in self.rows for key in row))
+        if not isinstance(self.rows, (list, tuple)):
+            raise ValueError("a report's rows must be a list or tuple")
+        return tuple(dict.fromkeys(key for row in self.rows
+                                   for key in _keys(row)))
 
     def write(self, fmt: str, out: TextIO) -> None:
         """Write the report to out in fmt: the header, then one write per
@@ -204,11 +214,6 @@ class Report:
                 out.write(text[len(syntax.rowsep):] if first else text)
                 first = False
         out.write(tail(not first))
-
-    def render(self, fmt: str) -> str:
-        buf = io.StringIO()
-        self.write(fmt, buf)
-        return buf.getvalue()
 
     # Each _<fmt>_frame(encode) returns the header text and tail(any_rows),
     # the footer.

@@ -13,10 +13,10 @@ import pytest
 
 import spgauge
 import spgauge.report as report_mod
-from spgauge.cli import _GRID_COLUMNS, _classify_grid, main
+from spgauge.cli import _classify_grid, main
 from spgauge.gauge import decide_local
 from spgauge.report import Report
-from test_report import ORACLES, _report_from_json
+from test_report import ORACLES, _report_from_json, _written
 from spgauge.verify import CheckResult
 
 
@@ -122,6 +122,10 @@ def test_classify_sp_grid_symmetric(capsys):
     assert verdicts[("1", "5")] == "distinct"
 
 
+_GRID_COLUMNS = ("k", "l", "outcome", "invariant_k", "invariant_l",
+                 "guards_passed")
+
+
 def _grid_row(n, k, l, p):
     verdict = decide_local(n, k, l, p)
     return {
@@ -137,7 +141,7 @@ def _grid_row(n, k, l, p):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_grid_rows_equal_decide_local_on_every_pair(n, p):
-    text = _classify_grid(n, p).render("csv")
+    text = _written(_classify_grid(n, p), "csv")
     reader = csv.DictReader(io.StringIO(text))
     assert tuple(reader.fieldnames) == _GRID_COLUMNS
     b = 4 * n * (2 * n + 1)
@@ -467,7 +471,7 @@ def test_json_round_trips_through_report(capsys):
     code, out, _ = run_cli(
         capsys, "invariant", "--n", "4", "--k", "3", "--format", "json")
     assert code == 0
-    assert _report_from_json(out).render("json") == out
+    assert _written(_report_from_json(out), "json") == out
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -41,6 +41,7 @@ from spgauge.gauge import (
     decide_spin,
     im_delta_gen,
     im_partial_order,
+    local_partition,
     mapping_group_order,
     pi_4n1_order,
     q2_mapping_invariant,
@@ -81,6 +82,8 @@ ENTRY_POINTS = {
     "samelson_order": (lambda n, k, l, p: samelson_order(n), _SMALL_RANK),
     "decide_local": (decide_local, _ANY_RANK),
     "decide_spin": (decide_spin, _ANY_RANK),
+    # the partition lists a class for each of 4n(2n+1) + 1 values of k
+    "local_partition": (lambda n, k, l, p: local_partition(n, p), _SMALL_RANK),
     # the rank-2 mapping pipeline takes factorials of 2n+1, so ranks stay small
     "mapping_group_order": (lambda n, k, l, p: mapping_group_order(n), _SMALL_RANK),
     "im_delta_gen": (lambda n, k, l, p: im_delta_gen(n, k), _SMALL_RANK),
@@ -264,6 +267,9 @@ _PRIME_ARG = st.one_of(
 PRIME_ENTRY_POINTS = {
     "decide_local": decide_local,
     "decide_spin": decide_spin,
+    # the partition lists a class for each of 4n(2n+1) + 1 values of k, so
+    # its rank is capped; n <= 0 is kept
+    "local_partition": lambda n, k, l, p: local_partition(min(n, 12), p),
     "pi_4n1_order": lambda n, k, l, p: pi_4n1_order(n, k, p),
     "identity_samelson_p_part": lambda n, k, l, p: identity_samelson_p_part(n, p),
     "p_part": lambda n, k, l, p: p_part(k, p),

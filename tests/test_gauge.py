@@ -15,6 +15,7 @@ from spgauge.gauge import (
     decide_spin,
     im_delta_gen,
     im_partial_order,
+    local_partition,
     mapping_group_order,
     pi_4n1_order,
     q2_mapping_invariant,
@@ -296,7 +297,26 @@ def test_is_prime_runs_once_per_verdict(monkeypatch):
         for p in (2, 5, 11):
             decide_spin(m, 84, 0, p)
             verdicts += 1
+    # a partition holds the verdicts of a whole grid, and is one call
+    for n in (1, 2, 5):
+        for p in (2, 3, 999_999_999_989):
+            local_partition(n, p)
+            verdicts += 1
     assert len(calls) == verdicts
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_local_partition_equals_decide_local_on_every_pair(n, p):
+    classes, verdicts = local_partition(n, p)
+    b = 4 * n * (2 * n + 1)
+    assert len(classes) == b + 1
+    for k in range(b + 1):
+        assert classes[k] == decide_local(n, k, 0, p).invariant_values[0]
+    assert set(verdicts) == {(a, c) for a in classes for c in classes}
+    for k in range(b + 1):
+        for l in range(b + 1):
+            assert verdicts[classes[k], classes[l]] == decide_local(n, k, l, p)
 
 
 def test_is_prime_runs_once_per_p_part_query(monkeypatch):

@@ -1,6 +1,7 @@
-"""The package resolves its names on first access, and a command imports
-only the modules it runs."""
+"""The package resolves its names on first access, a command imports only
+the modules it runs, and no module imports a sibling's private names."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -62,3 +63,15 @@ def test_a_module_is_an_attribute_of_the_package():
 def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="nope"):
         spgauge.nope
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    package = Path(spgauge.__file__).resolve().parent
+    private = [
+        f"{path.name}: {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []

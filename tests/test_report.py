@@ -5,6 +5,7 @@ import io
 import json
 import os
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +21,12 @@ def test_formatters():
     assert fmt_frac(Fraction(5)) == "5"
     assert fmt_bool(True) == "true"
     assert fmt_bool(False) == "false"
+
+
+def _written(report: Report, fmt: str) -> str:
+    out = io.StringIO()
+    report.write(fmt, out)
+    return out.getvalue()
 
 
 def _sample_report() -> Report:
@@ -50,13 +57,13 @@ def _report_from_json(text: str) -> Report:
 
 def test_json_round_trip():
     report = _sample_report()
-    again = _report_from_json(report.render("json"))
+    again = _report_from_json(_written(report, "json"))
     assert again == report
-    assert again.render("json") == report.render("json")
+    assert _written(again, "json") == _written(report, "json")
 
 
 def test_json_is_plain_strings():
-    data = json.loads(_sample_report().render("json"))
+    data = json.loads(_written(_sample_report(), "json"))
     assert data["status"] == "ok"
     assert data["failures"] == []
     assert all(
@@ -71,7 +78,7 @@ def test_csv_header_union_in_first_seen_order():
         parameters={},
         rows=[{"a": "1", "b": "2"}, {"b": "3", "c": "4"}],
     )
-    out = report.render("csv")
+    out = _written(report, "csv")
     lines = out.splitlines()
     assert lines[0] == "a,b,c"
     assert lines[1] == "1,2,"
@@ -81,12 +88,12 @@ def test_csv_header_union_in_first_seen_order():
 
 def test_csv_parses_back():
     report = _sample_report()
-    rows = list(csv.DictReader(io.StringIO(report.render("csv"))))
+    rows = list(csv.DictReader(io.StringIO(_written(report, "csv"))))
     assert rows == [dict(r) for r in report.rows]
 
 
 def test_markdown_shape():
-    text = _sample_report().render("markdown")
+    text = _written(_sample_report(), "markdown")
     lines = text.splitlines()
     assert lines[0] == "# order"
     assert "- max_n: 2" in lines
@@ -98,7 +105,7 @@ def test_markdown_shape():
 def test_markdown_lists_failures():
     report = _sample_report()
     report.failures.append("something broke")
-    text = report.render("markdown")
+    text = _written(report, "markdown")
     assert "status: failed" in text
     assert "- FAIL: something broke" in text
 
@@ -106,26 +113,26 @@ def test_markdown_lists_failures():
 def test_render_dispatch_and_unknown_format():
     report = _sample_report()
     for fmt in FORMATS:
-        out = io.StringIO()
-        report.write(fmt, out)
-        assert report.render(fmt) == out.getvalue()
+        assert _written(report, fmt) == ORACLES[fmt](report)
+    out = io.StringIO()
     with pytest.raises(ValueError):
-        report.render("yaml")
+        report.write("yaml", out)
+    assert out.getvalue() == ""
     assert FORMATS == ("json", "csv", "markdown")
 
 
-def test_streamed_rows_need_declared_columns():
-    with pytest.raises(ValueError):
-        Report("x", {}, iter([{"a": "1"}])).render("csv")
-    report = Report("x", {}, iter([{"a": "1"}]), columns=("a", "b"))
-    assert report.render("csv") == "a,b\n1,\n"
+def test_an_iterator_of_rows_raises_value_error():
+    for rows in (iter([{"a": "1"}]), iter([]),
+                 ({"a": str(i)} for i in range(2))):
+        with pytest.raises(ValueError):
+            _written(Report("x", {}, rows), "csv")
 
 
 # -- the writer against the whole-document renderers it replaced ------------
 #
 # These oracles are the renderers as they were before the writer: the whole
-# document built in memory, JSON by json.dumps.  The tables take the
-# declared columns, if any, else the union of the row keys.
+# document built in memory, JSON by json.dumps.  The tables take the union
+# of the row keys in first-seen order.
 
 
 def _oracle_columns(rows):
@@ -148,16 +155,10 @@ def _oracle_json(report):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _oracle_table_columns(report):
-    if report.columns is not None:
-        return list(report.columns)
-    return _oracle_columns(report.rows)
-
-
 def _oracle_csv(report):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    cols = _oracle_table_columns(report)
+    cols = _oracle_columns(report.rows)
     writer.writerow(cols)
     for row in report.rows:
         writer.writerow([row.get(c, "") for c in cols])
@@ -170,7 +171,7 @@ def _oracle_markdown(report):
         for key, val in report.parameters.items():
             lines.append(f"- {key}: {val}")
         lines.append("")
-    cols = _oracle_table_columns(report)
+    cols = _oracle_columns(report.rows)
     if cols:
         lines.append("| " + " | ".join(cols) + " |")
         lines.append("|" + "|".join(" --- " for _ in cols) + "|")
@@ -206,11 +207,7 @@ _payload = dict(
 def test_writer_equals_whole_document_renderers(command, params, rows, failures):
     report = Report(command, params, rows, failures)
     for fmt, oracle in ORACLES.items():
-        want = oracle(report)
-        assert report.render(fmt) == want
-        streamed = Report(command, params, iter(rows), failures,
-                          columns=tuple(_oracle_columns(rows)))
-        assert streamed.render(fmt) == want
+        assert _written(report, fmt) == oracle(report)
 
 
 _cell = st.text(
@@ -231,45 +228,15 @@ _plain_key = st.text(
 )
 def test_json_round_trip_arbitrary_payload(params, rows, failures):
     report = Report("cmd", params, rows, failures)
-    text = report.render("json")
+    text = _written(report, "json")
     again = _report_from_json(text)
     assert again == report
-    assert again.render("json") == text
+    assert _written(again, "json") == text
 
 
 # -- products: every outer lead with every inner lead ------------------------
 
 _CLASSES = st.integers(0, 2)
-
-
-@st.composite
-def _columns_and_rows(draw):
-    """Declared columns and rows mixing Products and plain dicts.  A
-    product's outer leads hold one or more leading columns and its inner
-    leads one or more after them; its classes come from a pool of three, so
-    they repeat, and each pair's cells hold any of the other columns."""
-    cols = draw(st.lists(_key, unique=True, max_size=4))
-
-    def tail(rest):
-        if not rest:
-            return st.just({})
-        return st.dictionaries(st.sampled_from(rest), _text, max_size=len(rest))
-
-    def leads(keys):
-        lead = st.tuples(*[_text] * len(keys)).map(
-            lambda values: dict(zip(keys, values)))
-        return st.lists(st.tuples(lead, _CLASSES), max_size=4)
-
-    rows = []
-    for _ in range(draw(st.integers(0, 4))):
-        if len(cols) < 2 or draw(st.booleans()):
-            rows.append(draw(tail(cols)))
-            continue
-        i = draw(st.integers(1, len(cols) - 1))
-        j = draw(st.integers(i + 1, len(cols)))
-        cells = {(r, c): draw(tail(cols[j:])) for r in range(3) for c in range(3)}
-        rows.append(Product(draw(leads(cols[:i])), draw(leads(cols[i:j])), cells))
-    return tuple(cols), rows
 
 
 def _expand(rows):
@@ -281,93 +248,125 @@ def _expand(rows):
             yield row
 
 
+@st.composite
+def _rows(draw):
+    """Rows mixing Products and plain dicts over a pool of up to four keys.
+    A product's outer leads hold one or more of the leading columns, the
+    columns of the rows before it followed by the keys they lack, and its
+    inner leads one or more after them; its classes come from a pool of
+    three, so they repeat, and each pair's cells hold any of the other
+    keys."""
+    keys = draw(st.lists(_key, unique=True, max_size=4))
+
+    def tail(rest):
+        if not rest:
+            return st.just({})
+        return st.dictionaries(st.sampled_from(rest), _text, max_size=len(rest))
+
+    def leads(lead_keys):
+        lead = st.tuples(*[_text] * len(lead_keys)).map(
+            lambda values: dict(zip(lead_keys, values)))
+        return st.lists(st.tuples(lead, _CLASSES), max_size=4)
+
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        if len(keys) < 2 or draw(st.booleans()):
+            rows.append(draw(tail(keys)))
+            continue
+        cols = _oracle_columns(_expand(rows))
+        cols += [key for key in keys if key not in cols]
+        i = draw(st.integers(1, len(cols) - 1))
+        j = draw(st.integers(i + 1, len(cols)))
+        cells = {(r, c): draw(tail(cols[j:])) for r in range(3) for c in range(3)}
+        rows.append(Product(draw(leads(cols[:i])), draw(leads(cols[i:j])), cells))
+    return rows
+
+
 def _cells(text):
     """Cells for every pair of the classes 0..2, row class by column class."""
     return {(r, c): {"c": f"{text}{r}{c}"} for r in range(3) for c in range(3)}
 
 
 @settings(max_examples=200, deadline=None)
-@given(_columns_and_rows(), _text, st.lists(_text, max_size=3))
+@given(_rows(), _text, st.lists(_text, max_size=3))
 # classes repeat in both leads, among plain rows, with text to escape
-@example((("a", "b", "c"), [
+@example([
     Product([({"a": "1"}, 0), ({"a": "é|\n"}, 1), ({"a": ""}, 0)],
             [({"b": "x,y"}, 2), ({"b": '"q"'}, 0), ({"b": "z"}, 2)],
             _cells("v")),
     {"b": "2"},
     Product([({"a": "2"}, 2)], [({"b": "w"}, 1)], _cells(",")),
-]), "grid", [])
+], "grid", [])
 # products with no outer or no inner leads write no rows; then an empty row
-@example((("a", "b"), [Product([], [({"b": "1"}, 0)], {}),
-                       Product([({"a": "1"}, 0)], [], {}), {}]), "", [])
+@example([Product([], [({"b": "1"}, 0)], {}),
+          Product([({"a": "1"}, 0)], [], {}), {}], "", [])
 # every column in the leads, so the cells are empty
-@example((("a", "b"), [Product([({"a": "1"}, 0), ({"a": "2"}, 1)],
-                               [({"b": ""}, 1)],
-                               {(0, 1): {}, (1, 1): {}})]), "x", ["f"])
+@example([Product([({"a": "1"}, 0), ({"a": "2"}, 1)], [({"b": ""}, 1)],
+                  {(0, 1): {}, (1, 1): {}})], "x", ["f"])
 # leads of two columns each, and cells that leave columns out
-@example((("a", "b", "c", "d", "e"), [
+@example([
     Product([({"a": "1", "b": ""}, 0)], [({"c": "", "d": "4"}, 0)],
             {(0, 0): {}}),
     Product([({"a": "", "b": "2"}, 0)], [({"c": "3", "d": ""}, 0)],
             {(0, 0): {"e": ""}}),
-]), "x", [])
-def test_runs_write_as_their_expanded_rows(columns_and_rows, command, failures):
-    cols, rows = columns_and_rows
+], "x", [])
+# a plain row ahead names the leads' columns; the cells add theirs in the
+# order the rows meet them, and a pair no row meets adds none
+@example([
+    {"b": "0", "a": ""},
+    Product([({"b": "1"}, 1), ({"b": "2"}, 0)],
+            [({"a": "x"}, 1), ({"a": "y"}, 0)],
+            {(0, 0): {"d": "p"}, (0, 1): {}, (1, 0): {"e": ""},
+             (1, 1): {"c": "q"}, (2, 2): {"f": "unmet"}}),
+], "x", [])
+def test_runs_write_as_their_expanded_rows(rows, command, failures):
     params = {"n": "2"}
-    expanded = Report(command, params, list(_expand(rows)), failures,
-                      columns=cols)
+    expanded = Report(command, params, list(_expand(rows)), failures)
+    report = Report(command, params, rows, failures)
     for fmt, oracle in ORACLES.items():
-        want = oracle(expanded)
-        report = Report(command, params, rows, failures, columns=cols)
-        assert report.render(fmt) == want
-        streamed = Report(command, params, iter(rows), failures, columns=cols)
-        assert streamed.render(fmt) == want
+        assert _written(report, fmt) == oracle(expanded)
 
 
 _BAD_PRODUCTS = [
-    # no declared columns
-    (Product([({"a": "0"}, 0)], [({"b": "1"}, 0)], {(0, 0): {}}), None),
-    # an outer lead that is not the leading columns
-    (Product([({"b": "0"}, 0)], [({"a": "1"}, 0)], {(0, 0): {}}), ("a", "b")),
+    # an outer lead that is not the leading columns: a plain row leads
+    [{"a": "0"}, Product([({"b": "0"}, 0)], [({"a": "1"}, 0)], {(0, 0): {}})],
     # outer leads of different columns
-    (Product([({"a": "0"}, 0), ({"a": "0", "b": "1"}, 0)], [({"c": "1"}, 0)],
-             {(0, 0): {}}), ("a", "b", "c")),
+    [Product([({"a": "0"}, 0), ({"a": "0", "b": "1"}, 0)], [({"c": "1"}, 0)],
+             {(0, 0): {}})],
     # an empty outer lead
-    (Product([({}, 0)], [({"a": "1"}, 0)], {(0, 0): {}}), ("a", "b")),
+    [Product([({}, 0)], [({"a": "1"}, 0)], {(0, 0): {}})],
     # an empty inner lead
-    (Product([({"a": "0"}, 0)], [({}, 0)], {(0, 0): {"b": "1"}}), ("a", "b")),
+    [Product([({"a": "0"}, 0)], [({}, 0)], {(0, 0): {"b": "1"}})],
     # an inner lead that is not the columns after the outer lead
-    (Product([({"a": "0"}, 0)], [({"c": "1"}, 0)], {(0, 0): {}}),
-     ("a", "b", "c")),
+    [{"a": "", "b": ""},
+     Product([({"a": "0"}, 0)], [({"c": "1"}, 0)], {(0, 0): {}})],
     # cells that repeat a lead column
-    (Product([({"a": "0"}, 0)], [({"b": "1"}, 0)], {(0, 0): {"a": "1"}}),
-     ("a", "b")),
+    [Product([({"a": "0"}, 0)], [({"b": "1"}, 0)], {(0, 0): {"a": "1"}})],
 ]
 
 
 def test_runs_are_checked_against_the_columns():
-    for product, columns in _BAD_PRODUCTS:
+    for rows in _BAD_PRODUCTS:
         for fmt in FORMATS:
             with pytest.raises(ValueError):
-                Report("x", {}, [product], columns=columns).render(fmt)
+                _written(Report("x", {}, rows), fmt)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_a_generator_of_rows_is_written_as_it_is_drawn(fmt):
-    cols = ("k", "l")
+def test_each_row_is_one_write(fmt):
     rows = [{"k": str(i), "l": "a,b" if i % 2 else ""} for i in range(5)]
-    want = ORACLES[fmt](Report("x", {"n": "2"}, rows, columns=cols))
-    out = io.StringIO()
-    written = []
-
-    def drawn():
-        for row in rows:
-            written.append(out.getvalue())
-            yield row
-
-    Report("x", {"n": "2"}, drawn(), columns=cols).write(fmt, out)
-    assert out.getvalue() == want
-    # a document of the first i rows agrees with the whole one up to the end
-    # of row i - 1, where its footer begins: the header and rows 0..i-1
-    for i, text in enumerate(written):
-        head = ORACLES[fmt](Report("x", {"n": "2"}, rows[:i], columns=cols))
-        assert text == os.path.commonprefix([head, want])
+    want = ORACLES[fmt](Report("x", {"n": "2"}, rows))
+    writes = []
+    out = SimpleNamespace(write=writes.append)
+    Report("x", {"n": "2"}, rows).write(fmt, out)
+    # the header, one write per row, the footer
+    assert len(writes) == len(rows) + 2
+    assert "".join(writes) == want
+    # the documents of the first i rows and of one row more agree up to the
+    # end of row i - 1, where the footer of the one and the next row of the
+    # other begin: the header and rows 0..i-1 are the first i + 1 writes
+    more = {"k": "5", "l": ""}
+    for i in range(1, len(rows) + 1):
+        docs = [ORACLES[fmt](Report("x", {"n": "2"}, rows[:i] + extra))
+                for extra in ([], [more])]
+        assert "".join(writes[:i + 1]) == os.path.commonprefix(docs)
