@@ -114,7 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", type=int, default=20)
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="kept for compatibility and echoed in the "
-                               "report; starts no worker processes")
+                               "report; changes nothing (the sweep always "
+                               "forks one child for its image stream)")
     add_format(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 

@@ -6,13 +6,18 @@ map enumeration, and brute-force coset enumeration built on an integer
 row-echelon reduction that shares no code with the Smith-form engine it
 checks.  Scales cap at each property's stated bound so a large max_n stays
 within the documented runtime budgets.  The sweep walks the image stream
-phi_images once, feeding both the orders check and the divisibility check.
+phi_images once, feeding both the orders check and the divisibility check,
+in one forked child process while the sweep's own process runs the other
+checks (POSIX only).
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
+import os
 import random
+import signal
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -533,6 +538,29 @@ def check_guards(max_n: int) -> CheckResult:
     return res
 
 
+def _walk_in_child(write_fd: int, max_n: int) -> None:
+    """The forked child's whole life: walk the image stream, send down the
+    pipe the fields of its two checks, or the exception the walk raised,
+    pickled, and leave by os._exit, so it never returns into the caller's
+    code nor flushes the caller's buffered output.  The checks' fields are
+    strings in lists and dicts, which marshal carries without loading
+    pickle into the sweep's process."""
+    status = 1
+    try:
+        try:
+            answer = ([(c.name, c.rows, c.failures)
+                       for c in check_image_stream(max_n)], None)
+        except Exception as exc:
+            import pickle
+
+            answer = (None, pickle.dumps(exc))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(marshal.dumps(answer))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def verify_sweep(max_n: int) -> Report:
     """Run every acceptance property up to max_n and assemble a Report.
 
@@ -540,31 +568,61 @@ def verify_sweep(max_n: int) -> Report:
     max_n, mapping group at 40, separation at 12, guards at 20; fixed-size
     checks run whenever max_n admits them), so max_n = 200 reproduces the
     full acceptance suite.  The image stream is walked once, by
-    check_image_stream.
+    check_image_stream, in one forked child while this process runs the
+    other checks; the child sends its two checks down a pipe.  An
+    exception the walk raised is raised here again, a child that answers
+    nothing raises ChildProcessError, and if the checks here raise, the
+    child is killed.  Either way the child is reaped before this returns.
+    The rows come in the same order whichever process ran them.
     """
     if max_n < 2:
         raise OutOfRange("verify needs max_n >= 2")
-    orders, divisibility = check_image_stream(max_n)
+    read_fd, write_fd = os.pipe()
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            _walk_in_child(write_fd, max_n)
+        os.close(write_fd)
+        try:
+            fixed = [check_printed_discrepancy()] if max_n >= 3 else []
+            fixed.extend([
+                check_mapping_group(max_n),
+                check_separation(max_n),
+                check_rank2_constants(),
+            ])
+            rest = [
+                check_smith_random(),
+                check_coset_oracle(),
+                check_series_identity(),
+                check_guards(max_n),
+            ]
+            answer = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if not answer:
+        raise ChildProcessError(
+            "the image-stream walk answered nothing and exited with status "
+            f"{os.waitstatus_to_exitcode(status)}")
+    fields, error = marshal.loads(answer)
+    if error is not None:
+        import pickle
+
+        raise pickle.loads(error)
+    orders, divisibility = (CheckResult(*f) for f in fields)
     # the orders pass compared the gcd and cokernel routes at every rank;
     # this row keeps its scale and repeats none of the orders failures
     two_path = CheckResult("two-path-order-agreement")
     two_path.add(max_n=fmt_int(min(max_n, 60)), ok=fmt_bool(orders.ok))
-    checks = [orders, divisibility]
-    if max_n >= 3:
-        checks.append(check_printed_discrepancy())
-    checks.extend([
-        check_mapping_group(max_n),
-        check_separation(max_n),
-        check_rank2_constants(),
-        two_path,
-        check_smith_random(),
-        check_coset_oracle(),
-        check_series_identity(),
-        check_guards(max_n),
-    ])
     rows: list[dict[str, str]] = []
     failures: list[str] = []
-    for c in checks:
+    for c in [orders, divisibility, *fixed, two_path, *rest]:
         rows.extend(c.rows)
         failures.extend(f"{c.name}: {msg}" for msg in c.failures)
     return Report(

@@ -503,16 +503,21 @@ def test_bad_input_exits_two_with_empty_stdout(capsys, argv):
 
 
 def test_verify_with_jobs_starts_no_process_pool():
-    # --jobs is accepted and echoed, but the sweep runs in this process, so
-    # the process-pool module is never imported
-    code = ("import sys; from spgauge.cli import main; "
+    # --jobs is accepted and echoed, but changes nothing: the sweep forks
+    # one child of its own, so neither the process-pool module nor
+    # multiprocessing is imported, and no child is left once main returns
+    code = ("import os, sys; from spgauge.cli import main; "
             "status = main(sys.argv[1:]); "
             "print(status, 'concurrent.futures.process' in sys.modules, "
-            "file=sys.stderr)")
+            "'multiprocessing' in sys.modules, file=sys.stderr)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no-child', file=sys.stderr)\n")
     src = str(Path(spgauge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, "-c", code,
          "verify", "--max-n", "3", "--jobs", "2", "--format", "csv"],
         capture_output=True, text=True, check=True, env=env)
-    assert done.stderr.split() == ["0", "False"]
+    assert done.stderr.split() == ["0", "False", "False", "no-child"]

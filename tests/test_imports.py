@@ -13,7 +13,8 @@ import pytest
 import spgauge
 
 # the modules a cold import of the command line must not load
-_DEFERRED = ("spgauge.verify", "spgauge.lattice", "spgauge.series", "csv")
+_DEFERRED = ("spgauge.verify", "spgauge.lattice", "spgauge.series", "csv",
+             "pickle")
 
 
 @pytest.mark.parametrize("argv, loaded", [

@@ -3,7 +3,9 @@
 import dataclasses
 import hashlib
 import itertools
+import os
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -162,17 +164,60 @@ def test_a_wrong_oracle_count_fails_the_sweep(monkeypatch):
                for f in report.failures)
 
 
-def test_verify_sweep_walks_the_image_stream_once(monkeypatch):
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_sweep_walks_the_image_stream_once(monkeypatch, tmp_path):
+    # the walk runs in a forked child, whose memory this process never
+    # sees, so each call leaves a line in a file
     real = verify_mod.phi_images
-    calls = []
+    calls = tmp_path / "calls"
 
     def counted(max_n):
-        calls.append(max_n)
+        with calls.open("a") as fh:
+            fh.write(f"{max_n}\n")
         return real(max_n)
 
     monkeypatch.setattr(verify_mod, "phi_images", counted)
     assert verify_sweep(6).status == "ok"
-    assert calls == [6]
+    assert [int(line) for line in calls.read_text().split()] == [6]
+    _assert_no_child_left()
+
+
+def test_an_exception_in_the_child_walk_reaches_the_caller(monkeypatch):
+    def out_of_range(max_n):
+        raise OutOfRange(f"no walk to {max_n}")
+
+    monkeypatch.setattr(verify_mod, "check_image_stream", out_of_range)
+    with pytest.raises(OutOfRange, match="^no walk to 6$"):
+        verify_sweep(6)
+    _assert_no_child_left()
+
+
+def test_a_child_that_exits_without_answering_raises(monkeypatch):
+    monkeypatch.setattr(verify_mod, "check_image_stream",
+                        lambda max_n: os._exit(3))
+    with pytest.raises(ChildProcessError, match="status 3$"):
+        verify_sweep(6)
+    _assert_no_child_left()
+
+
+def test_an_exception_in_the_parent_kills_and_reaps_the_child(monkeypatch):
+    # the child would walk for a minute; the parent's own check raises at
+    # once, and the sweep must kill the child rather than wait for it
+    def broken():
+        raise RuntimeError("parent check broke")
+
+    monkeypatch.setattr(verify_mod, "check_image_stream",
+                        lambda max_n: time.sleep(60))
+    monkeypatch.setattr(verify_mod, "check_smith_random", broken)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="parent check broke"):
+        verify_sweep(6)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("m", range(1, 8))
