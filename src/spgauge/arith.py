@@ -3,17 +3,14 @@
 Everything in the package runs on arbitrary-precision integers and
 `fractions.Fraction`; there are no floats anywhere.  This module collects the
 number-theoretic primitives the pipelines share: the rank and prime guards,
-bounded deterministic primality, p-parts, generators of rational subgroups,
-and surjection counts.
+bounded deterministic primality, p-parts and rational subgroup generators.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import AllZero, NotPrime, OutOfRange, ZeroArgument
 
@@ -114,56 +111,3 @@ def frac_gcd(values: Iterable[Fraction | int]) -> Fraction:
     num = math.gcd(*(v.numerator * (denom // v.denominator) for v in nonzero))
     return Fraction(num, denom)
 
-
-def _differences_at_zero(values: list[int]) -> list[int]:
-    """The k-th forward differences at 0 of values, for k = 0..len - 1.
-
-    Each pass differences the table in C with map and keeps its head, which
-    is then final: pass k leaves the k-th difference at 0 in front.
-    """
-    out = []
-    while values:
-        out.append(values[0])
-        values = list(map(operator.sub, islice(values, 1, None), values))
-    return out
-
-
-def surjection_counts(m: int, top: int) -> list[int]:
-    """surj(m, k) for k = 0..top: the numbers of surjections from an
-    m-element set onto a k-element set.
-
-    Inclusion-exclusion in finite-difference form: surj(m, k) =
-    sum_j (-1)^(k-j) C(k,j) j^m is the k-th forward difference at 0 of
-    j -> j^m (Graham-Knuth-Patashnik, Concrete Mathematics 6.1).  So the
-    table j^m, j = 0..min(top, m), differenced once per k, yields the whole
-    row in O(min(top, m)^2) subtractions, with no binomials.  Entries with
-    k > m are 0, as a degree-m polynomial has no higher differences.
-    Raises OutOfRange for m < 1 or top < 0.
-    """
-    if m < 1 or top < 0:
-        raise OutOfRange("surjection_counts requires m >= 1 and top >= 0")
-    last = min(top, m)
-    row = _differences_at_zero([j ** m for j in range(last + 1)])
-    return row + [0] * (top - last)
-
-
-def surjection_counts_by_rank(max_n: int) -> Iterator[list[int]]:
-    """surjection_counts(2n - 1, n) for n = 1, 2, ..., max_n, in order.
-
-    Carries the table of powers j^(2n-1), j = 0..n, from rank to rank: each
-    rank multiplies every entry by j * j and appends n^(2n-1), then
-    differences the table afresh.  No rank reads the counts of the one
-    before, so the stream stays an inclusion-exclusion oracle, apart from
-    the Stirling recurrence of phi.  Raises OutOfRange for max_n < 1 at the
-    call, before any item is made.
-    """
-    require_rank(max_n)
-    return _surjection_rows_by_rank(max_n)
-
-
-def _surjection_rows_by_rank(max_n: int) -> Iterator[list[int]]:
-    powers = [0]  # j^(2n-1) for j = 0..n-1, before rank n
-    for n in range(1, max_n + 1):
-        powers = [j * j * power for j, power in enumerate(powers)]
-        powers.append(n ** (2 * n - 1))
-        yield _differences_at_zero(powers)

@@ -3,7 +3,7 @@
 A series truncated at degree d is a list of d + 1 Fractions, entry m being
 its x^m coefficient.  truncated_powers streams base, base^2, ... at one
 product per power, and has two users: the powers of e^x - 1, an oracle
-for surjection counts that shares no code with arith, and the printed
+for surjection counts that shares no code with oracles, and the printed
 backend's composition-sum coefficients, kept for comparison.
 """
 

@@ -1,29 +1,26 @@
 """Self-verification sweep.
 
 Each check here reruns one acceptance property at a requested scale and
-compares the pipelines against independent oracles: closed forms, exhaustive
-map enumeration, and brute-force coset enumeration built on an integer
-row-echelon reduction that shares no code with the Smith-form engine it
-checks.  Scales cap at each property's stated bound so a large max_n stays
-within the documented runtime budgets.  The sweep walks the image stream
-phi_images once, feeding both the orders check and the divisibility check,
-in one forked child process while the sweep's own process runs the other
-checks (POSIX only).
+compares the engine's answers with the independent oracles in oracles
+(closed forms, exhaustive map enumeration, brute-force coset enumeration),
+which share no code with the engine they check.  Scales cap at each
+property's stated bound so a large max_n stays within the documented
+runtime budgets.  The sweep walks the image stream phi_images once,
+feeding both the orders check and the divisibility check, in one forked
+child process while the sweep's own process runs the other checks (POSIX
+only).
 """
 
 from __future__ import annotations
 
-import itertools
 import marshal
 import os
 import random
 import signal
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import comb, factorial, gcd
 
-from .arith import surjection_counts, surjection_counts_by_rank
 from .errors import GuardFailed, OracleMismatch, OutOfRange
 from .gauge import (
     LieFamily,
@@ -34,10 +31,20 @@ from .gauge import (
     retractible,
 )
 from .lattice import IntMatrix, cokernel, element_order_in_coker, smith_normal_form
+from .oracles import (
+    EchelonLattice,
+    divisors,
+    enumerate_cosets,
+    gcd_p_part,
+    image_size_tally,
+    order_by_addition,
+    samelson_b,
+    surjection_counts,
+    surjection_counts_by_rank,
+)
 from .phi import (
     PhiResult,
     checked_order,
-    closed_form_order,
     identity_samelson_p_part,
     phi_image,
     phi_images,
@@ -80,144 +87,6 @@ class CheckResult:
         self.add(**cells, ok=fmt_bool(self.ok))
 
 
-def _p_part(a: int, p: int) -> int:
-    """The p-part of a > 0, as gcd(a, p^e) with p^e > a; it shares no code
-    with the valuation loop of the engine."""
-    return gcd(a, p ** a.bit_length())
-
-
-# ---------------------------------------------------------------------------
-# brute-force coset enumeration oracle
-#
-# An integer row-echelon basis maintained by gcd insertion.  reduce() maps a
-# vector to the canonical representative of its coset (every pivot coordinate
-# lands in [0, pivot)), so cosets can be enumerated and compared without any
-# Smith-form machinery.
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-class EchelonLattice:
-    """Sublattice of Z^dim in integer row-echelon form (pivot columns strictly
-    increasing), built by gcd insertion."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[list[int]] = []
-
-    @staticmethod
-    def _leading(vec) -> int | None:
-        for idx, x in enumerate(vec):
-            if x:
-                return idx
-        return None
-
-    def insert(self, vec) -> None:
-        vec = [int(x) for x in vec]
-        while True:
-            lead = self._leading(vec)
-            if lead is None:
-                return
-            match = None
-            for idx, row in enumerate(self.rows):
-                if self._leading(row) == lead:
-                    match = idx
-                    break
-            if match is None:
-                if vec[lead] < 0:
-                    vec = [-x for x in vec]
-                self.rows.append(vec)
-                self.rows.sort(key=self._leading)
-                return
-            row = self.rows[match]
-            a, b = row[lead], vec[lead]
-            g, x, y = _egcd(a, b)
-            combo = [x * r + y * v for r, v in zip(row, vec)]
-            if combo[lead] < 0:
-                # _egcd may hand back a negative gcd; reduce() needs positive
-                # pivots for the canonical box [0, pivot)
-                combo = [-c for c in combo]
-            residual = [(a // g) * v - (b // g) * r for r, v in zip(row, vec)]
-            self.rows[match] = combo
-            vec = residual
-
-    def reduce(self, vec) -> tuple[int, ...]:
-        """Canonical coset representative: pivot coordinates in [0, pivot)."""
-        v = [int(x) for x in vec]
-        for row in self.rows:
-            j = self._leading(row)
-            q = v[j] // row[j]
-            if q:
-                v = [a - q * b for a, b in zip(v, row)]
-        return tuple(v)
-
-    def pivots(self) -> dict[int, int]:
-        return {self._leading(row): abs(row[self._leading(row)]) for row in self.rows}
-
-
-def _echelon_from_columns(mat: IntMatrix) -> EchelonLattice:
-    lat = EchelonLattice(mat.rows)
-    for j in range(mat.cols):
-        lat.insert([mat.get(i, j) for i in range(mat.rows)])
-    return lat
-
-
-def enumerate_cosets(lat: EchelonLattice, cap: int) -> list[tuple[int, ...]] | None:
-    """All canonical coset representatives, or None when the quotient is
-    infinite or larger than cap."""
-    piv = lat.pivots()
-    if len(piv) < lat.dim:
-        return None
-    size = 1
-    for a in piv.values():
-        size *= a
-        if size > cap:
-            return None
-    ranges = [range(piv[j]) for j in range(lat.dim)]
-    return [tuple(v) for v in itertools.product(*ranges)]
-
-
-def order_by_addition(lat: EchelonLattice, vec, cap: int) -> int:
-    """Order of a coset by repeated addition and reduction."""
-    start = lat.reduce(vec)
-    if not any(start):
-        return 1
-    acc = start
-    order = 1
-    while any(acc):
-        acc = lat.reduce([a + b for a, b in zip(acc, start)])
-        order += 1
-        if order > cap:
-            raise AssertionError("order exceeded the enumeration cap")
-    return order
-
-
-def _divisors(x: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= x:
-        if x % d == 0:
-            out.append(d)
-            if d != x // d:
-                out.append(x // d)
-        d += 1
-    return sorted(out)
-
-
-# ---------------------------------------------------------------------------
-# per-rank oracle over the image stream
-
-
 def _divisibility_row(res: PhiResult, counts: list[int]) -> list[str]:
     """Each generator of the rank-n image against the inclusion-exclusion
     oracle 2n(2n+1) * surj(2n-1, k), once per k, plus divisibility by the
@@ -240,10 +109,6 @@ def _divisibility_row(res: PhiResult, counts: list[int]) -> list[str]:
         if count % 2 != 0:
             bad.append(f"n={n} k={k}: surjection count is odd")
     return bad
-
-
-# ---------------------------------------------------------------------------
-# the checks
 
 
 def check_image_stream(max_n: int) -> tuple[CheckResult, CheckResult]:
@@ -317,7 +182,7 @@ def check_separation(max_n: int) -> CheckResult:
     res = CheckResult("quotient-invariant-separation")
     with res.recording():
         for n in range(2, min(max_n, 12) + 1, 2):
-            b = closed_form_order(n)
+            b = samelson_b(n)
             gcds = [gcd(k, b) for k in range(b + 1)]
             q2s = [q2_mapping_invariant(n, k) for k in range(b + 1)]
             by_gcd: dict[int, set[int]] = {}
@@ -341,7 +206,7 @@ def check_rank2_constants() -> CheckResult:
         for k in range(81):
             if q2_mapping_invariant(2, k) != gcd(k, 40):
                 res.failures.append(f"k={k}: invariant differs from gcd(k, 40)")
-    parts = {k: _p_part(gcd(k, 40), 5) for k in range(41)}
+    parts = {k: gcd_p_part(gcd(k, 40), 5) for k in range(41)}
     if set(parts.values()) != {1, 5}:
         res.failures.append(f"5-parts over [0,40] were {sorted(set(parts.values()))}")
     for k in range(41):
@@ -406,7 +271,9 @@ def check_coset_oracle() -> CheckResult:
     skipped = 0
     for idx in range(_COSET_INSTANCES):
         a = _random_matrix(rng, 3, -3, 3)
-        lat = _echelon_from_columns(a)
+        lat = EchelonLattice(a.rows)
+        for column in zip(*a.to_lists()):
+            lat.insert(column)
         group = cokernel(a)
         if group.free_rank != a.rows - len(lat.pivots()):
             res.failures.append(f"instance {idx}: free rank mismatch")
@@ -425,7 +292,7 @@ def check_coset_oracle() -> CheckResult:
             continue
         factors = group.invariant_factors
         d_max = factors[-1] if factors else 1
-        for d in _divisors(d_max):
+        for d in divisors(d_max):
             predicted = 1
             for f in factors:
                 predicted *= gcd(f, d)
@@ -450,24 +317,6 @@ def check_coset_oracle() -> CheckResult:
     return res
 
 
-def _image_size_tally(m: int) -> Counter:
-    """The m^m self-maps of range(m) counted by image size, by the product
-    rule alone: a half-map on the first m // 2 points with image set a and
-    one on the rest with image set b make one map with image a | b."""
-    bits = [1 << x for x in range(m)]
-
-    def by_image(points: int) -> Counter:
-        # the sum of a half-map's distinct bits is its image set as a bitmask
-        return Counter(map(sum, map(set, itertools.product(bits, repeat=points))))
-
-    tally: Counter = Counter()
-    right = by_image(m - m // 2).items()
-    for a, count_a in by_image(m // 2).items():
-        for b, count_b in right:
-            tally[(a | b).bit_count()] += count_a * count_b
-    return tally
-
-
 def check_series_identity() -> CheckResult:
     """m! times the x^m coefficient of (e^x - 1)^k equals the surjection
     count for m <= 12, validated for m <= 7 against an exhaustive count of
@@ -482,7 +331,7 @@ def check_series_identity() -> CheckResult:
                 res.failures.append(f"m={m} k={k}: {lhs} vs {oracle[m][k]}")
     for m in range(1, 8):
         # C(m, k) image sets of size k, each hit by surj(m, k) maps
-        tally = _image_size_tally(m)
+        tally = image_size_tally(m)
         for k in range(1, m + 1):
             if comb(m, k) * oracle[m][k] != tally[k]:
                 res.failures.append(f"m={m} k={k}: enumeration disagrees")
@@ -506,13 +355,13 @@ def check_guards(max_n: int) -> CheckResult:
                 value = None
             if failed != should_fail:
                 res.failures.append(f"n={n} p={p}: guard exception mismatch")
-            b = closed_form_order(n)
-            if not failed and value != _p_part(b, p):
+            b = samelson_b(n)
+            if not failed and value != gcd_p_part(b, p):
                 res.failures.append(f"n={n} p={p}: wrong p-part {value}")
             verdict = decide_local(n, 1, 2, p)
             if (verdict.outcome is Outcome.NOT_DETERMINED) != should_fail:
                 res.failures.append(f"n={n} p={p}: verdict guard mismatch")
-            if verdict.invariant_values != (1, _p_part(gcd(2, b), p)):
+            if verdict.invariant_values != (1, gcd_p_part(gcd(2, b), p)):
                 res.failures.append(f"n={n} p={p}: verdict invariants "
                                     f"{verdict.invariant_values}")
     for p in _GUARD_PRIMES:
@@ -616,13 +465,9 @@ def verify_sweep(max_n: int) -> Report:
 
         raise pickle.loads(error)
     orders, divisibility = (CheckResult(*f) for f in fields)
-    # the orders pass compared the gcd and cokernel routes at every rank;
-    # this row keeps its scale and repeats none of the orders failures
-    two_path = CheckResult("two-path-order-agreement")
-    two_path.add(max_n=fmt_int(min(max_n, 60)), ok=fmt_bool(orders.ok))
     rows: list[dict[str, str]] = []
     failures: list[str] = []
-    for c in [orders, divisibility, *fixed, two_path, *rest]:
+    for c in [orders, divisibility, *fixed, *rest]:
         rows.extend(c.rows)
         failures.extend(f"{c.name}: {msg}" for msg in c.failures)
     return Report(

@@ -9,8 +9,8 @@ from math import factorial
 
 import pytest
 
-from spgauge.arith import surjection_counts
 from spgauge.gauge import LieFamily, retractible
+from spgauge.oracles import surjection_counts
 from spgauge.phi import phi_image
 from spgauge.verify import (
     _divisibility_row,
@@ -116,18 +116,18 @@ def test_lattice_oracle_equivalence():
     """gcd route vs cokernel route for n <= 60 (checked_order compares them
     at every rank of the order sweep); Smith form on 1000 random matrices;
     cokernel vs brute-force coset enumeration (budget: 2 minutes)."""
-    two_path = check_image_stream(60)[0]
+    orders = check_image_stream(60)[0]
     smith = check_smith_random()
     cosets = check_coset_oracle()
-    ok = two_path.ok and smith.ok and cosets.ok
+    ok = orders.ok and smith.ok and cosets.ok
     detail = (
-        f"two-path n<=60; 1000 Smith instances; "
+        f"gcd vs cokernel n<=60; 1000 Smith instances; "
         f"{cosets.rows[0]['finite']} finite quotients enumerated"
     )
     _line("lattice oracle equivalence", ok,
-          detail if ok else str((two_path.failures + smith.failures
+          detail if ok else str((orders.failures + smith.failures
                                  + cosets.failures)[:5]))
-    assert ok, (two_path.failures + smith.failures + cosets.failures)[:5]
+    assert ok, (orders.failures + smith.failures + cosets.failures)[:5]
 
 
 def test_series_combinatorics_oracle():

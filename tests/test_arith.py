@@ -14,10 +14,9 @@ from spgauge.arith import (
     p_part,
     require_prime,
     require_rank,
-    surjection_counts,
-    surjection_counts_by_rank,
 )
 from spgauge.errors import AllZero, NotPrime, OutOfRange, ZeroArgument
+from spgauge.oracles import surjection_counts, surjection_counts_by_rank
 
 
 def test_is_prime_small_table():

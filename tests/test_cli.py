@@ -437,9 +437,6 @@ def test_engine_mismatch_in_verify_is_a_failure_not_a_usage_error(
         "samelson-orders: series-backend image at n=5 failed to pin the order"]
     orders = [r["n"] for r in data["rows"] if r["check"] == "samelson-orders"]
     assert orders == ["1", "2", "3", "4", "6"]
-    two_path, = (r for r in data["rows"]
-                 if r["check"] == "two-path-order-agreement")
-    assert two_path["ok"] == "false"
     # the unpinned rank loses only its orders row; its divisibility check
     # still runs in the same walk
     divisibility, = (r for r in data["rows"]

@@ -24,12 +24,7 @@ from operator import mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spgauge.arith import (
-    PRIME_BOUND,
-    p_part,
-    surjection_counts,
-    surjection_counts_by_rank,
-)
+from spgauge.arith import PRIME_BOUND, p_part
 from spgauge.cli import main
 from spgauge.errors import OutOfRange, SpgaugeError
 from spgauge.gauge import (
@@ -50,6 +45,7 @@ from spgauge.gauge import (
     sutherland_invariant,
 )
 from spgauge.lattice import IntMatrix, element_order_in_coker
+from spgauge.oracles import surjection_counts, surjection_counts_by_rank
 from spgauge.phi import (
     BACKENDS,
     identity_samelson_p_part,

@@ -1,5 +1,6 @@
 """The package resolves its names on first access, a command imports only
-the modules it runs, and no module imports a sibling's private names."""
+the modules it runs, no module imports a sibling's private names, and the
+oracles stay apart from the engine they check."""
 
 import ast
 import importlib
@@ -13,8 +14,8 @@ import pytest
 import spgauge
 
 # the modules a cold import of the command line must not load
-_DEFERRED = ("spgauge.verify", "spgauge.lattice", "spgauge.series", "csv",
-             "pickle")
+_DEFERRED = ("spgauge.verify", "spgauge.oracles", "spgauge.lattice",
+             "spgauge.series", "csv", "pickle")
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -22,7 +23,8 @@ _DEFERRED = ("spgauge.verify", "spgauge.lattice", "spgauge.series", "csv",
     (["classify", "sp", "--n", "2", "--k", "1", "--l", "2", "--p", "5"], set()),
     (["order", "--n", "3"], {"spgauge.lattice"}),
     (["verify", "--max-n", "6"],
-     {"spgauge.verify", "spgauge.lattice", "spgauge.series"}),
+     {"spgauge.verify", "spgauge.oracles", "spgauge.lattice",
+      "spgauge.series"}),
 ])
 def test_a_command_imports_only_the_modules_it_runs(argv, loaded):
     # a fresh process, so no other test has imported anything yet; the
@@ -76,3 +78,71 @@ def test_no_module_imports_a_private_name_from_a_sibling():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert private == []
+
+
+# the engine: the modules verify checks, and the command line
+_ENGINE = ("arith", "series", "phi", "lattice", "gauge", "report", "cli")
+# the engine names verify holds against the oracles (and formats its rows
+# with).  series.exp_minus_one_powers, and truncated_powers under it, stays
+# shared with the printed backend: that oracle checks the surjection
+# oracle, not the printed backend, so sharing it hides no engine fault.
+_VERIFY_ENGINE_IMPORTS = {
+    ("gauge", "LieFamily"), ("gauge", "Outcome"), ("gauge", "decide_local"),
+    ("gauge", "mapping_group_order"), ("gauge", "q2_mapping_invariant"),
+    ("gauge", "retractible"),
+    ("lattice", "IntMatrix"), ("lattice", "cokernel"),
+    ("lattice", "element_order_in_coker"), ("lattice", "smith_normal_form"),
+    ("phi", "PhiResult"), ("phi", "checked_order"),
+    ("phi", "identity_samelson_p_part"), ("phi", "phi_image"),
+    ("phi", "phi_images"),
+    ("report", "Report"), ("report", "fmt_bool"), ("report", "fmt_int"),
+    ("series", "exp_minus_one_powers"),
+}
+
+
+def _package_imports(module):
+    """(enclosing function or None, sibling module, name) for every import
+    of the package's own modules in spgauge/<module>.py."""
+    path = Path(spgauge.__file__).resolve().parent / f"{module}.py"
+    found = set()
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+            elif isinstance(child, ast.ImportFrom):
+                source = child.module or ""
+                if child.level == 0 and source.split(".")[0] != "spgauge":
+                    continue
+                source = source.removeprefix("spgauge").lstrip(".")
+                for alias in child.names:
+                    # `from . import x` imports the module x itself
+                    found.add((func, source or alias.name, alias.name))
+            elif isinstance(child, ast.Import):
+                for alias in child.names:
+                    parts = alias.name.split(".")
+                    if parts[0] == "spgauge" and len(parts) > 1:
+                        found.add((func, parts[1], None))
+            else:
+                visit(child, func)
+
+    visit(ast.parse(path.read_text(), str(path)), None)
+    return found
+
+
+def test_the_oracles_import_nothing_from_the_package_but_errors():
+    sources = {source for _, source, _ in _package_imports("oracles")}
+    assert sources == {"errors"}
+
+
+def test_no_engine_module_imports_the_oracles_and_only_cli_runs_verify():
+    imports = {(module, func, source) for module in _ENGINE
+               for func, source, _ in _package_imports(module)}
+    assert {i for i in imports if i[2] == "oracles"} == set()
+    assert {(module, func) for module, func, source in imports
+            if source == "verify"} == {("cli", "_cmd_verify")}
+
+
+def test_verify_imports_exactly_the_engine_names_it_checks():
+    assert {(source, name) for _, source, name in _package_imports("verify")
+            if source not in ("errors", "oracles")} == _VERIFY_ENGINE_IMPORTS

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spgauge.phi as phi_mod
-from spgauge.arith import surjection_counts
 from spgauge.errors import GuardFailed, NotPrime, OutOfRange
 from spgauge.lattice import IntMatrix, element_order_in_coker, smith_normal_form
+from spgauge.oracles import surjection_counts
 from spgauge.phi import (
     closed_form_order,
     identity_samelson_p_part,

@@ -8,8 +8,8 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from spgauge.arith import surjection_counts
 from spgauge.errors import OutOfRange
+from spgauge.oracles import surjection_counts
 from spgauge.phi import BACKENDS, phi_images
 from spgauge.series import exp_minus_one_powers, printed_top_coeffs, truncated_powers
 

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import os
 import random
+import sys
 import time
 from collections import Counter
 
@@ -16,18 +17,22 @@ import spgauge.phi as phi
 import spgauge.verify as verify_mod
 from spgauge.errors import OutOfRange
 from spgauge.lattice import IntMatrix, smith_normal_form
-from spgauge.verify import (
-    _SEED,
-    _SMITH_INSTANCES,
+from spgauge.oracles import (
     EchelonLattice,
-    _divisors,
-    _echelon_from_columns,
-    _image_size_tally,
-    _random_matrix,
+    divisors,
     enumerate_cosets,
+    image_size_tally,
     order_by_addition,
-    verify_sweep,
 )
+from spgauge.verify import _SEED, _SMITH_INSTANCES, _random_matrix, verify_sweep
+
+
+def _echelon_from_columns(mat):
+    # the lattice check_coset_oracle builds: spanned by the matrix's columns
+    lat = EchelonLattice(mat.rows)
+    for column in zip(*mat.to_lists()):
+        lat.insert(column)
+    return lat
 
 
 def test_echelon_insert_and_membership():
@@ -94,9 +99,9 @@ def test_order_by_addition():
 
 
 def test_divisors():
-    assert _divisors(1) == [1]
-    assert _divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert _divisors(49) == [1, 7, 49]
+    assert divisors(1) == [1]
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert divisors(49) == [1, 7, 49]
 
 
 def test_verify_sweep_minimal_scale():
@@ -223,7 +228,7 @@ def test_an_exception_in_the_parent_kills_and_reaps_the_child(monkeypatch):
 @pytest.mark.parametrize("m", range(1, 8))
 def test_image_size_tally_matches_direct_enumeration(m):
     direct = Counter(map(len, map(set, itertools.product(range(m), repeat=m))))
-    assert _image_size_tally(m) == direct
+    assert image_size_tally(m) == direct
 
 
 def test_series_identity_enumeration_catches_a_wrong_oracle(monkeypatch):
@@ -264,6 +269,21 @@ def test_a_valuation_off_at_one_prime_fails_the_sweep(monkeypatch):
 
     for mod in (arith, gauge, phi):
         monkeypatch.setattr(mod, "valuation", one_too_large_at_seven)
+    assert verify_sweep(20).status == "failed"
+
+
+def test_a_doubled_closed_form_fails_the_sweep(monkeypatch):
+    # the engine reads B = 4n(2n+1) from phi.closed_form_order; verify's own
+    # B must not, or a wrong B shows on both sides and cancels, so the
+    # closed form is doubled in every module of the package that holds it
+    real = phi.closed_form_order
+    holders = [mod for name, mod in sys.modules.items()
+               if name.startswith("spgauge.")
+               and getattr(mod, "closed_form_order", None) is real]
+    assert {phi, gauge} <= set(holders)
+    for mod in holders:
+        monkeypatch.setattr(mod, "closed_form_order", lambda n: 2 * real(n))
+    assert verify_mod.check_guards(20).failures
     assert verify_sweep(20).status == "failed"
 
 
