@@ -18,7 +18,8 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     name: module
     for module, names in {
-        "arith": ("frac_gcd", "is_prime", "p_exponent", "p_part"),
+        "arith": ("closed_form_order", "frac_gcd", "is_prime", "p_exponent",
+                  "p_part"),
         "errors": (
             "AllZero", "BadDimension", "DimensionMismatch", "EvenPrime",
             "GuardFailed", "NonIntegralGenerator", "NotPrime", "OddRank",
@@ -26,20 +27,17 @@ _EXPORTS = {
         ),
         "gauge": (
             "Bundle", "GuardCheck", "LieFamily", "Outcome", "Verdict",
-            "decide_local", "decide_spin", "im_delta_gen", "im_partial_order",
-            "local_partition", "mapping_group_order", "pi_4n1_order",
-            "q2_mapping_invariant", "refined_invariant", "retractible",
-            "sutherland_invariant",
+            "decide_local", "decide_spin", "identity_samelson_p_part",
+            "im_delta_gen", "im_partial_order", "local_partition",
+            "mapping_group_order", "pi_4n1_order", "q2_mapping_invariant",
+            "refined_invariant", "retractible", "sutherland_invariant",
         ),
         "lattice": (
             "FinAbGroup", "IntMatrix", "SmithForm", "cokernel",
             "element_order_in_coker", "smith_normal_form",
         ),
-        "phi": (
-            "PhiResult", "checked_order", "closed_form_order",
-            "identity_samelson_p_part", "phi_image", "phi_images",
-            "samelson_order",
-        ),
+        "phi": ("PhiResult", "checked_order", "phi_image", "phi_images",
+                "samelson_order"),
         "report": ("Report",),
         "series": ("exp_minus_one_powers", "printed_top_coeffs",
                    "truncated_powers"),

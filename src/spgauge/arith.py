@@ -3,7 +3,8 @@
 Everything in the package runs on arbitrary-precision integers and
 `fractions.Fraction`; there are no floats anywhere.  This module collects the
 number-theoretic primitives the pipelines share: the rank and prime guards,
-bounded deterministic primality, p-parts and rational subgroup generators.
+the Samelson order B = 4n(2n+1), bounded deterministic primality, p-parts and
+rational subgroup generators.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ def require_rank(n: int) -> None:
     """Raise OutOfRange unless the rank n is a positive integer."""
     if n < 1:
         raise OutOfRange(f"rank must be a positive integer, got {n}")
+
+
+def closed_form_order(n: int) -> int:
+    """B = 4n(2n+1), the closed form the pipeline output is checked against."""
+    return 4 * n * (2 * n + 1)
 
 
 # Miller-Rabin on the first 13 prime bases decides primality exactly below

@@ -3,8 +3,9 @@ of principal Sp(n)-bundles over the 4-sphere.
 
 Bundles are classified by an integer k (the second symplectic Chern class of
 the classifying map); the invariants here are gcd-type quantities in k whose
-moduli come out of the image pipeline, plus verdict-producing deciders that
-only ever claim what their theorem guards cover.
+moduli come from B = 4n(2n+1) (arith.closed_form_order), plus every p-local
+answer (the deciders, pi_4n1_order, the guarded p-part of B), which reads
+the one retractibility guard and p-part here and claims only what it covers.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial, gcd
 
-from .arith import frac_gcd, require_prime, require_rank, valuation
-from .errors import BadDimension, EvenPrime, OddRank, OracleMismatch, OutOfRange
-from .phi import closed_form_order
+from .arith import (closed_form_order, frac_gcd, require_prime, require_rank,
+                    valuation)
+from .errors import (BadDimension, EvenPrime, GuardFailed, OddRank,
+                     OracleMismatch, OutOfRange)
 
 # Top-row (y_7) Chern-character coefficients of the two free generators of
 # the symplectic K-group of a suspended rank-2 quasi-projective space.  That
@@ -43,11 +45,10 @@ class Bundle:
 
 
 def sutherland_invariant(bundle: Bundle) -> int:
-    """The coarse classification invariant: gcd(k, n(2n+1)) for even n,
-    gcd(k, 4n(2n+1)) for odd n."""
-    n, k = bundle.n, bundle.k
-    modulus = n * (2 * n + 1) if n % 2 == 0 else 4 * n * (2 * n + 1)
-    return gcd(k, modulus)
+    """The coarse classification invariant: gcd(k, B/4) = gcd(k, n(2n+1))
+    for even n, gcd(k, B) for odd n, B = 4n(2n+1)."""
+    b = closed_form_order(bundle.n)
+    return gcd(bundle.k, b if bundle.n % 2 else b // 4)
 
 
 def refined_invariant(bundle: Bundle) -> int:
@@ -236,6 +237,20 @@ def decide_spin(m: int, k: int, l: int, p: int) -> Verdict:
         _retract_guard(n, p),
     )
     return _local_verdict((_local_class(n, k, p), _local_class(n, l, p)), guards)
+
+
+def identity_samelson_p_part(n: int, p: int) -> int:
+    """p-part of the order of the Samelson product of the bottom cell with
+    the identity map: the p-part of B = 4n(2n+1), the class of k = 0.
+    Requires n >= 1 (else OutOfRange) and p prime; outside the
+    retractibility guard (p-1)^2 + 1 >= 2n the underlying theorem says
+    nothing and GuardFailed is raised."""
+    require_rank(n)
+    require_prime(p)
+    if not _retract_guard(n, p).passed:
+        raise GuardFailed(f"retractibility guard (p-1)^2+1 >= 2n fails for "
+                          f"n={n}, p={p}")
+    return _local_class(n, 0, p)
 
 
 def pi_4n1_order(n: int, k: int, p: int) -> int:

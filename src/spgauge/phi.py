@@ -12,7 +12,9 @@ The series backend's generators are integers outright:
 streams them rank by rank from a single row of surjection counts advanced
 by the Stirling recurrence, so a sweep over n = 1..N never rebuilds a count.
 BACKENDS names the coefficient conventions; phi_image alone dispatches on
-them, and the printed one, kept for comparison, comes from series.
+them, and the printed one, kept for comparison, comes from series.  The
+closed form B = 4n(2n+1) comes from arith, and every p-local answer, the
+guarded p-part of B too, from gauge: this module keeps only the image.
 lattice and series are imported where they are first used, so a command
 that reads neither route does not load them.
 """
@@ -24,16 +26,11 @@ from itertools import count, islice
 from math import factorial, gcd
 from typing import Iterator
 
-from .arith import require_prime, require_rank, valuation
-from .errors import GuardFailed, NonIntegralGenerator, OracleMismatch, OutOfRange
+from .arith import closed_form_order, require_rank
+from .errors import NonIntegralGenerator, OracleMismatch, OutOfRange
 
 # the coefficient conventions phi_image knows; the first is the engine's
 BACKENDS = ("series", "printed")
-
-
-def closed_form_order(n: int) -> int:
-    """The closed form 4n(2n+1) that the pipeline output is checked against."""
-    return 4 * n * (2 * n + 1)
 
 
 @dataclass(frozen=True)
@@ -82,16 +79,15 @@ def phi_images(max_n: int) -> Iterator[PhiResult]:
 
 
 def _surjection_rows(max_n: int) -> Iterator[list[int]]:
-    """The rows surj(2n-1, 0..min(2n-1, max_n)) for n = 1..max_n.  Asking
-    for the next row may extend the last one in place, so read each row
-    before advancing."""
+    """A new list surj(2n-1, 0..min(2n-1, max_n)) for each n = 1..max_n."""
     row = [0, 1]  # surj(1, .)
     for n in range(1, max_n + 1):
         if n > 1:
             for _ in range(2):
-                if len(row) <= max_n:
-                    row.append(0)  # surj(m-1, m) = 0 extends the row to k = m
-                row = [0] + [k * (row[k] + row[k - 1]) for k in range(1, len(row))]
+                new = [0] + [k * (row[k] + row[k - 1]) for k in range(1, len(row))]
+                if len(row) <= max_n:  # surj(m, m) = m * surj(m-1, m-1)
+                    new.append(len(row) * row[-1])
+                row = new
         yield row
 
 
@@ -167,20 +163,3 @@ def checked_order(result: PhiResult) -> int:
             f"{closed_form_order(n)} at n={n}"
         )
     return direct
-
-
-def identity_samelson_p_part(n: int, p: int) -> int:
-    """p-part of the order of the Samelson product of the bottom cell with
-    the identity map, valid under the retractibility guard.
-
-    Requires n >= 1 (else OutOfRange), p prime and (p-1)^2 + 1 >= 2n;
-    outside the guard the underlying theorem says nothing and GuardFailed is
-    raised.
-    """
-    require_rank(n)
-    require_prime(p)
-    if (p - 1) ** 2 + 1 < 2 * n:
-        raise GuardFailed(
-            f"retractibility guard (p-1)^2+1 >= 2n fails for n={n}, p={p}"
-        )
-    return p ** valuation(closed_form_order(n), p)

@@ -26,6 +26,7 @@ from .gauge import (
     LieFamily,
     Outcome,
     decide_local,
+    identity_samelson_p_part,
     mapping_group_order,
     q2_mapping_invariant,
     retractible,
@@ -42,13 +43,7 @@ from .oracles import (
     surjection_counts,
     surjection_counts_by_rank,
 )
-from .phi import (
-    PhiResult,
-    checked_order,
-    identity_samelson_p_part,
-    phi_image,
-    phi_images,
-)
+from .phi import PhiResult, checked_order, phi_image, phi_images
 from .report import Report, fmt_bool, fmt_int
 from .series import exp_minus_one_powers
 
@@ -91,9 +86,9 @@ def _divisibility_row(res: PhiResult, counts: list[int]) -> list[str]:
     """Each generator of the rank-n image against the inclusion-exclusion
     oracle 2n(2n+1) * surj(2n-1, k), once per k, plus divisibility by the
     anchor and parity of the count.  counts is the rank's oracle row
-    surj(2n-1, 0..n), from surjection_counts or surjection_counts_by_rank,
-    which difference a table of powers and so share nothing with the
-    Stirling recurrence behind the image."""
+    surj(2n-1, 0..n) from surjection_counts_by_rank, which differences a
+    table of powers and so shares nothing with the Stirling recurrence
+    behind the image."""
     bad = []
     n = res.n
     modulus = res.lower_gen
@@ -419,9 +414,10 @@ def verify_sweep(max_n: int) -> Report:
     full acceptance suite.  The image stream is walked once, by
     check_image_stream, in one forked child while this process runs the
     other checks; the child sends its two checks down a pipe.  An
-    exception the walk raised is raised here again, a child that answers
-    nothing raises ChildProcessError, and if the checks here raise, the
-    child is killed.  Either way the child is reaped before this returns.
+    exception the walk raised is raised here again, a child that exits
+    with any status but 0 raises ChildProcessError, whatever it wrote
+    first, and if the checks here raise, the child is killed.
+    Either way the child is reaped before this returns.
     The rows come in the same order whichever process ran them.
     """
     if max_n < 2:
@@ -455,10 +451,10 @@ def verify_sweep(max_n: int) -> Report:
             raise
         finally:
             status = os.waitpid(pid, 0)[1]
-    if not answer:
+    if status:
         raise ChildProcessError(
-            "the image-stream walk answered nothing and exited with status "
-            f"{os.waitstatus_to_exitcode(status)}")
+            f"the image-stream walk sent {len(answer)} bytes and exited "
+            f"with status {os.waitstatus_to_exitcode(status)}")
     fields, error = marshal.loads(answer)
     if error is not None:
         import pickle

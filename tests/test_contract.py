@@ -34,6 +34,7 @@ from spgauge.gauge import (
     Verdict,
     decide_local,
     decide_spin,
+    identity_samelson_p_part,
     im_delta_gen,
     im_partial_order,
     local_partition,
@@ -46,13 +47,7 @@ from spgauge.gauge import (
 )
 from spgauge.lattice import IntMatrix, element_order_in_coker
 from spgauge.oracles import surjection_counts, surjection_counts_by_rank
-from spgauge.phi import (
-    BACKENDS,
-    identity_samelson_p_part,
-    phi_image,
-    phi_images,
-    samelson_order,
-)
+from spgauge.phi import BACKENDS, phi_image, phi_images, samelson_order
 from spgauge.report import FORMATS
 from spgauge.verify import verify_sweep
 

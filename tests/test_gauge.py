@@ -1,18 +1,21 @@
 """Unit tests for bundle invariants and the p-local classification oracles."""
 
+from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spgauge import arith
-from spgauge.errors import BadDimension, EvenPrime, NotPrime, OddRank, OutOfRange
+from spgauge import arith, gauge, lattice
+from spgauge.errors import (BadDimension, EvenPrime, NotPrime, OddRank,
+                            OracleMismatch, OutOfRange)
 from spgauge.gauge import (
     Bundle,
     LieFamily,
     Outcome,
     decide_local,
     decide_spin,
+    identity_samelson_p_part,
     im_delta_gen,
     im_partial_order,
     local_partition,
@@ -23,7 +26,7 @@ from spgauge.gauge import (
     retractible,
     sutherland_invariant,
 )
-from spgauge.phi import identity_samelson_p_part
+from spgauge.phi import samelson_order
 
 
 def test_bundle_requires_positive_rank():
@@ -347,3 +350,40 @@ def test_local_verdict_values_are_public_p_parts(n, k, l, p):
     verdict = decide_local(n, k, l, p)
     assert verdict.invariant_values == (
         arith.p_part(gcd(k, b), p), arith.p_part(gcd(l, b), p))
+
+
+# (module, name, a wrong variant of the real value, the call that must
+# catch it, and the message it raises): every cross-check in phi and gauge
+# that the rest of the suite does not reach
+_CROSS_CHECK_FAULTS = [
+    (lattice, "element_order_in_coker", lambda real: lambda a, v: real(a, v) + 1,
+     lambda: samelson_order(1),
+     "gcd route gave 12 but cokernel route gave 13 at n=1"),
+    (gauge, "_RHO_UNIT", lambda real: Fraction(1, 7),
+     lambda: mapping_group_order(2),
+     "mapping group order is not integral at n=2"),
+    (gauge, "_RHO_UNIT", lambda real: Fraction(1, 6),
+     lambda: mapping_group_order(2),
+     "table-driven order 20 differs from (2n+1)!/3 at n=2"),
+    (gauge, "_THETA_UNIT", lambda real: Fraction(1, 7),
+     lambda: im_delta_gen(2, 1),
+     "connecting-map unit is not integral at n=2"),
+    (gauge, "q2_mapping_invariant", lambda real: lambda n, k: 7,
+     lambda: im_partial_order(2, 1),
+     "quotient not exact at n=2, k=1"),
+    (gauge, "closed_form_order", lambda real: lambda n: 2 * real(n),
+     lambda: im_partial_order(2, 1),
+     "boundary image order 40 differs from 4n(2n+1)/gcd(k,B) at n=2, k=1"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, wrong, call, message", _CROSS_CHECK_FAULTS,
+    ids=["coker-route", "rho-integrality", "rho-closed-form",
+         "theta-integrality", "quotient-exactness", "boundary-closed-form"])
+def test_every_engine_cross_check_raises_oracle_mismatch(
+        monkeypatch, module, name, wrong, call, message):
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    with pytest.raises(OracleMismatch) as caught:
+        call()
+    assert str(caught.value) == message

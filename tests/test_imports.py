@@ -88,12 +88,11 @@ _ENGINE = ("arith", "series", "phi", "lattice", "gauge", "report", "cli")
 # oracle, not the printed backend, so sharing it hides no engine fault.
 _VERIFY_ENGINE_IMPORTS = {
     ("gauge", "LieFamily"), ("gauge", "Outcome"), ("gauge", "decide_local"),
-    ("gauge", "mapping_group_order"), ("gauge", "q2_mapping_invariant"),
-    ("gauge", "retractible"),
+    ("gauge", "identity_samelson_p_part"), ("gauge", "mapping_group_order"),
+    ("gauge", "q2_mapping_invariant"), ("gauge", "retractible"),
     ("lattice", "IntMatrix"), ("lattice", "cokernel"),
     ("lattice", "element_order_in_coker"), ("lattice", "smith_normal_form"),
-    ("phi", "PhiResult"), ("phi", "checked_order"),
-    ("phi", "identity_samelson_p_part"), ("phi", "phi_image"),
+    ("phi", "PhiResult"), ("phi", "checked_order"), ("phi", "phi_image"),
     ("phi", "phi_images"),
     ("report", "Report"), ("report", "fmt_bool"), ("report", "fmt_int"),
     ("series", "exp_minus_one_powers"),
@@ -146,3 +145,15 @@ def test_no_engine_module_imports_the_oracles_and_only_cli_runs_verify():
 def test_verify_imports_exactly_the_engine_names_it_checks():
     assert {(source, name) for _, source, name in _package_imports("verify")
             if source not in ("errors", "oracles")} == _VERIFY_ENGINE_IMPORTS
+
+
+def test_phi_keeps_only_the_image_and_gauge_every_p_local_answer():
+    # the retractibility guard and the p-part of B are written once, in
+    # gauge, which reads B from arith; phi imports nothing that takes a
+    # prime or refuses on a guard
+    assert "phi" not in {source for _, source, _ in _package_imports("gauge")}
+    assert not {name for _, _, name in _package_imports("phi")} & {
+        "require_prime", "is_prime", "valuation", "p_part", "GuardFailed"}
+    assert {module for module in _ENGINE
+            for _, _, name in _package_imports(module)
+            if name in ("require_prime", "GuardFailed")} == {"gauge"}

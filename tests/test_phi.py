@@ -8,16 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spgauge.phi as phi_mod
+from spgauge.arith import closed_form_order
 from spgauge.errors import GuardFailed, NotPrime, OutOfRange
+from spgauge.gauge import identity_samelson_p_part
 from spgauge.lattice import IntMatrix, element_order_in_coker, smith_normal_form
 from spgauge.oracles import surjection_counts
-from spgauge.phi import (
-    closed_form_order,
-    identity_samelson_p_part,
-    phi_image,
-    phi_images,
-    samelson_order,
-)
+from spgauge.phi import phi_image, phi_images, samelson_order
 from spgauge.verify import _SEED, _random_matrix
 
 
@@ -159,6 +155,14 @@ def test_stream_prefixes_agree():
     long = list(phi_images(30))
     for max_n in (1, 2, 3, 7, 30):
         assert list(phi_images(max_n)) == long[:max_n]
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 3, 4, 7, 30])
+def test_kept_surjection_rows_stay_as_yielded(max_n):
+    # advancing the stream must not change a row it has already yielded
+    rows = list(phi_mod._surjection_rows(max_n))
+    assert rows == [surjection_counts(2 * n - 1, min(2 * n - 1, max_n))
+                    for n in range(1, max_n + 1)]
 
 
 @pytest.mark.parametrize("max_n", [0, -3])

@@ -3,11 +3,14 @@
 import dataclasses
 import hashlib
 import itertools
+import marshal
 import os
 import random
+import signal
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -209,6 +212,38 @@ def test_a_child_that_exits_without_answering_raises(monkeypatch):
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("end, status", [
+    (lambda: os._exit(3), "3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "-9"),
+], ids=["exit-3", "sigkill"])
+def test_a_child_killed_mid_answer_raises(monkeypatch, end, status):
+    # the child writes 5 bytes of a real answer and dies; its exit status,
+    # not the cut answer, decides
+    def cut_walk(write_fd, max_n):
+        try:
+            answer = ([(c.name, c.rows, c.failures)
+                       for c in verify_mod.check_image_stream(max_n)], None)
+            os.write(write_fd, marshal.dumps(answer)[:5])
+            end()
+        finally:
+            os._exit(0)
+
+    monkeypatch.setattr(verify_mod, "_walk_in_child", cut_walk)
+    with pytest.raises(ChildProcessError,
+                       match=f"sent 5 bytes and exited with status {status}$"):
+        verify_sweep(6)
+    _assert_no_child_left()
+
+
+def test_a_table_fault_in_the_mapping_group_is_a_failure(monkeypatch):
+    # the pipeline's OracleMismatch is recorded by the check, not raised
+    monkeypatch.setattr(gauge, "_RHO_UNIT", Fraction(1, 6))
+    result = verify_mod.check_mapping_group(4)
+    assert not result.ok and result.rows == []
+    assert result.failures == [
+        "table-driven order 20 differs from (2n+1)!/3 at n=2"]
+
+
 def test_an_exception_in_the_parent_kills_and_reaps_the_child(monkeypatch):
     # the child would walk for a minute; the parent's own check raises at
     # once, and the sweep must kill the child rather than wait for it
@@ -267,20 +302,24 @@ def test_a_valuation_off_at_one_prime_fails_the_sweep(monkeypatch):
     def one_too_large_at_seven(a, p):
         return real(a, p) + (p == 7)
 
-    for mod in (arith, gauge, phi):
+    holders = [mod for name, mod in sys.modules.items()
+               if name.startswith("spgauge.")
+               and getattr(mod, "valuation", None) is real]
+    assert {arith, gauge} <= set(holders)
+    for mod in holders:
         monkeypatch.setattr(mod, "valuation", one_too_large_at_seven)
     assert verify_sweep(20).status == "failed"
 
 
 def test_a_doubled_closed_form_fails_the_sweep(monkeypatch):
-    # the engine reads B = 4n(2n+1) from phi.closed_form_order; verify's own
-    # B must not, or a wrong B shows on both sides and cancels, so the
+    # the engine reads B = 4n(2n+1) from arith.closed_form_order; verify's
+    # own B must not, or a wrong B shows on both sides and cancels, so the
     # closed form is doubled in every module of the package that holds it
-    real = phi.closed_form_order
+    real = arith.closed_form_order
     holders = [mod for name, mod in sys.modules.items()
                if name.startswith("spgauge.")
                and getattr(mod, "closed_form_order", None) is real]
-    assert {phi, gauge} <= set(holders)
+    assert {arith, phi, gauge} <= set(holders)
     for mod in holders:
         monkeypatch.setattr(mod, "closed_form_order", lambda n: 2 * real(n))
     assert verify_mod.check_guards(20).failures
