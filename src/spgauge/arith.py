@@ -2,9 +2,10 @@
 
 Everything in the package runs on arbitrary-precision integers and
 `fractions.Fraction`; there are no floats anywhere.  This module collects the
-number-theoretic primitives the pipelines share: the rank and prime guards,
-the Samelson order B = 4n(2n+1), bounded deterministic primality, p-parts and
-rational subgroup generators.
+number-theoretic primitives the pipelines share: the integer, rank and prime
+guards, which refuse anything that is not an int, the Samelson order
+B = 4n(2n+1), bounded deterministic primality, p-parts and rational
+subgroup generators.
 """
 
 from __future__ import annotations
@@ -16,14 +17,29 @@ from typing import Iterable
 from .errors import AllZero, NotPrime, OutOfRange, ZeroArgument
 
 
+def require_int(what: str, *values: int) -> None:
+    """Raise OutOfRange unless every value is an int; what names them."""
+    for x in values:
+        if not isinstance(x, int):
+            raise OutOfRange(f"{what} must be an integer, got {x!r}")
+
+
+def require_exact(what: str, *values: int | Fraction) -> None:
+    """Raise OutOfRange unless every value is an int or a Fraction."""
+    for x in values:
+        if not isinstance(x, (int, Fraction)):
+            raise OutOfRange(f"{what} must be an int or a Fraction, got {x!r}")
+
+
 def require_rank(n: int) -> None:
     """Raise OutOfRange unless the rank n is a positive integer."""
-    if n < 1:
-        raise OutOfRange(f"rank must be a positive integer, got {n}")
+    if not isinstance(n, int) or n < 1:
+        raise OutOfRange(f"rank must be a positive integer, got {n!r}")
 
 
 def closed_form_order(n: int) -> int:
     """B = 4n(2n+1), the closed form the pipeline output is checked against."""
+    require_int("the rank", n)
     return 4 * n * (2 * n + 1)
 
 
@@ -44,8 +60,10 @@ def is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin on the bases _MR_BASES, in O(log^3 p).
 
     Exact for every p below PRIME_BOUND; raises OutOfRange for every p at or
-    above it, an even one too, rather than guess.
+    above it, an even one too, rather than guess, and for a p that is not an
+    int.
     """
+    require_int("p", p)
     if p >= PRIME_BOUND:
         raise OutOfRange(
             f"primality is decided only below {PRIME_BOUND}, got {p}")
@@ -86,6 +104,7 @@ def valuation(a: int, p: int) -> int:
 
 def p_exponent(a: int, p: int) -> int:
     """Exponent r of the exact power p**r dividing a (a nonzero, p prime)."""
+    require_int("a", a)
     if a == 0:
         raise ZeroArgument("p-adic exponent of 0 is undefined")
     require_prime(p)
@@ -107,10 +126,12 @@ def frac_gcd(values: Iterable[Fraction | int]) -> Fraction:
     Every input is an integer multiple of the result, and the result is an
     integer combination of the inputs.  Computed by clearing denominators:
     the gcd of the scaled numerators over the lcm of the denominators.
-    Raises AllZero when no nonzero value is supplied.
+    Raises AllZero when no nonzero value is supplied, and OutOfRange for a
+    value that is neither an int nor a Fraction.
     """
-    vals = [Fraction(v) for v in values]
-    nonzero = [v for v in vals if v != 0]
+    vals = list(values)
+    require_exact("a frac_gcd value", *vals)
+    nonzero = [Fraction(v) for v in vals if v != 0]
     if not nonzero:
         raise AllZero("frac_gcd needs at least one nonzero value")
     denom = math.lcm(*(v.denominator for v in nonzero))

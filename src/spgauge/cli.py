@@ -36,7 +36,7 @@ from .phi import (
     phi_images,
     samelson_order,
 )
-from .report import FORMATS, Product, Report, fmt_bool, fmt_frac, fmt_int
+from .report import FORMATS, Product, Report
 
 _RANKED_FAMILIES = (LieFamily.SU, LieFamily.SP, LieFamily.SPIN_ODD)
 
@@ -131,21 +131,16 @@ def _cmd_order(args) -> Report:
         orders = [(args.n, samelson_order(args.n))]
     else:
         orders = ((r.n, checked_order(r)) for r in phi_images(args.max_n))
-    rows = [
-        {"n": fmt_int(n), "samelson_order": fmt_int(order)}
-        for n, order in orders
-    ]
-    params = {"n": fmt_int(args.n)} if args.n is not None else {
-        "max_n": fmt_int(args.max_n)}
+    rows = [{"n": n, "samelson_order": order} for n, order in orders]
+    params = ({"n": args.n} if args.n is not None
+              else {"max_n": args.max_n})
     return Report("order", params, rows)
 
 
 def _cmd_phi_gens(args) -> Report:
     result = phi_image(args.n, args.backend)
-    pinned = (
-        fmt_int(result.pinned_order) if result.pinned_order is not None
-        else "unpinned"
-    )
+    pinned = ("unpinned" if result.pinned_order is None
+              else result.pinned_order)
     rows = []
     names = ["zeta1"] + [f"xi{k}" for k in range(2, args.n + 1)]
     # every tabulated top coefficient is positive, so it is the image
@@ -153,41 +148,32 @@ def _cmd_phi_gens(args) -> Report:
     scale = factorial(2 * args.n + 1)
     for name, gen in zip(names, result.upper_gens):
         rows.append({
-            "n": fmt_int(args.n),
+            "n": args.n,
             "generator": name,
-            "top_coeff": fmt_frac(Fraction(gen, scale)),
-            "image_gen": fmt_int(gen),
-            "lower_gen": fmt_int(result.lower_gen),
+            "top_coeff": Fraction(gen, scale),
+            "image_gen": gen,
+            "lower_gen": result.lower_gen,
             "pinned_order": pinned,
         })
-    return Report(
-        "phi-gens",
-        {"n": fmt_int(args.n), "backend": args.backend},
-        rows,
-    )
+    return Report("phi-gens", {"n": args.n, "backend": args.backend}, rows)
 
 
-def _verdict_row(extra: dict, verdict) -> dict[str, str]:
-    row = dict(extra)
-    row["outcome"] = verdict.outcome.value
-    row["invariant_k"] = fmt_int(verdict.invariant_values[0])
-    row["invariant_l"] = fmt_int(verdict.invariant_values[1])
-    row["guards_passed"] = fmt_bool(verdict.guards_passed())
-    return row
+def _verdict_row(extra: dict, verdict) -> dict:
+    k, l = verdict.invariant_values
+    return {**extra, "outcome": verdict.outcome.value, "invariant_k": k,
+            "invariant_l": l, "guards_passed": verdict.guards_passed()}
 
 
 def _classify_grid(n: int, p: int) -> Report:
     """The verdict grid over k, l in [0, B], B = 4n(2n+1), k-major: one
-    report.Product of the k labels with their classes, the l labels with
-    theirs, and the verdict cells of each pair of classes, all from
-    gauge.local_partition, which checks n and p before any row is made."""
+    report.Product of each k with its class, each l with its, and the
+    verdict cells of each pair of classes, all from gauge.local_partition,
+    which checks n and p before any row is made."""
     classes, verdicts = local_partition(n, p)
     cells = {pair: _verdict_row({}, v) for pair, v in verdicts.items()}
-    b = len(classes) - 1
-    labels = [fmt_int(k) for k in range(b + 1)]
-    grid = Product([({"k": k}, c) for k, c in zip(labels, classes)],
-                   [({"l": l}, c) for l, c in zip(labels, classes)], cells)
-    params = {"n": fmt_int(n), "p": fmt_int(p), "grid": f"0..{b}"}
+    grid = Product([({"k": k}, c) for k, c in enumerate(classes)],
+                   [({"l": l}, c) for l, c in enumerate(classes)], cells)
+    params = {"n": n, "p": p, "grid": f"0..{len(classes) - 1}"}
     return Report("classify-sp", params, [grid])
 
 
@@ -199,17 +185,16 @@ def _cmd_classify_sp(args) -> Report:
     if args.k is None or args.l is None:
         raise SpgaugeError("classify sp needs --k and --l (or --grid)")
     verdict = decide_local(args.n, args.k, args.l, args.p)
-    params = {"n": fmt_int(args.n), "k": fmt_int(args.k),
-              "l": fmt_int(args.l), "p": fmt_int(args.p)}
+    params = {"n": args.n, "k": args.k, "l": args.l, "p": args.p}
     return Report("classify-sp", params, [_verdict_row(params, verdict)])
 
 
 def _cmd_classify_spin(args) -> Report:
     m = 2 * args.n + args.epsilon
     verdict = decide_spin(m, args.k, args.l, args.p)
-    params = {"n": fmt_int(args.n), "epsilon": fmt_int(args.epsilon),
-              "k": fmt_int(args.k), "l": fmt_int(args.l), "p": fmt_int(args.p)}
-    row = _verdict_row({"m": fmt_int(m), **params}, verdict)
+    params = {"n": args.n, "epsilon": args.epsilon, "k": args.k, "l": args.l,
+              "p": args.p}
+    row = _verdict_row({"m": m, **params}, verdict)
     return Report("classify-spin", params, [row])
 
 
@@ -221,27 +206,20 @@ def _cmd_invariant(args) -> Report:
     for k in args.k:
         bundle = Bundle(args.n, k)
         refined = refined_invariant(bundle)
-        row = {
-            "n": fmt_int(args.n),
-            "k": fmt_int(k),
-            "sutherland": fmt_int(sutherland_invariant(bundle)),
-            "refined": fmt_int(refined),
-        }
+        row = {"n": args.n, "k": k, "sutherland": sutherland_invariant(bundle),
+               "refined": refined}
         if even:
             # refined is gcd(k, 4n(2n+1)), the form the statement advertises,
             # and never 0
             q2 = q2_mapping_invariant(args.n, k)
-            row["q2_order"] = fmt_int(q2)
-            row["q2_gcd_form"] = fmt_int(refined)
-            row["q2_matches_gcd_form"] = fmt_bool(q2 == refined)
-            row["boundary_image_order"] = fmt_int(im_partial_order(args.n, k))
-            row["boundary_factorial_form"] = fmt_int(group // refined)
+            row["q2_order"] = q2
+            row["q2_gcd_form"] = refined
+            row["q2_matches_gcd_form"] = q2 == refined
+            row["boundary_image_order"] = im_partial_order(args.n, k)
+            row["boundary_factorial_form"] = group // refined
         rows.append(row)
-    return Report(
-        "invariant",
-        {"n": fmt_int(args.n), "k": ",".join(fmt_int(k) for k in args.k)},
-        rows,
-    )
+    return Report("invariant",
+                  {"n": args.n, "k": ",".join(map(str, args.k))}, rows)
 
 
 def _cmd_retractible(args) -> Report:
@@ -249,12 +227,10 @@ def _cmd_retractible(args) -> Report:
     if family in _RANKED_FAMILIES and args.n is None:
         raise SpgaugeError(f"--n is required for {family.value}")
     value = retractible(family, args.n, args.p)
-    row = {"family": family.value, "p": fmt_int(args.p),
-           "retractible": fmt_bool(value)}
-    params = {"family": family.value, "p": fmt_int(args.p)}
+    row = {"family": family.value, "p": args.p, "retractible": value}
+    params = {"family": family.value, "p": args.p}
     if args.n is not None:
-        row["n"] = fmt_int(args.n)
-        params["n"] = fmt_int(args.n)
+        row["n"] = params["n"] = args.n
     return Report("retractible", params, [row])
 
 
@@ -267,7 +243,7 @@ def _cmd_verify(args) -> Report:
     from .verify import verify_sweep
 
     report = verify_sweep(args.max_n)
-    report.parameters["jobs"] = fmt_int(args.jobs)
+    report.parameters["jobs"] = args.jobs
     return report
 
 

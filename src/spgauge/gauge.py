@@ -16,8 +16,8 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial, gcd
 
-from .arith import (closed_form_order, frac_gcd, require_prime, require_rank,
-                    valuation)
+from .arith import (closed_form_order, frac_gcd, require_int, require_prime,
+                    require_rank, valuation)
 from .errors import (BadDimension, EvenPrime, GuardFailed, OddRank,
                      OracleMismatch, OutOfRange)
 
@@ -42,6 +42,7 @@ class Bundle:
 
     def __post_init__(self):
         require_rank(self.n)
+        require_int("the bundle integer", self.k)
 
 
 def sutherland_invariant(bundle: Bundle) -> int:
@@ -59,7 +60,8 @@ def refined_invariant(bundle: Bundle) -> int:
 def _require_even_rank(n: int) -> None:
     """OddRank unless n is even and at least 2; OutOfRange where 2n+1
     exceeds sys.maxsize, past which math.factorial raises OverflowError
-    (n >= 2^62 on a 64-bit build)."""
+    (n >= 2^62 on a 64-bit build), and for an n that is not an int."""
+    require_int("the rank", n)
     if n < 2 or n % 2 != 0:
         raise OddRank(f"rank-2 mapping pipeline needs even n >= 2, got {n}")
     if 2 * n + 1 > sys.maxsize:
@@ -98,6 +100,7 @@ def im_delta_gen(n: int, k: int) -> int:
     bundle multiplies it by k.  Returns 0 when k = 0.
     """
     _require_even_rank(n)
+    require_int("the bundle integer", k)
     unit = factorial(2 * n - 1) * _THETA_UNIT
     if unit.denominator != 1:
         raise OracleMismatch(f"connecting-map unit is not integral at n={n}")
@@ -174,9 +177,9 @@ def _retract_guard(n: int, p: int) -> GuardCheck:
     )
 
 
-def _local_class(n: int, k: int, p: int) -> int:
-    # the p-part of gcd(k, 4n(2n+1)); n >= 1, so the gcd is nonzero
-    return p ** valuation(gcd(k, closed_form_order(n)), p)
+def _local_class(b: int, k: int, p: int) -> int:
+    # the p-part of gcd(k, b), b = 4n(2n+1) with n >= 1, so the gcd is nonzero
+    return p ** valuation(gcd(k, b), p)
 
 
 def _local_verdict(values: tuple[int, int],
@@ -200,7 +203,9 @@ def decide_local(n: int, k: int, l: int, p: int) -> Verdict:
     NotDetermined.  Raises OutOfRange for n < 1."""
     require_rank(n)
     require_prime(p)
-    return _local_verdict((_local_class(n, k, p), _local_class(n, l, p)),
+    require_int("the bundle integer", k, l)
+    b = closed_form_order(n)
+    return _local_verdict((_local_class(b, k, p), _local_class(b, l, p)),
                           (_retract_guard(n, p),))
 
 
@@ -212,7 +217,8 @@ def local_partition(n: int, p: int) -> tuple[list[int], dict]:
     require_rank(n)
     require_prime(p)
     guards = (_retract_guard(n, p),)
-    classes = [_local_class(n, k, p) for k in range(closed_form_order(n) + 1)]
+    b = closed_form_order(n)
+    classes = [_local_class(b, k, p) for k in range(b + 1)]
     distinct = dict.fromkeys(classes)
     verdicts = {(a, c): _local_verdict((a, c), guards)
                 for a in distinct for c in distinct}
@@ -226,9 +232,11 @@ def decide_spin(m: int, k: int, l: int, p: int) -> Verdict:
     dimension must give 2n >= 6 (m <= 6 raises BadDimension), p must be odd,
     and the retractibility bound (p-1)^2 + 1 >= 2n must hold; any failing
     guard yields NotDetermined."""
+    require_int("the dimension m", m)
     if m <= 6:
         raise BadDimension(f"Spin({m}) is outside the criterion (needs m >= 7)")
     require_prime(p)
+    require_int("the bundle integer", k, l)
     eps = 1 if m % 2 == 1 else 2
     n = (m - eps) // 2
     guards = (
@@ -236,7 +244,8 @@ def decide_spin(m: int, k: int, l: int, p: int) -> Verdict:
         GuardCheck("odd-prime", p != 2, f"p = {p}"),
         _retract_guard(n, p),
     )
-    return _local_verdict((_local_class(n, k, p), _local_class(n, l, p)), guards)
+    b = closed_form_order(n)
+    return _local_verdict((_local_class(b, k, p), _local_class(b, l, p)), guards)
 
 
 def identity_samelson_p_part(n: int, p: int) -> int:
@@ -250,7 +259,7 @@ def identity_samelson_p_part(n: int, p: int) -> int:
     if not _retract_guard(n, p).passed:
         raise GuardFailed(f"retractibility guard (p-1)^2+1 >= 2n fails for "
                           f"n={n}, p={p}")
-    return _local_class(n, 0, p)
+    return _local_class(closed_form_order(n), 0, p)
 
 
 def pi_4n1_order(n: int, k: int, p: int) -> int:
@@ -261,7 +270,8 @@ def pi_4n1_order(n: int, k: int, p: int) -> int:
     require_prime(p)
     if p == 2:
         raise EvenPrime("the degree-(4n+1) order is only computed at odd primes")
-    return _local_class(n, k, p)
+    require_int("the bundle integer", k)
+    return _local_class(closed_form_order(n), k, p)
 
 
 class LieFamily(Enum):
@@ -287,12 +297,14 @@ _EXCEPTIONAL_MIN_PRIME = {
 def retractible(family: LieFamily, rank: int | None, p: int) -> bool:
     """Whether the generating complex of the group retracts off p-locally.
 
-    SU(n) needs (p-1)^2 + 1 >= n; Sp(n) and Spin(2n+1) need
-    (p-1)^2 + 1 >= 2n; the exceptional families need p >= 5 (G2, F4, E6)
-    or p >= 7 (E7, E8).  The exceptional families may leave rank out, and
-    their answer does not depend on it.  In every family, raises NotPrime
-    for a p that is not prime and OutOfRange for a rank below 1; a
-    classical family without a rank raises OutOfRange too."""
+    SU(n) needs (p-1)^2 + 1 >= n; Sp(n) and Spin(2n+1) need the
+    retractibility guard of every p-local answer, (p-1)^2 + 1 >= 2n; the
+    exceptional families need p >= 5 (G2, F4, E6) or p >= 7 (E7, E8).  The
+    exceptional families may leave rank out, and their answer does not
+    depend on it.  In every family, raises NotPrime for an int p that is
+    not prime, and OutOfRange for a p or a rank that is not an int and for
+    a rank below 1; a classical family without a rank raises OutOfRange
+    too."""
     require_prime(p)
     if rank is not None:
         require_rank(rank)
@@ -300,5 +312,6 @@ def retractible(family: LieFamily, rank: int | None, p: int) -> bool:
         return p >= _EXCEPTIONAL_MIN_PRIME[family]
     if rank is None:
         raise OutOfRange(f"{family.value} needs a rank parameter")
-    bound = rank if family is LieFamily.SU else 2 * rank
-    return (p - 1) ** 2 + 1 >= bound
+    if family is LieFamily.SU:
+        return (p - 1) ** 2 + 1 >= rank
+    return _retract_guard(rank, p).passed

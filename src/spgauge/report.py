@@ -1,16 +1,19 @@
 """Machine-readable run reports.
 
 Every CLI command builds a Report and writes it as JSON, CSV, or a markdown
-table.  All numeric values are carried as exact decimal strings (rationals
-as "p/q"), construction order is preserved everywhere, and the output is
-byte-stable run to run.  A report is written incrementally, the header,
+table.  Its cells and parameters are the library's exact values, and the
+writer alone turns them into text: a str as is, a bool as true or false,
+an int in decimal, a Fraction as "p/q" ("p" when q = 1); anything else is
+a ValueError.  Construction order is preserved everywhere, and the output
+is byte-stable run to run.  A report is written incrementally, the header,
 one write per row or per run of a Product, the footer, with no buffer of
 its own.  The JSON header and footer are json.dumps(..., indent=2) of the
 fields around the rows.
 
-A row is a string-to-string dict or a Product, the rows of every outer
-lead paired with every inner lead and ended by the cells of their classes.
-One routine encodes every row from its format's row syntax.  A product's
+A row is a dict from column names to values or a Product, the rows of
+every outer lead paired with every inner lead and ended by the cells of
+their classes.  One routine encodes every row from its format's row
+syntax, turning each value into text as it goes.  A product's
 inner leads and the cells of each pair of classes are encoded once per
 write, each outer class's row ends are made from them by one C-level map,
 and each outer lead is one join of its rows, so a product costs its
@@ -32,17 +35,21 @@ from typing import (Callable, Hashable, Iterable, Iterator, Mapping,
 FORMATS = ("json", "csv", "markdown")
 
 
-def fmt_int(x: int) -> str:
-    return str(int(x))
+# what a cell or a parameter may be
+Value = str | bool | int | Fraction
 
 
-def fmt_frac(x: Fraction) -> str:
-    """Exact string for a rational: "p/q", or just "p" when q == 1."""
-    return str(Fraction(x))
-
-
-def fmt_bool(x: bool) -> str:
-    return "true" if x else "false"
+def _text(value: Value) -> str:
+    """value as the report writes it; a bool is tested before an int, which
+    it also is."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, Fraction)):
+        return str(value)
+    raise ValueError(f"a report value must be a str, bool, int or Fraction, "
+                     f"got {type(value).__name__} {value!r}")
 
 
 def _csv_cell(value: str) -> str:
@@ -67,12 +74,12 @@ class Product(NamedTuple):
     classes once, and writes the rows of each outer lead, its run, as one
     text."""
 
-    outer: Sequence[tuple[dict[str, str], Hashable]]
-    inner: Sequence[tuple[dict[str, str], Hashable]]
-    cells: Mapping[tuple[Hashable, Hashable], dict[str, str]]
+    outer: Sequence[tuple[dict[str, Value], Hashable]]
+    inner: Sequence[tuple[dict[str, Value], Hashable]]
+    cells: Mapping[tuple[Hashable, Hashable], dict[str, Value]]
 
 
-def _keys(row: dict[str, str] | Product) -> Iterable[str]:
+def _keys(row: dict[str, Value] | Product) -> Iterable[str]:
     """The keys of row; a Product's are those of the rows it stands for: its
     first outer lead's, its first inner lead's, then its cells' for each
     pair of classes in the order its rows meet them."""
@@ -120,16 +127,16 @@ class _Encoder:
         self.syntax = syntax
         self.cols = cols
 
-    def cells(self, row: dict[str, str], start: int = 0,
+    def cells(self, row: dict[str, Value], start: int = 0,
               stop: int | None = None) -> list[str]:
         """The encoded cells of row: its own items when the syntax is keyed,
         otherwise the report's columns start:stop, "" where absent."""
         s = self.syntax
         items = row.items() if s.keyed else [
             (c, row.get(c, "")) for c in self.cols[start:stop]]
-        return [s.cell(k, v) for k, v in items]
+        return [s.cell(k, _text(v)) for k, v in items]
 
-    def row(self, row: dict[str, str]) -> str:
+    def row(self, row: dict[str, Value]) -> str:
         """The text of a whole row, without the row separator."""
         s = self.syntax
         cells = self.cells(row)
@@ -177,13 +184,13 @@ class _Encoder:
 
 @dataclass
 class Report:
-    """A command's answer.  rows is a list or tuple of string-to-string
-    records and Products, and the columns are their keys in first-seen
-    order."""
+    """A command's answer.  rows is a list or tuple of records, each from
+    column names to values, and Products, and the columns are their keys in
+    first-seen order."""
 
     command: str
-    parameters: dict[str, str]
-    rows: Sequence[dict[str, str] | Product]
+    parameters: dict[str, Value]
+    rows: Sequence[dict[str, Value] | Product]
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -199,13 +206,16 @@ class Report:
     def write(self, fmt: str, out: TextIO) -> None:
         """Write the report to out in fmt: the header, then one write per
         row and one per run of a Product, then the footer.  A Product with
-        no outer or no inner leads writes nothing."""
+        no outer or no inner leads writes nothing.  A parameter that is not
+        a Value raises ValueError before anything is written, a cell when
+        its row is reached."""
         if fmt not in FORMATS:
             raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
         cols = self._columns()
+        params = {k: _text(v) for k, v in self.parameters.items()}
         syntax = _LONE_CSV if fmt == "csv" and len(cols) == 1 else _SYNTAX[fmt]
         encode = _Encoder(syntax, cols)
-        head, tail = getattr(self, f"_{fmt}_frame")(encode)
+        head, tail = getattr(self, f"_{fmt}_frame")(encode, params)
         out.write(head)
         first = True
         for row in self.rows:
@@ -215,11 +225,11 @@ class Report:
                 first = False
         out.write(tail(not first))
 
-    # Each _<fmt>_frame(encode) returns the header text and tail(any_rows),
-    # the footer.
+    # Each _<fmt>_frame(encode, params), params being the parameters' texts,
+    # returns the header text and tail(any_rows), the footer.
 
-    def _json_frame(self, encode):
-        head = json.dumps({"command": self.command, "parameters": self.parameters},
+    def _json_frame(self, encode, params):
+        head = json.dumps({"command": self.command, "parameters": params},
                           indent=2)[:-2] + ',\n  "rows": ['
 
         def tail(any_rows):
@@ -229,16 +239,16 @@ class Report:
 
         return head, tail
 
-    def _csv_frame(self, encode):
+    def _csv_frame(self, encode, params):
         """Rows only, LF line endings, a header of the columns."""
         cols = encode.cols
         return encode.row(dict(zip(cols, cols))), lambda any_rows: ""
 
-    def _markdown_frame(self, encode):
+    def _markdown_frame(self, encode, params):
         cols = encode.cols
         head = f"# {self.command}\n\n"
-        if self.parameters:
-            head += "".join(f"- {k}: {v}\n" for k, v in self.parameters.items())
+        if params:
+            head += "".join(f"- {k}: {v}\n" for k, v in params.items())
             head += "\n"
         if cols:
             head += encode.row(dict(zip(cols, cols)))

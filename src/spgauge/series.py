@@ -14,14 +14,21 @@ from itertools import islice
 from math import factorial
 from typing import Iterator
 
-from .arith import require_rank
+from .arith import require_exact, require_int, require_rank
 from .errors import OutOfRange
 
 
 def truncated_powers(base: list[Fraction]) -> Iterator[list[Fraction]]:
     """base, base^2, base^3, ..., each truncated at the degree of base.
 
-    The stream never ends; the caller takes what it needs."""
+    The stream never ends; the caller takes what it needs.  Raises
+    OutOfRange at the call for a coefficient that is neither an int nor a
+    Fraction."""
+    require_exact("a series coefficient", *base)
+    return _powers(base)
+
+
+def _powers(base: list[Fraction]) -> Iterator[list[Fraction]]:
     size = len(base)
     power = base
     while True:
@@ -41,8 +48,10 @@ def exp_minus_one_powers(max_deg: int) -> Iterator[list[Fraction]]:
 
     m! times the x^m coefficient of the k-th power is surj(m, k), the
     exponential generating identity for surjection counts; verify holds
-    the two routes against each other.  Raises OutOfRange for max_deg < 0.
+    the two routes against each other.  Raises OutOfRange for max_deg < 0
+    and for a max_deg that is not an int.
     """
+    require_int("max_deg", max_deg)
     if max_deg < 0:
         raise OutOfRange("max_deg must be nonnegative")
     base = [Fraction(0)] + [Fraction(1, factorial(m)) for m in range(1, max_deg + 1)]

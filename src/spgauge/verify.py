@@ -8,7 +8,8 @@ property's stated bound so a large max_n stays within the documented
 runtime budgets.  The sweep walks the image stream phi_images once,
 feeding both the orders check and the divisibility check, in one forked
 child process while the sweep's own process runs the other checks (POSIX
-only).
+only).  A check's rows hold its values as they are, ints and bools among
+them, and the report writes them.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .oracles import (
     surjection_counts_by_rank,
 )
 from .phi import PhiResult, checked_order, phi_image, phi_images
-from .report import Report, fmt_bool, fmt_int
+from .report import Report
 from .series import exp_minus_one_powers
 
 _SEED = 20260819
@@ -57,7 +58,7 @@ _COSET_CAP = 10_000  # the largest quotient the coset oracle enumerates
 @dataclass
 class CheckResult:
     name: str
-    rows: list[dict[str, str]] = field(default_factory=list)
+    rows: list[dict[str, object]] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -73,13 +74,13 @@ class CheckResult:
         except OracleMismatch as exc:
             self.failures.append(str(exc))
 
-    def add(self, **cells: str) -> None:
+    def add(self, **cells: object) -> None:
         """Append a row of this check: its name, then cells."""
         self.rows.append({"check": self.name, **cells})
 
-    def summarize(self, **cells: str) -> None:
+    def summarize(self, **cells: object) -> None:
         """Close the check with one row: its name, cells and verdict."""
-        self.add(**cells, ok=fmt_bool(self.ok))
+        self.add(**cells, ok=self.ok)
 
 
 def _divisibility_row(res: PhiResult, counts: list[int]) -> list[str]:
@@ -125,12 +126,10 @@ def check_image_stream(max_n: int) -> tuple[CheckResult, CheckResult]:
     for image, counts in zip(phi_images(max_n),
                              surjection_counts_by_rank(max_n)):
         with orders.recording():
-            orders.add(n=fmt_int(image.n),
-                       samelson_order=fmt_int(checked_order(image)))
+            orders.add(n=image.n, samelson_order=checked_order(image))
         divisibility.failures.extend(_divisibility_row(image, counts))
         pairs += image.n - 1
-    divisibility.add(pairs=fmt_int(pairs),
-                     all_divisible=fmt_bool(divisibility.ok))
+    divisibility.add(pairs=pairs, all_divisible=divisibility.ok)
     return orders, divisibility
 
 
@@ -142,10 +141,10 @@ def check_printed_discrepancy() -> CheckResult:
     series = phi_image(3)
     scaled = printed.upper_gens[1]
     modulus = printed.lower_gen
-    res.add(n="3", k="2", scaled_coeff=fmt_int(scaled), modulus=fmt_int(modulus),
-            divisible=fmt_bool(scaled % modulus == 0),
-            printed_pinned=fmt_bool(printed.pinned_order is not None),
-            series_order=fmt_int(series.pinned_order or 0))
+    res.add(n=3, k=2, scaled_coeff=scaled, modulus=modulus,
+            divisible=scaled % modulus == 0,
+            printed_pinned=printed.pinned_order is not None,
+            series_order=series.pinned_order or 0)
     if scaled != 150 or modulus != 84 or scaled % modulus == 0:
         res.failures.append(
             f"expected scaled 150 vs modulus 84 without divisibility, "
@@ -165,8 +164,8 @@ def check_mapping_group(max_n: int) -> CheckResult:
     res = CheckResult("mapping-group-order")
     with res.recording():
         for n in range(2, min(max_n, 40) + 1, 2):
-            res.add(n=fmt_int(n), order=fmt_int(mapping_group_order(n)))
-    if max_n >= 2 and res.rows and res.rows[0]["order"] != "40":
+            res.add(n=n, order=mapping_group_order(n))
+    if max_n >= 2 and res.rows and res.rows[0]["order"] != 40:
         res.failures.append("anchor n=2 should give 40")
     return res
 
@@ -189,7 +188,7 @@ def check_separation(max_n: int) -> CheckResult:
                 res.failures.append(f"n={n}: equal gcds with different invariants")
             if any(len(v) != 1 for v in by_q2.values()):
                 res.failures.append(f"n={n}: equal invariants with different gcds")
-            res.add(n=fmt_int(n), modulus=fmt_int(b), classes=fmt_int(len(by_gcd)))
+            res.add(n=n, modulus=b, classes=len(by_gcd))
     return res
 
 
@@ -212,7 +211,7 @@ def check_rank2_constants() -> CheckResult:
             )
             if verdict.outcome is not expected:
                 res.failures.append(f"k={k} l={l}: verdict {verdict.outcome.value}")
-    res.summarize(range="0..80", partition_classes=fmt_int(len(set(parts.values()))))
+    res.summarize(range="0..80", partition_classes=len(set(parts.values())))
     return res
 
 
@@ -253,7 +252,7 @@ def check_smith_random() -> CheckResult:
         ]
         if off:
             res.failures.append(f"instance {idx}: D not diagonal")
-    res.summarize(instances=fmt_int(_SMITH_INSTANCES))
+    res.summarize(instances=_SMITH_INSTANCES)
     return res
 
 
@@ -307,8 +306,7 @@ def check_coset_oracle() -> CheckResult:
                 res.failures.append(
                     f"instance {idx}: element order {direct} vs {enumerated}"
                 )
-    res.summarize(instances=fmt_int(_COSET_INSTANCES), finite=fmt_int(finite),
-                  skipped=fmt_int(skipped))
+    res.summarize(instances=_COSET_INSTANCES, finite=finite, skipped=skipped)
     return res
 
 
@@ -378,7 +376,7 @@ def check_guards(max_n: int) -> CheckResult:
         ):
             if retractible(family, None, p) != (p >= min_p):
                 res.failures.append(f"{family.value} p={p}: registry mismatch")
-    res.summarize(max_n=fmt_int(top), primes=",".join(str(p) for p in _GUARD_PRIMES))
+    res.summarize(max_n=top, primes=",".join(map(str, _GUARD_PRIMES)))
     return res
 
 
@@ -387,8 +385,8 @@ def _walk_in_child(write_fd: int, max_n: int) -> None:
     pipe the fields of its two checks, or the exception the walk raised,
     pickled, and leave by os._exit, so it never returns into the caller's
     code nor flushes the caller's buffered output.  The checks' fields are
-    strings in lists and dicts, which marshal carries without loading
-    pickle into the sweep's process."""
+    strings, ints and bools in lists and dicts, which marshal carries
+    without loading pickle into the sweep's process."""
     status = 1
     try:
         try:
@@ -433,18 +431,16 @@ def verify_sweep(max_n: int) -> Report:
             _walk_in_child(write_fd, max_n)
         os.close(write_fd)
         try:
-            fixed = [check_printed_discrepancy()] if max_n >= 3 else []
-            fixed.extend([
+            checks = [check_printed_discrepancy()] if max_n >= 3 else []
+            checks.extend([
                 check_mapping_group(max_n),
                 check_separation(max_n),
                 check_rank2_constants(),
-            ])
-            rest = [
                 check_smith_random(),
                 check_coset_oracle(),
                 check_series_identity(),
                 check_guards(max_n),
-            ]
+            ])
             answer = pipe.read()
         except BaseException:
             os.kill(pid, signal.SIGKILL)
@@ -461,14 +457,14 @@ def verify_sweep(max_n: int) -> Report:
 
         raise pickle.loads(error)
     orders, divisibility = (CheckResult(*f) for f in fields)
-    rows: list[dict[str, str]] = []
+    rows: list[dict[str, object]] = []
     failures: list[str] = []
-    for c in [orders, divisibility, *fixed, *rest]:
+    for c in [orders, divisibility, *checks]:
         rows.extend(c.rows)
         failures.extend(f"{c.name}: {msg}" for msg in c.failures)
     return Report(
         command="verify",
-        parameters={"max_n": fmt_int(max_n)},
+        parameters={"max_n": max_n},
         rows=rows,
         failures=failures,
     )

@@ -46,7 +46,7 @@ def test_orders_at_full_scale(stream_200):
     """Pinned order is 4n(2n+1) for every rank up to 200 (budget: 1 minute)."""
     result = stream_200[0]
     anchors = {r["n"]: r["samelson_order"] for r in result.rows}
-    ok = result.ok and anchors["1"] == "12" and anchors["2"] == "40"
+    ok = result.ok and anchors[1] == 12 and anchors[2] == 40
     _line("order-pipeline n<=200", ok,
           "200 ranks, anchors 12 and 40" if ok else str(result.failures[:5]))
     assert ok, result.failures[:5]
@@ -88,8 +88,8 @@ def test_mapping_group_orders_even_ranks():
     """Table-driven mapping group order is (2n+1)!/3 for even n <= 40,
     anchored at 40 for n = 2 (budget: seconds)."""
     result = check_mapping_group(40)
-    anchor = result.rows[0]["order"] == "40"
-    top = result.rows[-1]["order"] == str(factorial(81) // 3)
+    anchor = result.rows[0]["order"] == 40
+    top = result.rows[-1]["order"] == factorial(81) // 3
     ok = result.ok and anchor and top
     _line("mapping-group order even n<=40", ok,
           "20 even ranks, (2n+1)!/3 throughout")

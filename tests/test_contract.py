@@ -6,11 +6,12 @@ other rank it returns or raises SpgaugeError, never anything else.  The
 same holds for the counts of surjections and sweeps below their least
 valid value, and for every p that is not prime or is too large for the
 primality test to decide.  A verdict that claims EQUIVALENT or DISTINCT has
-passed all of its guards.  A matrix or vector entry that is not an int
-raises OutOfRange, never a rounded answer; so does a matrix dimension that
-is not an int, or a matrix row or vector that is not a sequence.  The
-command line exits 0, 1 or 2 on every argv, and each exit code prints what
-it promises.
+passed all of its guards.  An integer argument of an exported function that
+is a float or a Fraction raises SpgaugeError.  A matrix or vector entry
+that is not an int raises OutOfRange, never a rounded answer; so does a
+matrix dimension that is not an int, or a matrix row or vector that is not
+a sequence.  The command line exits 0, 1 or 2 on every argv, and each exit
+code prints what it promises.
 """
 
 import csv
@@ -24,7 +25,9 @@ from operator import mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spgauge.arith import PRIME_BOUND, p_part
+import spgauge
+from spgauge.arith import (PRIME_BOUND, closed_form_order, frac_gcd, is_prime,
+                           p_exponent, p_part)
 from spgauge.cli import main
 from spgauge.errors import OutOfRange, SpgaugeError
 from spgauge.gauge import (
@@ -49,6 +52,8 @@ from spgauge.lattice import IntMatrix, element_order_in_coker
 from spgauge.oracles import surjection_counts, surjection_counts_by_rank
 from spgauge.phi import BACKENDS, phi_image, phi_images, samelson_order
 from spgauge.report import FORMATS
+from spgauge.series import (exp_minus_one_powers, printed_top_coeffs,
+                            truncated_powers)
 from spgauge.verify import verify_sweep
 
 _NONPOSITIVE = st.integers(max_value=0)
@@ -143,6 +148,95 @@ def test_surjection_counts_by_rank_below_one_raises_before_any_row(max_n):
 def test_verify_sweep_below_two_raises_spgauge_error(max_n):
     with pytest.raises(SpgaugeError):
         verify_sweep(max_n)
+
+
+# -- integer arguments that are not ints --------------------------------------
+
+
+_INT = st.integers(-10**6, 10**6)
+_NONZERO = _INT.filter(bool)
+_RANK = st.integers(1, 12)
+_EVEN_RANK = st.integers(1, 6).map(lambda n: 2 * n)
+_PRIME = st.sampled_from([2, 3, 5, 7, 11, 13])
+_ODD_PRIME = st.sampled_from([3, 5, 7, 11, 13])
+
+# each exported function that takes an integer, and Bundle, with strategies
+# for its integer arguments that make every drawn call valid; a bundle or a
+# list is built from its integers.  The key's part before "[" is the
+# exported name.
+INTEGER_ARGUMENTS = {
+    "closed_form_order": (closed_form_order, [_INT]),
+    "frac_gcd": (lambda a, b: frac_gcd([a, b]), [_NONZERO, _INT]),
+    "is_prime": (is_prime, [_INT]),
+    "p_exponent": (p_exponent, [_NONZERO, _PRIME]),
+    "p_part": (p_part, [_NONZERO, _PRIME]),
+    "exp_minus_one_powers": (exp_minus_one_powers, [st.integers(0, 12)]),
+    "printed_top_coeffs": (printed_top_coeffs, [_RANK]),
+    "truncated_powers": (lambda *base: truncated_powers(list(base)),
+                         [_INT] * 3),
+    "phi_image": (phi_image, [_RANK]),
+    "phi_images": (phi_images, [_RANK]),
+    "samelson_order": (samelson_order, [_RANK]),
+    "Bundle": (Bundle, [_RANK, _INT]),
+    "sutherland_invariant": (lambda n, k: sutherland_invariant(Bundle(n, k)),
+                             [_RANK, _INT]),
+    "refined_invariant": (lambda n, k: refined_invariant(Bundle(n, k)),
+                          [_RANK, _INT]),
+    "decide_local": (decide_local, [_RANK, _INT, _INT, _PRIME]),
+    "decide_spin": (decide_spin, [st.integers(7, 30), _INT, _INT, _PRIME]),
+    # inside the retractibility guard, which p >= 5 meets up to rank 8
+    "identity_samelson_p_part": (
+        identity_samelson_p_part,
+        [st.integers(1, 8), st.sampled_from([5, 7, 11, 13])]),
+    "im_delta_gen": (im_delta_gen, [_EVEN_RANK, _INT]),
+    "im_partial_order": (im_partial_order, [_EVEN_RANK, _INT]),
+    "local_partition": (local_partition, [_RANK, _PRIME]),
+    "mapping_group_order": (mapping_group_order, [_EVEN_RANK]),
+    "pi_4n1_order": (pi_4n1_order, [_RANK, _INT, _ODD_PRIME]),
+    "q2_mapping_invariant": (q2_mapping_invariant, [_EVEN_RANK, _INT]),
+    **{
+        f"retractible[{family.value}]": (
+            lambda n, p, family=family: retractible(family, n, p),
+            [_RANK, _PRIME])
+        for family in LieFamily
+    },
+}
+# the exported callables that take no integer argument: the records the
+# library returns its answers in, its enums, and checked_order, which reads
+# a PhiResult
+_NO_INTEGER_ARGUMENT = {"GuardCheck", "LieFamily", "Outcome", "PhiResult",
+                        "Verdict", "checked_order"}
+# they take Fractions too, so only a float spoils them
+_EXACT_RATIONAL_ARGUMENTS = {"frac_gcd", "truncated_powers"}
+
+
+def test_every_exported_function_is_in_the_non_int_property():
+    exported = {name for name, module in spgauge._EXPORTS.items()
+                if module in ("arith", "series", "phi", "gauge")
+                and callable(getattr(spgauge, name))}
+    covered = {name.split("[")[0] for name in INTEGER_ARGUMENTS}
+    assert exported == covered | _NO_INTEGER_ARGUMENT
+    assert not covered & _NO_INTEGER_ARGUMENT
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_non_int_integer_argument_raises_spgauge_error(name, data):
+    """A valid call returns; the same call with one integer argument turned
+    into a float or a Fraction, of the same value or of any other, raises
+    SpgaugeError instead of giving an answer."""
+    fn, strategies = INTEGER_ARGUMENTS[name]
+    args = [data.draw(s, label="argument") for s in strategies]
+    fn(*args)
+    i = data.draw(st.integers(0, len(args) - 1), label="position")
+    floats = [st.just(float(args[i])), st.floats()]
+    fractions = [st.just(Fraction(args[i])), st.fractions()]
+    args[i] = data.draw(st.one_of(
+        floats if name in _EXACT_RATIONAL_ARGUMENTS else floats + fractions),
+        label="spoiled")
+    with pytest.raises(SpgaugeError):
+        fn(*args)
 
 
 # -- matrix entries -----------------------------------------------------------

@@ -11,6 +11,7 @@ from spgauge.errors import (BadDimension, EvenPrime, NotPrime, OddRank,
                             OracleMismatch, OutOfRange)
 from spgauge.gauge import (
     Bundle,
+    GuardCheck,
     LieFamily,
     Outcome,
     decide_local,
@@ -265,6 +266,16 @@ def test_sp_retractibility_equals_local_guard(n, k):
         v = decide_local(n, k, k + 1, p)
         assert (v.outcome is not Outcome.NOT_DETERMINED) == \
             retractible(LieFamily.SP, n, p)
+
+
+def test_sp_and_spin_odd_retractibility_read_the_local_guard(monkeypatch):
+    # one guard decides both the p-local answers and Sp/SpinOdd
+    # retractibility; SU keeps its own bound
+    monkeypatch.setattr(gauge, "_retract_guard", lambda n, p: GuardCheck(
+        "retractibility", False, "forced to fail"))
+    assert retractible(LieFamily.SP, 1, 5) is False
+    assert retractible(LieFamily.SPIN_ODD, 1, 5) is False
+    assert retractible(LieFamily.SU, 1, 5) is True
 
 
 @pytest.mark.parametrize("n", [0, -3])

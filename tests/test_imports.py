@@ -82,7 +82,7 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 
 # the engine: the modules verify checks, and the command line
 _ENGINE = ("arith", "series", "phi", "lattice", "gauge", "report", "cli")
-# the engine names verify holds against the oracles (and formats its rows
+# the engine names verify holds against the oracles (and writes its report
 # with).  series.exp_minus_one_powers, and truncated_powers under it, stays
 # shared with the printed backend: that oracle checks the surjection
 # oracle, not the printed backend, so sharing it hides no engine fault.
@@ -94,7 +94,7 @@ _VERIFY_ENGINE_IMPORTS = {
     ("lattice", "element_order_in_coker"), ("lattice", "smith_normal_form"),
     ("phi", "PhiResult"), ("phi", "checked_order"), ("phi", "phi_image"),
     ("phi", "phi_images"),
-    ("report", "Report"), ("report", "fmt_bool"), ("report", "fmt_int"),
+    ("report", "Report"),
     ("series", "exp_minus_one_powers"),
 }
 
@@ -145,6 +145,14 @@ def test_no_engine_module_imports_the_oracles_and_only_cli_runs_verify():
 def test_verify_imports_exactly_the_engine_names_it_checks():
     assert {(source, name) for _, source, name in _package_imports("verify")
             if source not in ("errors", "oracles")} == _VERIFY_ENGINE_IMPORTS
+
+
+def test_cli_and_verify_hand_the_report_their_values_as_they_are():
+    # the report alone turns a value into text, so the front ends import
+    # nothing from it that formats one
+    assert {name for module in ("cli", "verify")
+            for _, source, name in _package_imports(module)
+            if source == "report"} <= {"FORMATS", "Product", "Report"}
 
 
 def test_phi_keeps_only_the_image_and_gauge_every_p_local_answer():

@@ -10,17 +10,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spgauge.report import FORMATS, Product, Report, fmt_bool, fmt_frac, fmt_int
-
-
-def test_formatters():
-    assert fmt_int(40) == "40"
-    assert fmt_int(-3) == "-3"
-    assert fmt_frac(Fraction(1, 60)) == "1/60"
-    assert fmt_frac(Fraction(-1, 6)) == "-1/6"
-    assert fmt_frac(Fraction(5)) == "5"
-    assert fmt_bool(True) == "true"
-    assert fmt_bool(False) == "false"
+from spgauge.report import FORMATS, Product, Report
 
 
 def _written(report: Report, fmt: str) -> str:
@@ -370,3 +360,46 @@ def test_each_row_is_one_write(fmt):
         docs = [ORACLES[fmt](Report("x", {"n": "2"}, rows[:i] + extra))
                 for extra in ([], [more])]
         assert "".join(writes[:i + 1]) == os.path.commonprefix(docs)
+
+
+# -- values: the report writes each kind of value as its exact text ----------
+
+# a value of each kind a cell or a parameter may be, and the text written
+_TEXTS = [
+    (-3, "-3"), (0, "0"), (10**300 - 1, "9" * 300),
+    (True, "true"), (False, "false"),
+    (Fraction(1, 60), "1/60"), (Fraction(-1, 6), "-1/6"), (Fraction(5), "5"),
+    ("a,b", "a,b"), ("", ""),
+]
+
+
+def test_values_are_written_as_their_exact_text():
+    keys = [f"c{i}" for i in range(len(_TEXTS))]
+    values, texts = zip(*_TEXTS)
+    typed = dict(zip(keys, values))
+    written = dict(zip(keys, texts))
+    # a product's leads and cells go through the same routine
+    grid = Product([({"k": 0}, 0), ({"k": -1}, 1)], [({"l": True}, 0)],
+                   {(0, 0): {"v": Fraction(1, 60)}, (1, 0): {"v": 5}})
+    report = Report("x", typed, [grid, typed], ["f"])
+    want = Report("x", written, [{"k": "0", "l": "true", "v": "1/60"},
+                                 {"k": "-1", "l": "true", "v": "5"}, written],
+                  ["f"])
+    for fmt in FORMATS:
+        assert _written(report, fmt) == ORACLES[fmt](want)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("bad", [40.0, 0.5, float("nan"), None, 1j, b"1"])
+def test_a_value_of_another_type_raises_value_error(fmt, bad):
+    # a parameter before anything is written, a cell when its row is reached
+    out = io.StringIO()
+    with pytest.raises(ValueError):
+        Report("x", {"n": 2, "p": bad}, [{"a": 1}]).write(fmt, out)
+    assert out.getvalue() == ""
+    for rows in ([{"a": 1}, {"a": bad}],
+                 [Product([({"k": 1}, 0)], [({"l": bad}, 0)], {(0, 0): {}})],
+                 [Product([({"k": 1}, 0)], [({"l": 2}, 0)],
+                          {(0, 0): {"v": bad}})]):
+        with pytest.raises(ValueError):
+            _written(Report("x", {"n": 2}, rows), fmt)

@@ -112,7 +112,7 @@ def test_verify_sweep_minimal_scale():
     assert report.status == "ok"
     assert report.command == "verify"
     # the rank-2 anchor row is present
-    assert {"check": "samelson-orders", "n": "2", "samelson_order": "40"} \
+    assert {"check": "samelson-orders", "n": 2, "samelson_order": 40} \
         in report.rows
 
 
@@ -122,12 +122,12 @@ def test_verify_sweep_includes_discrepancy_row_from_three():
     rows = [r for r in report.rows if r.get("check") == "printed-backend-discrepancy"]
     assert len(rows) == 1
     row = rows[0]
-    assert (row["n"], row["k"]) == ("3", "2")
-    assert row["scaled_coeff"] == "150"
-    assert row["modulus"] == "84"
-    assert row["divisible"] == "false"
-    assert row["printed_pinned"] == "false"
-    assert row["series_order"] == "84"
+    assert (row["n"], row["k"]) == (3, 2)
+    assert row["scaled_coeff"] == 150
+    assert row["modulus"] == 84
+    assert row["divisible"] is False
+    assert row["printed_pinned"] is False
+    assert row["series_order"] == 84
 
 
 def test_verify_sweep_rejects_tiny_max_n():
@@ -148,7 +148,7 @@ def test_divisibility_check_catches_a_generator_off_the_oracle(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "phi_images", one_wrong)
     result = verify_mod.check_image_stream(6)[1]
-    assert result.rows[0]["all_divisible"] == "false"
+    assert result.rows[0]["all_divisible"] is False
     assert len(result.failures) == 1
     assert result.failures[0].startswith(
         "n=5 k=3: generator 1996940 differs from the surjection oracle")
@@ -277,7 +277,7 @@ def test_series_identity_enumeration_catches_a_wrong_oracle(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "surjection_counts", one_wrong)
     result = verify_mod.check_series_identity()
-    assert result.rows[-1]["ok"] == "false"
+    assert result.rows[-1]["ok"] is False
     assert "m=5 k=3: enumeration disagrees" in result.failures
 
 
