@@ -139,8 +139,7 @@ def _cmd_order(args) -> Report:
 
 def _cmd_phi_gens(args) -> Report:
     result = phi_image(args.n, args.backend)
-    pinned = ("unpinned" if result.pinned_order is None
-              else result.pinned_order)
+    pinned = result.pinned_order
     rows = []
     names = ["zeta1"] + [f"xi{k}" for k in range(2, args.n + 1)]
     # every tabulated top coefficient is positive, so it is the image
@@ -153,7 +152,7 @@ def _cmd_phi_gens(args) -> Report:
             "top_coeff": Fraction(gen, scale),
             "image_gen": gen,
             "lower_gen": result.lower_gen,
-            "pinned_order": pinned,
+            "pinned_order": "unpinned" if pinned is None else pinned,
         })
     return Report("phi-gens", {"n": args.n, "backend": args.backend}, rows)
 

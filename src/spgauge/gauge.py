@@ -6,6 +6,8 @@ the classifying map); the invariants here are gcd-type quantities in k whose
 moduli come from B = 4n(2n+1) (arith.closed_form_order), plus every p-local
 answer (the deciders, pi_4n1_order, the guarded p-part of B), which reads
 the one retractibility guard and p-part here and claims only what it covers.
+A Verdict holds the values it compares and the guards it checked, and reads
+its outcome off them, so a failed guard cannot yield a claim.
 """
 
 from __future__ import annotations
@@ -150,22 +152,26 @@ class GuardCheck:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Decision record: the outcome, the criterion it used, the pair of
-    invariant values compared, and every guard that was checked.
+    """Decision record: the pair of invariant values compared and every
+    guard that was checked.  The outcome is read off them, so no verdict,
+    however built, claims past a failed guard: NotDetermined unless every
+    guard passed, else Equivalent exactly when the two values are equal.
+    The values are reported even on NotDetermined, as data."""
 
-    Equivalent and Distinct are only ever returned with all guards passed;
-    the invariant values are reported even on NotDetermined, as data."""
+    criterion = "p-parts of gcd(k, 4n(2n+1)) coincide"
 
-    outcome: Outcome
-    criterion: str
     invariant_values: tuple[int, int]
     guards: tuple[GuardCheck, ...]
 
     def guards_passed(self) -> bool:
         return all(g.passed for g in self.guards)
 
-
-_LOCAL_CRITERION = "p-parts of gcd(k, 4n(2n+1)) coincide"
+    @property
+    def outcome(self) -> Outcome:
+        if not self.guards_passed():
+            return Outcome.NOT_DETERMINED
+        a, b = self.invariant_values
+        return Outcome.EQUIVALENT if a == b else Outcome.DISTINCT
 
 
 def _retract_guard(n: int, p: int) -> GuardCheck:
@@ -182,17 +188,6 @@ def _local_class(b: int, k: int, p: int) -> int:
     return p ** valuation(gcd(k, b), p)
 
 
-def _local_verdict(values: tuple[int, int],
-                   guards: tuple[GuardCheck, ...]) -> Verdict:
-    if not all(g.passed for g in guards):
-        outcome = Outcome.NOT_DETERMINED
-    elif values[0] == values[1]:
-        outcome = Outcome.EQUIVALENT
-    else:
-        outcome = Outcome.DISTINCT
-    return Verdict(outcome, _LOCAL_CRITERION, values, guards)
-
-
 def decide_local(n: int, k: int, l: int, p: int) -> Verdict:
     """p-local homotopy classification of the gauge groups of the k- and
     l-bundles of rank n.
@@ -205,8 +200,8 @@ def decide_local(n: int, k: int, l: int, p: int) -> Verdict:
     require_prime(p)
     require_int("the bundle integer", k, l)
     b = closed_form_order(n)
-    return _local_verdict((_local_class(b, k, p), _local_class(b, l, p)),
-                          (_retract_guard(n, p),))
+    return Verdict((_local_class(b, k, p), _local_class(b, l, p)),
+                   (_retract_guard(n, p),))
 
 
 def local_partition(n: int, p: int) -> tuple[list[int], dict]:
@@ -220,7 +215,7 @@ def local_partition(n: int, p: int) -> tuple[list[int], dict]:
     b = closed_form_order(n)
     classes = [_local_class(b, k, p) for k in range(b + 1)]
     distinct = dict.fromkeys(classes)
-    verdicts = {(a, c): _local_verdict((a, c), guards)
+    verdicts = {(a, c): Verdict((a, c), guards)
                 for a in distinct for c in distinct}
     return classes, verdicts
 
@@ -245,7 +240,7 @@ def decide_spin(m: int, k: int, l: int, p: int) -> Verdict:
         _retract_guard(n, p),
     )
     b = closed_form_order(n)
-    return _local_verdict((_local_class(b, k, p), _local_class(b, l, p)), guards)
+    return Verdict((_local_class(b, k, p), _local_class(b, l, p)), guards)
 
 
 def identity_samelson_p_part(n: int, p: int) -> int:
@@ -301,10 +296,13 @@ def retractible(family: LieFamily, rank: int | None, p: int) -> bool:
     retractibility guard of every p-local answer, (p-1)^2 + 1 >= 2n; the
     exceptional families need p >= 5 (G2, F4, E6) or p >= 7 (E7, E8).  The
     exceptional families may leave rank out, and their answer does not
-    depend on it.  In every family, raises NotPrime for an int p that is
-    not prime, and OutOfRange for a p or a rank that is not an int and for
-    a rank below 1; a classical family without a rank raises OutOfRange
-    too."""
+    depend on it.  Raises OutOfRange for a family that is not a LieFamily
+    (its value string too).  In every family, raises NotPrime for an int p
+    that is not prime, and OutOfRange for a p or a rank that is not an int
+    and for a rank below 1; a classical family without a rank raises
+    OutOfRange too."""
+    if not isinstance(family, LieFamily):
+        raise OutOfRange(f"family must be a LieFamily, got {family!r}")
     require_prime(p)
     if rank is not None:
         require_rank(rank)

@@ -14,7 +14,8 @@ by the Stirling recurrence, so a sweep over n = 1..N never rebuilds a count.
 BACKENDS names the coefficient conventions; phi_image alone dispatches on
 them, and the printed one, kept for comparison, comes from series.  The
 closed form B = 4n(2n+1) comes from arith, and every p-local answer, the
-guarded p-part of B too, from gauge: this module keeps only the image.
+guarded p-part of B too, from gauge: this module keeps only the image, and
+a PhiResult reads its anchor and pinned order off the generators it holds.
 lattice and series are imported where they are first used, so a command
 that reads neither route does not load them.
 """
@@ -26,7 +27,7 @@ from itertools import count, islice
 from math import factorial, gcd
 from typing import Iterator
 
-from .arith import closed_form_order, require_rank
+from .arith import closed_form_order, require_int, require_rank
 from .errors import NonIntegralGenerator, OracleMismatch, OutOfRange
 
 # the coefficient conventions phi_image knows; the first is the engine's
@@ -35,32 +36,32 @@ BACKENDS = ("series", "printed")
 
 @dataclass(frozen=True)
 class PhiResult:
-    """Image data for rank n.
+    """Image data for rank n, read off the generators upper_gens.
 
-    lower_gen is the scaled doubled-line anchor (always 4n(2n+1)); the image
-    is generated by upper_gens.  pinned_order is their gcd when it coincides
-    with lower_gen, which pins the image exactly; None means the two bounds
-    left a gap (the order is not pinned).
+    lower_gen is the first, the scaled doubled-line anchor 4n(2n+1), and
+    pinned_order their gcd when it equals the anchor, which pins the image
+    exactly, or None when the bounds leave a gap; each read takes the gcd.
+    OutOfRange for n < 1, for no generator and for one that is not an int.
     """
 
     n: int
     backend: str
-    lower_gen: int
     upper_gens: tuple[int, ...]
-    pinned_order: int | None
 
+    def __post_init__(self):
+        require_rank(self.n)
+        if not self.upper_gens:
+            raise OutOfRange(f"the rank-{self.n} image needs its anchor")
+        require_int("an image generator", *self.upper_gens)
 
-def _image(n: int, backend: str, gens: list[int]) -> PhiResult:
-    """PhiResult for the generators gens, gens[0] being the anchor."""
-    lower = gens[0]
-    g = gcd(*gens)
-    return PhiResult(
-        n=n,
-        backend=backend,
-        lower_gen=lower,
-        upper_gens=tuple(gens),
-        pinned_order=g if g == lower else None,
-    )
+    @property
+    def lower_gen(self) -> int:
+        return self.upper_gens[0]
+
+    @property
+    def pinned_order(self) -> int | None:
+        g = gcd(*self.upper_gens)
+        return g if g == self.upper_gens[0] else None
 
 
 def phi_images(max_n: int) -> Iterator[PhiResult]:
@@ -94,7 +95,7 @@ def _surjection_rows(max_n: int) -> Iterator[list[int]]:
 def _series_image(n: int, row: list[int]) -> PhiResult:
     scale = 2 * n * (2 * n + 1)
     gens = [2 * scale] + [scale * row[k] for k in range(2, n + 1)]
-    return _image(n, "series", gens)
+    return PhiResult(n, "series", tuple(gens))
 
 
 def phi_image(n: int, backend: str = "series") -> PhiResult:
@@ -126,7 +127,7 @@ def phi_image(n: int, backend: str = "series") -> PhiResult:
                 f"(2n+1)! * {top} is not an integer at n={n}"
             )
         gens.append(abs(int(val)))
-    return _image(n, backend, gens)
+    return PhiResult(n, backend, tuple(gens))
 
 
 def samelson_order(n: int) -> int:
@@ -146,11 +147,11 @@ def checked_order(result: PhiResult) -> int:
     from .lattice import IntMatrix, element_order_in_coker
 
     n = result.n
-    if result.pinned_order is None:
+    direct = result.pinned_order
+    if direct is None:
         raise OracleMismatch(
             f"series-backend image at n={n} failed to pin the order"
         )
-    direct = result.pinned_order
     gens = result.upper_gens
     via_coker = element_order_in_coker(IntMatrix(1, len(gens), gens), (1,))
     if via_coker != direct:

@@ -418,8 +418,8 @@ def verify_sweep(max_n: int) -> Report:
     Either way the child is reaped before this returns.
     The rows come in the same order whichever process ran them.
     """
-    if max_n < 2:
-        raise OutOfRange("verify needs max_n >= 2")
+    if not isinstance(max_n, int) or max_n < 2:
+        raise OutOfRange(f"verify needs an integer max_n >= 2, got {max_n!r}")
     read_fd, write_fd = os.pipe()
     with os.fdopen(read_fd, "rb") as pipe:
         try:

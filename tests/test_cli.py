@@ -417,16 +417,20 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
 
 def test_engine_mismatch_in_verify_is_a_failure_not_a_usage_error(
         capsys, monkeypatch):
-    import dataclasses
+    from types import SimpleNamespace
 
     import spgauge.verify as verify_mod
 
     real = verify_mod.phi_images
 
     def unpinned_at_5(max_n):
+        # a PhiResult reads its pinned order off its generators, so a
+        # stand-in with the real rank-5 data reads it as None
         for res in real(max_n):
             if res.n == 5:
-                res = dataclasses.replace(res, pinned_order=None)
+                res = SimpleNamespace(n=res.n, lower_gen=res.lower_gen,
+                                      upper_gens=res.upper_gens,
+                                      pinned_order=None)
             yield res
 
     monkeypatch.setattr(verify_mod, "phi_images", unpinned_at_5)

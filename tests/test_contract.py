@@ -50,7 +50,8 @@ from spgauge.gauge import (
 )
 from spgauge.lattice import IntMatrix, element_order_in_coker
 from spgauge.oracles import surjection_counts, surjection_counts_by_rank
-from spgauge.phi import BACKENDS, phi_image, phi_images, samelson_order
+from spgauge.phi import (BACKENDS, PhiResult, checked_order, phi_image,
+                         phi_images, samelson_order)
 from spgauge.report import FORMATS
 from spgauge.series import (exp_minus_one_powers, printed_top_coeffs,
                             truncated_powers)
@@ -176,6 +177,12 @@ INTEGER_ARGUMENTS = {
                          [_INT] * 3),
     "phi_image": (phi_image, [_RANK]),
     "phi_images": (phi_images, [_RANK]),
+    "PhiResult": (lambda n, *gens: PhiResult(n, "series", gens),
+                  [_RANK, _INT, _INT]),
+    # the rank-n image generated by B and a multiple of it pins B
+    "checked_order": (lambda n, t: checked_order(PhiResult(
+        n, "series", (closed_form_order(n), t * closed_form_order(n)))),
+        [_RANK, _INT]),
     "samelson_order": (samelson_order, [_RANK]),
     "Bundle": (Bundle, [_RANK, _INT]),
     "sutherland_invariant": (lambda n, k: sutherland_invariant(Bundle(n, k)),
@@ -201,11 +208,9 @@ INTEGER_ARGUMENTS = {
         for family in LieFamily
     },
 }
-# the exported callables that take no integer argument: the records the
-# library returns its answers in, its enums, and checked_order, which reads
-# a PhiResult
-_NO_INTEGER_ARGUMENT = {"GuardCheck", "LieFamily", "Outcome", "PhiResult",
-                        "Verdict", "checked_order"}
+# the exported callables left out: the enums, and the guard and verdict
+# records, which hold what a decider computed from integers it checked
+_NO_INTEGER_ARGUMENT = {"GuardCheck", "LieFamily", "Outcome", "Verdict"}
 # they take Fractions too, so only a float spoils them
 _EXACT_RATIONAL_ARGUMENTS = {"frac_gcd", "truncated_powers"}
 

@@ -14,6 +14,7 @@ from spgauge.gauge import (
     GuardCheck,
     LieFamily,
     Outcome,
+    Verdict,
     decide_local,
     decide_spin,
     identity_samelson_p_part,
@@ -151,6 +152,23 @@ def test_decide_local_spec_triples():
     assert v.invariant_values == (1, 1)
 
 
+_GUARD = st.builds(GuardCheck, st.sampled_from(["retractibility", "odd-prime"]),
+                   st.booleans(), st.just(""))
+
+
+@given(st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+       st.lists(_GUARD, max_size=4).map(tuple))
+def test_a_hand_built_verdict_claims_nothing_past_a_failed_guard(values,
+                                                                  guards):
+    verdict = Verdict(values, guards)
+    if not all(g.passed for g in guards):
+        assert verdict.outcome is Outcome.NOT_DETERMINED
+    else:
+        assert (verdict.outcome is Outcome.EQUIVALENT) == (values[0] == values[1])
+        assert verdict.outcome is not Outcome.NOT_DETERMINED
+    assert verdict.criterion == "p-parts of gcd(k, 4n(2n+1)) coincide"
+
+
 def test_decide_local_rejects_composite_modulus():
     with pytest.raises(NotPrime):
         decide_local(2, 1, 2, 6)
@@ -247,6 +265,16 @@ def test_retractible_table():
     assert retractible(LieFamily.E6, None, 5) is True
     assert retractible(LieFamily.E7, None, 5) is False
     assert retractible(LieFamily.E7, None, 7) is True
+
+
+@pytest.mark.parametrize("family", [f.value for f in LieFamily]
+                         + ["XX", None, 0, 3])
+@pytest.mark.parametrize("rank", [None, 3])
+def test_retractible_rejects_a_family_that_is_not_a_lie_family(family, rank):
+    # a value string is not the family: "SU" at rank 3 must not read the
+    # Sp bound, and "G2" without a rank must not reach an attribute
+    with pytest.raises(OutOfRange):
+        retractible(family, rank, 3)
 
 
 def test_retractible_needs_rank_for_classical_families():

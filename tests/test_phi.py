@@ -1,6 +1,7 @@
 """Unit tests for the image pipeline and the Samelson-product orders."""
 
 import random
+from fractions import Fraction
 from itertools import islice
 from math import factorial, gcd, lcm
 
@@ -9,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 import spgauge.phi as phi_mod
 from spgauge.arith import closed_form_order
-from spgauge.errors import GuardFailed, NotPrime, OutOfRange
+from spgauge.errors import GuardFailed, NotPrime, OracleMismatch, OutOfRange
 from spgauge.gauge import identity_samelson_p_part
 from spgauge.lattice import IntMatrix, element_order_in_coker, smith_normal_form
 from spgauge.oracles import surjection_counts
-from spgauge.phi import phi_image, phi_images, samelson_order
+from spgauge.phi import (PhiResult, checked_order, phi_image, phi_images,
+                         samelson_order)
 from spgauge.verify import _SEED, _random_matrix
 
 
@@ -46,6 +48,27 @@ def test_phi_image_printed_rank3_left_unpinned():
     assert res.lower_gen == 84
     # gcd(84, 150, 15120) = 6 < 84: the two bounds leave a gap
     assert res.pinned_order is None
+
+
+def test_phi_result_reads_its_claims_off_its_generators():
+    res = PhiResult(2, "printed", (40, 120))
+    assert (res.lower_gen, res.pinned_order) == (40, 40)
+    # an anchor above the gcd leaves the order unpinned, whatever the backend
+    for backend in ("series", "printed"):
+        res = PhiResult(2, backend, (40, 60))
+        assert (res.lower_gen, res.pinned_order) == (40, None)
+        with pytest.raises(OracleMismatch):
+            checked_order(res)
+    assert checked_order(PhiResult(2, "series", (40, 120))) == 40
+
+
+@pytest.mark.parametrize("n, gens", [
+    (2, (40.0, 120)), (2, (40, Fraction(120))), (2, (40, 120.0)),
+    (2, (40, "120")), (2, ()), (0, (40, 120)), (-1, (12,)), (2.0, (40, 120)),
+    (Fraction(2), (40, 120))])
+def test_phi_result_refuses_what_is_not_an_image(n, gens):
+    with pytest.raises(OutOfRange):
+        PhiResult(n, "series", gens)
 
 
 def test_phi_image_rejects_bad_rank():
@@ -181,13 +204,13 @@ def test_phi_image_is_the_nth_stream_item(n):
 @pytest.mark.parametrize("n", [2, 30])
 def test_phi_image_builds_only_its_own_result(monkeypatch, n):
     built = []
-    real = phi_mod._image
+    real = phi_mod.PhiResult
 
     def counted(rank, backend, gens):
         built.append(rank)
         return real(rank, backend, gens)
 
-    monkeypatch.setattr(phi_mod, "_image", counted)
+    monkeypatch.setattr(phi_mod, "PhiResult", counted)
     assert phi_image(n).n == n
     assert built == [n]
 

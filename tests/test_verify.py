@@ -135,6 +135,17 @@ def test_verify_sweep_rejects_tiny_max_n():
         verify_sweep(1)
 
 
+@pytest.mark.parametrize("max_n", [None, "3", 2.5, 3.0, Fraction(3)])
+def test_verify_sweep_rejects_a_non_int_max_n_before_forking(monkeypatch,
+                                                             max_n):
+    def no_fork():
+        raise AssertionError("forked for a bad max_n")
+
+    monkeypatch.setattr(verify_mod.os, "fork", no_fork)
+    with pytest.raises(OutOfRange):
+        verify_sweep(max_n)
+
+
 def test_divisibility_check_catches_a_generator_off_the_oracle(monkeypatch):
     real = verify_mod.phi_images
 
