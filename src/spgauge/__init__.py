@@ -18,18 +18,17 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     name: module
     for module, names in {
-        "arith": ("closed_form_order", "frac_gcd", "is_prime", "p_exponent",
-                  "p_part"),
+        "arith": ("closed_form_order", "frac_gcd", "is_prime"),
         "errors": (
-            "AllZero", "BadDimension", "DimensionMismatch", "EvenPrime",
-            "GuardFailed", "NonIntegralGenerator", "NotPrime", "OddRank",
-            "OracleMismatch", "OutOfRange", "SpgaugeError", "ZeroArgument",
+            "AllZero", "BadDimension", "DimensionMismatch", "GuardFailed",
+            "NonIntegralGenerator", "NotPrime", "OddRank", "OracleMismatch",
+            "OutOfRange", "SpgaugeError",
         ),
         "gauge": (
             "Bundle", "GuardCheck", "LieFamily", "Outcome", "Verdict",
             "decide_local", "decide_spin", "identity_samelson_p_part",
             "im_delta_gen", "im_partial_order", "local_partition",
-            "mapping_group_order", "pi_4n1_order", "q2_mapping_invariant",
+            "mapping_group_order", "q2_mapping_invariant",
             "refined_invariant", "retractible", "sutherland_invariant",
         ),
         "lattice": (

@@ -4,8 +4,8 @@ Everything in the package runs on arbitrary-precision integers and
 `fractions.Fraction`; there are no floats anywhere.  This module collects the
 number-theoretic primitives the pipelines share: the integer, rank and prime
 guards, which refuse anything that is not an int, the Samelson order
-B = 4n(2n+1), bounded deterministic primality, p-parts and rational
-subgroup generators.
+B = 4n(2n+1), bounded deterministic primality, the p-adic valuation that
+gauge reads every p-part with, and rational subgroup generators.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import AllZero, NotPrime, OutOfRange, ZeroArgument
+from .errors import AllZero, NotPrime, OutOfRange
 
 
 def require_int(what: str, *values: int) -> None:
@@ -100,24 +100,6 @@ def valuation(a: int, p: int) -> int:
         a //= p
         r += 1
     return r
-
-
-def p_exponent(a: int, p: int) -> int:
-    """Exponent r of the exact power p**r dividing a (a nonzero, p prime)."""
-    require_int("a", a)
-    if a == 0:
-        raise ZeroArgument("p-adic exponent of 0 is undefined")
-    require_prime(p)
-    return valuation(a, p)
-
-
-def p_part(a: int, p: int) -> int:
-    """The p-part of a: the power p**r itself, not the exponent.
-
-    p**r divides a and p**(r+1) does not.  Always a positive integer; use
-    p_exponent for the exponent r.
-    """
-    return p ** p_exponent(a, p)
 
 
 def frac_gcd(values: Iterable[Fraction | int]) -> Fraction:

@@ -123,10 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_order(args) -> Report:
-    if args.n is not None and args.n < 1:
-        raise SpgaugeError("--n must be a positive integer")
-    if args.max_n is not None and args.max_n < 1:
-        raise SpgaugeError("--max-n must be a positive integer")
+    # samelson_order and phi_images refuse a rank below 1 at the call
     if args.n is not None:
         orders = [(args.n, samelson_order(args.n))]
     else:
@@ -234,8 +231,7 @@ def _cmd_retractible(args) -> Report:
 
 
 def _cmd_verify(args) -> Report:
-    if args.max_n < 2:
-        raise SpgaugeError("verify needs --max-n >= 2")
+    # verify_sweep refuses a max_n below 2; no library function sees --jobs
     if args.jobs < 1:
         raise SpgaugeError("--jobs must be at least 1")
     # the sweep alone loads verify, and through it lattice and series

@@ -9,16 +9,8 @@ class SpgaugeError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ZeroArgument(SpgaugeError):
-    """An operation that needs a nonzero integer received zero."""
-
-
 class NotPrime(SpgaugeError):
     """A parameter that must be prime is not."""
-
-
-class EvenPrime(SpgaugeError):
-    """The prime 2 was passed to an odd-primes-only operation."""
 
 
 class AllZero(SpgaugeError):

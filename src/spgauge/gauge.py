@@ -4,10 +4,11 @@ of principal Sp(n)-bundles over the 4-sphere.
 Bundles are classified by an integer k (the second symplectic Chern class of
 the classifying map); the invariants here are gcd-type quantities in k whose
 moduli come from B = 4n(2n+1) (arith.closed_form_order), plus every p-local
-answer (the deciders, pi_4n1_order, the guarded p-part of B), which reads
-the one retractibility guard and p-part here and claims only what it covers.
-A Verdict holds the values it compares and the guards it checked, and reads
-its outcome off them, so a failed guard cannot yield a claim.
+answer (the deciders, their partition of a grid, the guarded p-part of B),
+which reads the one retractibility guard and p-part here and claims only
+what it covers.  A Verdict holds the values it compares and the guards it
+checked, and reads its outcome off them, so a failed guard cannot yield a
+claim; a record that holds anything else raises OutOfRange.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from math import factorial, gcd
 
 from .arith import (closed_form_order, frac_gcd, require_int, require_prime,
                     require_rank, valuation)
-from .errors import (BadDimension, EvenPrime, GuardFailed, OddRank,
-                     OracleMismatch, OutOfRange)
+from .errors import (BadDimension, GuardFailed, OddRank, OracleMismatch,
+                     OutOfRange)
 
 # Top-row (y_7) Chern-character coefficients of the two free generators of
 # the symplectic K-group of a suspended rank-2 quasi-projective space.  That
@@ -145,9 +146,18 @@ class Outcome(Enum):
 
 @dataclass(frozen=True)
 class GuardCheck:
+    """A guard a decider checked: OutOfRange unless name and detail are str
+    and passed is a bool."""
+
     name: str
     passed: bool
     detail: str
+
+    def __post_init__(self):
+        if not (isinstance(self.name, str) and isinstance(self.detail, str)
+                and isinstance(self.passed, bool)):
+            raise OutOfRange(f"a guard needs a str name and detail and a bool "
+                             f"passed, got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -156,12 +166,24 @@ class Verdict:
     guard that was checked.  The outcome is read off them, so no verdict,
     however built, claims past a failed guard: NotDetermined unless every
     guard passed, else Equivalent exactly when the two values are equal.
-    The values are reported even on NotDetermined, as data."""
+    The values are reported even on NotDetermined, as data.  OutOfRange
+    unless the values are a pair of ints and the guards a tuple of
+    GuardCheck."""
 
     criterion = "p-parts of gcd(k, 4n(2n+1)) coincide"
 
     invariant_values: tuple[int, int]
     guards: tuple[GuardCheck, ...]
+
+    def __post_init__(self):
+        values, guards = self.invariant_values, self.guards
+        if not (isinstance(values, tuple) and len(values) == 2):
+            raise OutOfRange(f"a verdict compares a pair of ints, got {values!r}")
+        require_int("an invariant value", *values)
+        if not (isinstance(guards, tuple)
+                and all(isinstance(g, GuardCheck) for g in guards)):
+            raise OutOfRange(f"a verdict's guards are a tuple of GuardCheck, "
+                             f"got {guards!r}")
 
     def guards_passed(self) -> bool:
         return all(g.passed for g in self.guards)
@@ -255,18 +277,6 @@ def identity_samelson_p_part(n: int, p: int) -> int:
         raise GuardFailed(f"retractibility guard (p-1)^2+1 >= 2n fails for "
                           f"n={n}, p={p}")
     return _local_class(closed_form_order(n), 0, p)
-
-
-def pi_4n1_order(n: int, k: int, p: int) -> int:
-    """Order of the p-localized homotopy group in degree 4n+1 of the gauge
-    group of the k-bundle: the p-part of gcd(k, 4n(2n+1)), odd primes only.
-    Raises OutOfRange for n < 1."""
-    require_rank(n)
-    require_prime(p)
-    if p == 2:
-        raise EvenPrime("the degree-(4n+1) order is only computed at odd primes")
-    require_int("the bundle integer", k)
-    return _local_class(closed_form_order(n), k, p)
 
 
 class LieFamily(Enum):

@@ -1,12 +1,14 @@
 """Integer matrices, Smith normal form, and cokernel invariants.
 
-All entries are arbitrary-precision Python ints, checked once when an
-IntMatrix is built: anything else raises OutOfRange.  The Smith reduction
-works on row lists and tracks the unimodular transforms (U A V = D), so
-element orders in cokernels can be read off exactly; they need only U and
-D, so they skip V.  Pivot selection is deterministic (smallest nonzero
-absolute value, ties broken by lowest row then lowest column) so the
-transforms are reproducible run to run.
+An IntMatrix is a checked container: its entries are arbitrary-precision
+Python ints, checked once when it is built (anything else raises
+OutOfRange), and it does no arithmetic of its own; the product and
+determinant that verify judges a Smith form with live in oracles.  The
+Smith reduction works on row lists and tracks the unimodular transforms
+(U A V = D), so element orders in cokernels can be read off exactly; they
+need only U and D, so they skip V.  Pivot selection is deterministic
+(smallest nonzero absolute value, ties broken by lowest row then lowest
+column) so the transforms are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from .errors import DimensionMismatch, OutOfRange
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, entries stored row-major.  Every entry must
-    be an int, else OutOfRange."""
+    """Immutable integer matrix, entries stored row-major: a checked
+    container, read through entries or to_lists.  Every entry must be an
+    int, else OutOfRange."""
 
     rows: int
     cols: int
@@ -54,52 +57,9 @@ class IntMatrix:
             flat.extend(row)
         return cls(len(rows), ncols, tuple(flat))
 
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise OutOfRange(f"index ({i},{j}) outside {self.rows}x{self.cols}")
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
     def to_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch("inner dimensions differ")
-        columns = [other.entries[j::other.cols] for j in range(other.cols)]
-        return IntMatrix(self.rows, other.cols, tuple(
-            sum(map(operator.mul, self.row(i), col))
-            for i in range(self.rows) for col in columns
-        ))
-
-    def diagonal(self) -> list[int]:
-        return [self.get(i, i) for i in range(min(self.rows, self.cols))]
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise DimensionMismatch("determinant needs a square matrix")
-        n = self.rows
-        m = self.to_lists()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    # Bareiss update: the division by the previous pivot is exact
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return [list(self.entries[i * self.cols:(i + 1) * self.cols])
+                for i in range(self.rows)]
 
 
 @dataclass(frozen=True)

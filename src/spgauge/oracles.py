@@ -3,7 +3,8 @@
 Each recomputes by its own route a value the engine computes too: the
 Samelson order B = 4n(2n+1), p-parts, surjection counts, self-maps of a
 small set by image size, and cokernels by brute-force coset enumeration.
-Nothing from the package is imported but errors, so a fault in the engine
+The matrix product and determinant that judge a Smith form work on row
+lists, apart from the engine's IntMatrix.  Nothing from the package is imported but errors, so a fault in the engine
 cannot show on both sides of a check and cancel.
 """
 
@@ -16,7 +17,7 @@ from itertools import islice
 from math import gcd
 from typing import Iterator
 
-from .errors import OutOfRange
+from .errors import DimensionMismatch, OutOfRange
 
 
 def samelson_b(n: int) -> int:
@@ -175,6 +176,42 @@ class EchelonLattice:
 
     def pivots(self) -> dict[int, int]:
         return {self._leading(row): abs(row[self._leading(row)]) for row in self.rows}
+
+
+def matrix_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product of two row-list matrices, each entry a sum of products;
+    DimensionMismatch when a row of a is not as long as b."""
+    if any(len(row) != len(b) for row in a):
+        raise DimensionMismatch("inner dimensions differ")
+    columns = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in columns] for row in a]
+
+
+def determinant(rows: list[list[int]]) -> int:
+    """Exact determinant of a square row-list matrix by fraction-free
+    (Bareiss) elimination; DimensionMismatch unless it is square and not
+    empty."""
+    n = len(rows)
+    if not rows or any(len(row) != n for row in rows):
+        raise DimensionMismatch("determinant needs a square matrix")
+    m = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # Bareiss update: the division by the previous pivot is exact
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def enumerate_cosets(lat: EchelonLattice, cap: int) -> list[tuple[int, ...]] | None:

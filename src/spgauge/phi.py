@@ -41,7 +41,8 @@ class PhiResult:
     lower_gen is the first, the scaled doubled-line anchor 4n(2n+1), and
     pinned_order their gcd when it equals the anchor, which pins the image
     exactly, or None when the bounds leave a gap; each read takes the gcd.
-    OutOfRange for n < 1, for no generator and for one that is not an int.
+    OutOfRange for n < 1, for a backend not in BACKENDS, for no generator
+    and for one that is not an int.
     """
 
     n: int
@@ -50,6 +51,9 @@ class PhiResult:
 
     def __post_init__(self):
         require_rank(self.n)
+        if self.backend not in BACKENDS:
+            raise OutOfRange(f"unknown backend {self.backend!r}; expected one "
+                             f"of {BACKENDS}")
         if not self.upper_gens:
             raise OutOfRange(f"the rank-{self.n} image needs its anchor")
         require_int("an image generator", *self.upper_gens)
@@ -142,11 +146,14 @@ def checked_order(result: PhiResult) -> int:
     Reads the order both as the gcd of the image generators and as the order
     of the fundamental class in the cokernel of the image presentation, and
     checks both against the closed form 4n(2n+1).  Any disagreement raises
-    OracleMismatch.
+    OracleMismatch, and a record of another backend raises OutOfRange.
     """
     from .lattice import IntMatrix, element_order_in_coker
 
     n = result.n
+    if result.backend != "series":
+        raise OutOfRange(f"the order is read off series-backend data, got "
+                         f"the {result.backend!r} image at n={n}")
     direct = result.pinned_order
     if direct is None:
         raise OracleMismatch(

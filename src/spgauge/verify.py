@@ -2,14 +2,14 @@
 
 Each check here reruns one acceptance property at a requested scale and
 compares the engine's answers with the independent oracles in oracles
-(closed forms, exhaustive map enumeration, brute-force coset enumeration),
-which share no code with the engine they check.  Scales cap at each
-property's stated bound so a large max_n stays within the documented
-runtime budgets.  The sweep walks the image stream phi_images once,
-feeding both the orders check and the divisibility check, in one forked
-child process while the sweep's own process runs the other checks (POSIX
-only).  A check's rows hold its values as they are, ints and bools among
-them, and the report writes them.
+(closed forms, exhaustive map enumeration, brute-force coset enumeration,
+row-list matrix arithmetic), which share no code with the engine they
+check.  Scales cap at each property's stated bound so a large max_n stays
+within the documented runtime budgets.  The sweep walks the image stream
+phi_images once, feeding both the orders check and the divisibility
+check, in one forked child process while the sweep's own process runs the
+other checks (POSIX only).  A check's rows hold its values as they are,
+ints and bools among them, and the report writes them.
 """
 
 from __future__ import annotations
@@ -35,10 +35,12 @@ from .gauge import (
 from .lattice import IntMatrix, cokernel, element_order_in_coker, smith_normal_form
 from .oracles import (
     EchelonLattice,
+    determinant,
     divisors,
     enumerate_cosets,
     gcd_p_part,
     image_size_tally,
+    matrix_product,
     order_by_addition,
     samelson_b,
     surjection_counts,
@@ -231,12 +233,13 @@ def check_smith_random() -> CheckResult:
     for idx in range(_SMITH_INSTANCES):
         a = _random_matrix(rng, 6, -20, 20)
         snf = smith_normal_form(a)
-        if snf.u.mul(a).mul(snf.v).entries != snf.d.entries:
+        u, d, v = snf.u.to_lists(), snf.d.to_lists(), snf.v.to_lists()
+        if matrix_product(matrix_product(u, a.to_lists()), v) != d:
             res.failures.append(f"instance {idx}: U A V != D")
             continue
-        if abs(snf.u.det()) != 1 or abs(snf.v.det()) != 1:
+        if abs(determinant(u)) != 1 or abs(determinant(v)) != 1:
             res.failures.append(f"instance {idx}: transform not unimodular")
-        diag = snf.d.diagonal()
+        diag = [d[i][i] for i in range(min(a.rows, a.cols))]
         if any(x < 0 for x in diag):
             res.failures.append(f"instance {idx}: negative diagonal")
         for prev, nxt in zip(diag, diag[1:]):
@@ -244,13 +247,7 @@ def check_smith_random() -> CheckResult:
                 res.failures.append(f"instance {idx}: zero before nonzero")
             elif prev != 0 and nxt % prev != 0:
                 res.failures.append(f"instance {idx}: chain broken at {prev},{nxt}")
-        off = [
-            snf.d.get(i, j)
-            for i in range(snf.d.rows)
-            for j in range(snf.d.cols)
-            if i != j and snf.d.get(i, j) != 0
-        ]
-        if off:
+        if any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
             res.failures.append(f"instance {idx}: D not diagonal")
     res.summarize(instances=_SMITH_INSTANCES)
     return res

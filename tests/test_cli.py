@@ -65,10 +65,12 @@ def test_order_rejects_flag_combinations(capsys):
 
 
 def test_order_rejects_nonpositive(capsys):
-    code, out, err = run_cli(capsys, "order", "--n", "0")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
+    # the library refuses the rank, and says so
+    for flag in ("--n", "--max-n"):
+        code, out, err = run_cli(capsys, "order", flag, "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: rank must be a positive integer, got 0\n"
 
 
 def test_phi_gens_series(capsys):
@@ -392,9 +394,9 @@ def test_verify_small_sweep(capsys):
 
 
 def test_verify_usage_errors(capsys):
-    code, _, err = run_cli(capsys, "verify", "--max-n", "1")
-    assert code == 2
-    assert "max-n" in err
+    code, out, err = run_cli(capsys, "verify", "--max-n", "1")
+    assert (code, out) == (2, "")
+    assert "max_n >= 2" in err
     code, _, err = run_cli(capsys, "verify", "--jobs", "0")
     assert code == 2
 
@@ -428,7 +430,8 @@ def test_engine_mismatch_in_verify_is_a_failure_not_a_usage_error(
         # stand-in with the real rank-5 data reads it as None
         for res in real(max_n):
             if res.n == 5:
-                res = SimpleNamespace(n=res.n, lower_gen=res.lower_gen,
+                res = SimpleNamespace(n=res.n, backend=res.backend,
+                                      lower_gen=res.lower_gen,
                                       upper_gens=res.upper_gens,
                                       pinned_order=None)
             yield res

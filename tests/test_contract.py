@@ -6,11 +6,11 @@ other rank it returns or raises SpgaugeError, never anything else.  The
 same holds for the counts of surjections and sweeps below their least
 valid value, and for every p that is not prime or is too large for the
 primality test to decide.  A verdict that claims EQUIVALENT or DISTINCT has
-passed all of its guards.  An integer argument of an exported function that
-is a float or a Fraction raises SpgaugeError.  A matrix or vector entry
-that is not an int raises OutOfRange, never a rounded answer; so does a
-matrix dimension that is not an int, or a matrix row or vector that is not
-a sequence.  The command line exits 0, 1 or 2 on every argv, and each exit
+passed all of its guards.  An integer argument of an exported function or
+record that is a float or a Fraction raises SpgaugeError.  A matrix or
+vector entry that is not an int raises OutOfRange, never a rounded answer;
+so does a matrix dimension that is not an int, or a matrix row or vector
+that is not a sequence.  The command line exits 0, 1 or 2 on every argv, and each exit
 code prints what it promises.
 """
 
@@ -26,12 +26,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spgauge
-from spgauge.arith import (PRIME_BOUND, closed_form_order, frac_gcd, is_prime,
-                           p_exponent, p_part)
+from spgauge.arith import PRIME_BOUND, closed_form_order, frac_gcd, is_prime
 from spgauge.cli import main
 from spgauge.errors import OutOfRange, SpgaugeError
 from spgauge.gauge import (
     Bundle,
+    GuardCheck,
     LieFamily,
     Outcome,
     Verdict,
@@ -42,7 +42,6 @@ from spgauge.gauge import (
     im_partial_order,
     local_partition,
     mapping_group_order,
-    pi_4n1_order,
     q2_mapping_invariant,
     refined_invariant,
     retractible,
@@ -70,7 +69,6 @@ def _invariants(n, k, l, p):
 
 ENTRY_POINTS = {
     "invariants": (_invariants, _ANY_RANK),
-    "pi_4n1_order": (lambda n, k, l, p: pi_4n1_order(n, k, p), _ANY_RANK),
     "identity_samelson_p_part": (
         lambda n, k, l, p: identity_samelson_p_part(n, p), _ANY_RANK),
     "phi_image_series": (lambda n, k, l, p: phi_image(n, "series"), _SMALL_RANK),
@@ -159,18 +157,16 @@ _NONZERO = _INT.filter(bool)
 _RANK = st.integers(1, 12)
 _EVEN_RANK = st.integers(1, 6).map(lambda n: 2 * n)
 _PRIME = st.sampled_from([2, 3, 5, 7, 11, 13])
-_ODD_PRIME = st.sampled_from([3, 5, 7, 11, 13])
 
-# each exported function that takes an integer, and Bundle, with strategies
-# for its integer arguments that make every drawn call valid; a bundle or a
-# list is built from its integers.  The key's part before "[" is the
-# exported name.
+# each exported function that takes an integer, and the records Bundle,
+# GuardCheck and Verdict, with strategies for their integer arguments (a
+# guard's passed is a bool, which is an int) that make every drawn call
+# valid; a bundle, a guard, a verdict or a list is built from its integers.
+# The key's part before "[" is the exported name.
 INTEGER_ARGUMENTS = {
     "closed_form_order": (closed_form_order, [_INT]),
     "frac_gcd": (lambda a, b: frac_gcd([a, b]), [_NONZERO, _INT]),
     "is_prime": (is_prime, [_INT]),
-    "p_exponent": (p_exponent, [_NONZERO, _PRIME]),
-    "p_part": (p_part, [_NONZERO, _PRIME]),
     "exp_minus_one_powers": (exp_minus_one_powers, [st.integers(0, 12)]),
     "printed_top_coeffs": (printed_top_coeffs, [_RANK]),
     "truncated_powers": (lambda *base: truncated_powers(list(base)),
@@ -185,6 +181,11 @@ INTEGER_ARGUMENTS = {
         [_RANK, _INT]),
     "samelson_order": (samelson_order, [_RANK]),
     "Bundle": (Bundle, [_RANK, _INT]),
+    "GuardCheck": (lambda passed: GuardCheck("retractibility", passed, ""),
+                   [st.booleans()]),
+    "Verdict": (lambda a, b, passed: Verdict(
+        (a, b), (GuardCheck("retractibility", passed, ""),)),
+        [_INT, _INT, st.booleans()]),
     "sutherland_invariant": (lambda n, k: sutherland_invariant(Bundle(n, k)),
                              [_RANK, _INT]),
     "refined_invariant": (lambda n, k: refined_invariant(Bundle(n, k)),
@@ -199,7 +200,6 @@ INTEGER_ARGUMENTS = {
     "im_partial_order": (im_partial_order, [_EVEN_RANK, _INT]),
     "local_partition": (local_partition, [_RANK, _PRIME]),
     "mapping_group_order": (mapping_group_order, [_EVEN_RANK]),
-    "pi_4n1_order": (pi_4n1_order, [_RANK, _INT, _ODD_PRIME]),
     "q2_mapping_invariant": (q2_mapping_invariant, [_EVEN_RANK, _INT]),
     **{
         f"retractible[{family.value}]": (
@@ -208,9 +208,8 @@ INTEGER_ARGUMENTS = {
         for family in LieFamily
     },
 }
-# the exported callables left out: the enums, and the guard and verdict
-# records, which hold what a decider computed from integers it checked
-_NO_INTEGER_ARGUMENT = {"GuardCheck", "LieFamily", "Outcome", "Verdict"}
+# the exported callables left out: the enums, which take no integer
+_NO_INTEGER_ARGUMENT = {"LieFamily", "Outcome"}
 # they take Fractions too, so only a float spoils them
 _EXACT_RATIONAL_ARGUMENTS = {"frac_gcd", "truncated_powers"}
 
@@ -360,9 +359,7 @@ PRIME_ENTRY_POINTS = {
     # the partition lists a class for each of 4n(2n+1) + 1 values of k, so
     # its rank is capped; n <= 0 is kept
     "local_partition": lambda n, k, l, p: local_partition(min(n, 12), p),
-    "pi_4n1_order": lambda n, k, l, p: pi_4n1_order(n, k, p),
     "identity_samelson_p_part": lambda n, k, l, p: identity_samelson_p_part(n, p),
-    "p_part": lambda n, k, l, p: p_part(k, p),
     **{
         f"retractible_{family.value}":
             lambda n, k, l, p, family=family: retractible(family, n, p)

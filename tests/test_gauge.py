@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spgauge import arith, gauge, lattice
-from spgauge.errors import (BadDimension, EvenPrime, NotPrime, OddRank,
-                            OracleMismatch, OutOfRange)
+from spgauge.errors import (BadDimension, NotPrime, OddRank, OracleMismatch,
+                            OutOfRange)
 from spgauge.gauge import (
     Bundle,
     GuardCheck,
@@ -22,12 +22,12 @@ from spgauge.gauge import (
     im_partial_order,
     local_partition,
     mapping_group_order,
-    pi_4n1_order,
     q2_mapping_invariant,
     refined_invariant,
     retractible,
     sutherland_invariant,
 )
+from spgauge.oracles import gcd_p_part
 from spgauge.phi import samelson_order
 
 
@@ -169,6 +169,26 @@ def test_a_hand_built_verdict_claims_nothing_past_a_failed_guard(values,
     assert verdict.criterion == "p-parts of gcd(k, 4n(2n+1)) coincide"
 
 
+@pytest.mark.parametrize("name, passed, detail", [
+    ("x", "no", ""), ("x", 1, ""), ("x", None, ""), (1, True, ""),
+    (None, True, ""), ("x", True, 2.0), ("x", False, None)])
+def test_a_guard_refuses_what_is_not_a_name_a_bool_and_a_detail(
+        name, passed, detail):
+    with pytest.raises(OutOfRange):
+        GuardCheck(name, passed, detail)
+
+
+@pytest.mark.parametrize("values, guards", [
+    ((1.0, 1), ()), ((5, Fraction(5)), ()), ((5, "5"), ()), ((5,), ()),
+    ((5, 5, 5), ()), ([5, 5], ()), (None, ()),
+    ((5, 5), [GuardCheck("x", True, "")]), ((5, 5), (True,)),
+    ((5, 5), ("retractibility",)), ((5, 5), None)])
+def test_a_verdict_refuses_what_is_not_a_pair_of_ints_and_guards(values,
+                                                                 guards):
+    with pytest.raises(OutOfRange):
+        Verdict(values, guards)
+
+
 def test_decide_local_rejects_composite_modulus():
     with pytest.raises(NotPrime):
         decide_local(2, 1, 2, 6)
@@ -231,22 +251,11 @@ def test_decide_spin_odd_and_even_dimension_share_criterion():
 
 
 def test_pi_4n1_order_values():
-    assert pi_4n1_order(2, 5, 5) == 5
-    assert pi_4n1_order(2, 3, 5) == 1
-    assert pi_4n1_order(4, 48, 3) == 3
-
-
-def test_pi_4n1_order_prime_handling():
-    with pytest.raises(EvenPrime):
-        pi_4n1_order(2, 5, 2)
-    with pytest.raises(NotPrime):
-        pi_4n1_order(2, 5, 15)
-
-
-@pytest.mark.parametrize("n, k", [(-1, 6), (0, 9), (0, 0), (-40, 84)])
-def test_pi_4n1_order_rejects_nonpositive_rank(n, k):
-    with pytest.raises(OutOfRange):
-        pi_4n1_order(n, k, 3)
+    # the order of the p-local pi_{4n+1} of the k-bundle's gauge group is
+    # the class of k that decide_local compares, printed as invariant_k
+    assert decide_local(2, 5, 0, 5).invariant_values[0] == 5
+    assert decide_local(2, 3, 0, 5).invariant_values[0] == 1
+    assert decide_local(4, 48, 0, 3).invariant_values[0] == 3
 
 
 def test_retractible_table():
@@ -327,7 +336,7 @@ def test_is_prime_runs_once_per_verdict(monkeypatch):
         calls.append(p)
         return original(p)
 
-    # require_prime and p_part both reach arith's is_prime
+    # require_prime reaches arith's is_prime
     monkeypatch.setattr(arith, "is_prime", counting)
     verdicts = 0
     for n in (1, 2, 5):
@@ -373,9 +382,6 @@ def test_is_prime_runs_once_per_p_part_query(monkeypatch):
     queries = 0
     for n in (1, 2, 5):
         for p in (5, 7, 999_999_999_989):
-            for k in (0, 12, -84):
-                pi_4n1_order(n, k, p)
-                queries += 1
             identity_samelson_p_part(n, p)
             queries += 1
     assert len(calls) == queries
@@ -388,7 +394,7 @@ def test_local_verdict_values_are_public_p_parts(n, k, l, p):
     b = 4 * n * (2 * n + 1)
     verdict = decide_local(n, k, l, p)
     assert verdict.invariant_values == (
-        arith.p_part(gcd(k, b), p), arith.p_part(gcd(l, b), p))
+        gcd_p_part(gcd(k, b), p), gcd_p_part(gcd(l, b), p))
 
 
 # (module, name, a wrong variant of the real value, the call that must

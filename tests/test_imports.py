@@ -1,6 +1,7 @@
 """The package resolves its names on first access, a command imports only
-the modules it runs, no module imports a sibling's private names, and the
-oracles stay apart from the engine they check."""
+the modules it runs, no module imports a sibling's private names, the
+oracles stay apart from the engine they check, and every public name is
+read by the package or listed with what it serves."""
 
 import ast
 import importlib
@@ -161,7 +162,35 @@ def test_phi_keeps_only_the_image_and_gauge_every_p_local_answer():
     # prime or refuses on a guard
     assert "phi" not in {source for _, source, _ in _package_imports("gauge")}
     assert not {name for _, _, name in _package_imports("phi")} & {
-        "require_prime", "is_prime", "valuation", "p_part", "GuardFailed"}
+        "require_prime", "is_prime", "valuation", "GuardFailed"}
     assert {module for module in _ENGINE
             for _, _, name in _package_imports(module)
             if name in ("require_prime", "GuardFailed")} == {"gauge"}
+
+
+# the public names no other package module imports, each with the command
+# or paper claim it serves
+_EXPORTS_READ_FROM_OUTSIDE = {
+    "is_prime": "the bounded primality test behind every command's --p "
+                "(require_prime calls it)",
+    "GuardCheck": "the guards of a classify verdict, read by guards_passed",
+    "Verdict": "the record classify sp and spin print, outcome and values",
+    "im_delta_gen": "the connecting-map image |k|(2n-1)!/6 under "
+                    "invariant's q2_order",
+    "FinAbGroup": "what cokernel returns",
+    "SmithForm": "what smith_normal_form returns, U A V = D",
+    "truncated_powers": "the series powers under printed_top_coeffs "
+                        "(phi-gens --backend printed) and "
+                        "exp_minus_one_powers (verify's series identity)",
+}
+
+
+def test_every_public_name_is_read_by_the_package_or_listed():
+    package = Path(spgauge.__file__).resolve().parent
+    read = {(source, name) for path in package.glob("*.py")
+            if path.stem != "__init__"
+            for _, source, name in _package_imports(path.stem)
+            if source != path.stem}
+    unread = {name for name, module in spgauge._EXPORTS.items()
+              if (module, name) not in read}
+    assert unread == set(_EXPORTS_READ_FROM_OUTSIDE)

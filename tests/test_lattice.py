@@ -1,4 +1,5 @@
-"""Unit tests for integer matrices, Smith normal form, and cokernels."""
+"""Unit tests for integer matrices, Smith normal form and cokernels, and
+for the oracle matrix product and determinant that judge a Smith form."""
 
 import random
 
@@ -13,16 +14,14 @@ from spgauge.lattice import (
     element_order_in_coker,
     smith_normal_form,
 )
+from spgauge.oracles import determinant, matrix_product
 
 
 def test_matrix_construction_and_access():
     a = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert (a.rows, a.cols) == (2, 3)
-    assert a.get(1, 2) == 6
-    assert a.row(0) == (1, 2, 3)
+    assert a.entries == (1, 2, 3, 4, 5, 6)
     assert a.to_lists() == [[1, 2, 3], [4, 5, 6]]
-    with pytest.raises(OutOfRange):
-        a.get(2, 0)
     with pytest.raises(DimensionMismatch):
         IntMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(OutOfRange):
@@ -30,42 +29,34 @@ def test_matrix_construction_and_access():
 
 
 def test_matrix_mul():
-    a = IntMatrix.from_rows([[1, 2], [3, 4]])
-    b = IntMatrix.from_rows([[0, 1], [1, 0]])
-    assert a.mul(b).to_lists() == [[2, 1], [4, 3]]
-    assert a.mul(IntMatrix.from_rows([[1], [-1]])).entries == (-1, -1)
+    a = [[1, 2], [3, 4]]
+    assert matrix_product(a, [[0, 1], [1, 0]]) == [[2, 1], [4, 3]]
+    assert matrix_product(a, [[1], [-1]]) == [[-1], [-1]]
     with pytest.raises(DimensionMismatch):
-        a.mul(IntMatrix.from_rows([[1, 2, 3]]))
+        matrix_product(a, [[1, 2, 3]])
 
 
 def test_mul_matches_the_entrywise_sum_on_random_matrices():
     rng = random.Random(20260819)
     for _ in range(300):
         rows, inner, cols = (rng.randint(1, 6) for _ in range(3))
-        a = IntMatrix.from_rows(
-            [[rng.randint(-20, 20) for _ in range(inner)] for _ in range(rows)])
-        b = IntMatrix.from_rows(
-            [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(inner)])
-        product = a.mul(b)
-        assert (product.rows, product.cols) == (rows, cols)
-        assert product.to_lists() == [
-            [sum(a.get(i, t) * b.get(t, j) for t in range(inner))
-             for j in range(cols)]
+        a = [[rng.randint(-20, 20) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(inner)]
+        assert matrix_product(a, b) == [
+            [sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)]
             for i in range(rows)
         ]
 
 
 def test_det_frozen_values():
-    assert IntMatrix.from_rows(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]).det() == 1
-    assert IntMatrix.from_rows([[2, 0], [0, 3]]).det() == 6
-    assert IntMatrix.from_rows([[1, 2], [2, 4]]).det() == 0
-    assert IntMatrix.from_rows([[0, 1], [1, 0]]).det() == -1
-    assert IntMatrix.from_rows(
-        [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
-    ).det() == -90
+    assert determinant(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) == 1
+    assert determinant([[2, 0], [0, 3]]) == 6
+    assert determinant([[1, 2], [2, 4]]) == 0
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[3, 1, 4], [1, 5, 9], [2, 6, 5]]) == -90
     with pytest.raises(DimensionMismatch):
-        IntMatrix.from_rows([[1, 2, 3]]).det()
+        determinant([[1, 2, 3]])
 
 
 def _permanent_free_det(m):
@@ -86,21 +77,33 @@ def _permanent_free_det(m):
     min_size=n, max_size=n,
 )))
 def test_det_matches_cofactor_expansion(rows):
-    assert IntMatrix.from_rows(rows).det() == _permanent_free_det(rows)
+    assert determinant(rows) == _permanent_free_det(rows)
+
+
+def _diagonal(m):
+    return [m[i][i] for i in range(min(len(m), len(m[0])))]
+
+
+def _judged(a):
+    """The Smith form of a with U A V = D and |det U| = |det V| = 1
+    checked by the oracles, as row lists (u, d, v)."""
+    s = smith_normal_form(a)
+    u, d, v = s.u.to_lists(), s.d.to_lists(), s.v.to_lists()
+    assert matrix_product(matrix_product(u, a.to_lists()), v) == d
+    assert abs(determinant(u)) == 1
+    assert abs(determinant(v)) == 1
+    return u, d, v
 
 
 _IDENTITY_3 = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_smith_frozen_examples():
-    s = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
-    assert s.d.diagonal() == [1, 6]
-    assert s.u.mul(IntMatrix.from_rows([[2, 0], [0, 3]])).mul(s.v).entries \
-        == s.d.entries
-    assert smith_normal_form(IntMatrix.from_rows([[0]])).d.diagonal() == [0]
-    assert smith_normal_form(_IDENTITY_3).d.diagonal() == [1, 1, 1]
-    assert smith_normal_form(IntMatrix.from_rows([[6, 4]])).d.diagonal() == [2]
-    assert smith_normal_form(IntMatrix.from_rows([[-5]])).d.diagonal() == [5]
+    assert _diagonal(_judged(IntMatrix.from_rows([[2, 0], [0, 3]]))[1]) == [1, 6]
+    assert _diagonal(_judged(IntMatrix.from_rows([[0]]))[1]) == [0]
+    assert _diagonal(_judged(_IDENTITY_3)[1]) == [1, 1, 1]
+    assert _diagonal(_judged(IntMatrix.from_rows([[6, 4]]))[1]) == [2]
+    assert _diagonal(_judged(IntMatrix.from_rows([[-5]]))[1]) == [5]
 
 
 def test_smith_previously_pathological_instance():
@@ -113,11 +116,7 @@ def test_smith_previously_pathological_instance():
         [9, 3, -17, -14, 20, -14],
         [10, -20, 19, -16, 1, -19],
     ])
-    s = smith_normal_form(a)
-    assert s.d.diagonal() == [1, 1, 1, 1, 1, 6828471]
-    assert s.u.mul(a).mul(s.v).entries == s.d.entries
-    assert abs(s.u.det()) == 1
-    assert abs(s.v.det()) == 1
+    assert _diagonal(_judged(a)[1]) == [1, 1, 1, 1, 1, 6828471]
 
 
 _matrix_strategy = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
@@ -131,23 +130,19 @@ _matrix_strategy = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
 @settings(max_examples=150)
 @given(_matrix_strategy)
 def test_smith_properties(rows):
-    a = IntMatrix.from_rows(rows)
-    s = smith_normal_form(a)
     # exact factorization with unimodular transforms
-    assert s.u.mul(a).mul(s.v).entries == s.d.entries
-    assert abs(s.u.det()) == 1
-    assert abs(s.v.det()) == 1
-    diag = s.d.diagonal()
+    d = _judged(IntMatrix.from_rows(rows))[1]
+    diag = _diagonal(d)
     assert all(x >= 0 for x in diag)
     for prev, nxt in zip(diag, diag[1:]):
         if prev == 0:
             assert nxt == 0
         else:
             assert nxt % prev == 0
-    for i in range(s.d.rows):
-        for j in range(s.d.cols):
+    for i, row in enumerate(d):
+        for j, x in enumerate(row):
             if i != j:
-                assert s.d.get(i, j) == 0
+                assert x == 0
 
 
 @settings(max_examples=100)
@@ -198,9 +193,9 @@ def test_element_order_annihilates(rows, vec):
         return
     assert order >= 1
     # order * v must be in the column span: solve via the Smith form
-    s = smith_normal_form(a)
-    w = s.u.mul(IntMatrix.from_rows([[order * x] for x in v])).entries
-    diag = s.d.diagonal()
+    u, d, _ = _judged(a)
+    w = [row[0] for row in matrix_product(u, [[order * x] for x in v])]
+    diag = _diagonal(d)
     for i, wi in enumerate(w):
         di = diag[i] if i < len(diag) else 0
         if di == 0:

@@ -13,7 +13,7 @@ from spgauge.arith import closed_form_order
 from spgauge.errors import GuardFailed, NotPrime, OracleMismatch, OutOfRange
 from spgauge.gauge import identity_samelson_p_part
 from spgauge.lattice import IntMatrix, element_order_in_coker, smith_normal_form
-from spgauge.oracles import surjection_counts
+from spgauge.oracles import matrix_product, surjection_counts
 from spgauge.phi import (PhiResult, checked_order, phi_image, phi_images,
                          samelson_order)
 from spgauge.verify import _SEED, _random_matrix
@@ -57,9 +57,22 @@ def test_phi_result_reads_its_claims_off_its_generators():
     for backend in ("series", "printed"):
         res = PhiResult(2, backend, (40, 60))
         assert (res.lower_gen, res.pinned_order) == (40, None)
-        with pytest.raises(OracleMismatch):
-            checked_order(res)
+    with pytest.raises(OracleMismatch):
+        checked_order(PhiResult(2, "series", (40, 60)))
     assert checked_order(PhiResult(2, "series", (40, 120))) == 40
+
+
+def test_a_phi_result_holds_a_known_backend():
+    for backend in ("nonsense", "Series", "", None, 0):
+        with pytest.raises(OutOfRange):
+            PhiResult(2, backend, (40, 120))
+
+
+def test_checked_order_reads_only_series_backend_data():
+    # a printed record that pins the closed form still reads no order
+    for gens in ((40, 120), (40, 60)):
+        with pytest.raises(OutOfRange):
+            checked_order(PhiResult(2, "printed", gens))
 
 
 @pytest.mark.parametrize("n, gens", [
@@ -217,8 +230,10 @@ def test_phi_image_builds_only_its_own_result(monkeypatch, n):
 
 def _order_from_full_smith_form(a, vec):
     snf = smith_normal_form(a)
-    w = snf.u.mul(IntMatrix.from_rows([[x] for x in vec])).entries
-    diag = snf.d.diagonal()
+    w = [row[0]
+         for row in matrix_product(snf.u.to_lists(), [[x] for x in vec])]
+    d = snf.d.to_lists()
+    diag = [d[i][i] for i in range(min(a.rows, a.cols))]
     order = 1
     for i, wi in enumerate(w):
         di = diag[i] if i < len(diag) else 0
