@@ -19,11 +19,8 @@ _EXPORTS = {
     name: module
     for module, names in {
         "arith": ("closed_form_order", "frac_gcd", "is_prime"),
-        "errors": (
-            "AllZero", "BadDimension", "DimensionMismatch", "GuardFailed",
-            "NonIntegralGenerator", "NotPrime", "OddRank", "OracleMismatch",
-            "OutOfRange", "SpgaugeError",
-        ),
+        "errors": ("GuardFailed", "NonIntegralGenerator", "OracleMismatch",
+                   "OutOfRange", "SpgaugeError"),
         "gauge": (
             "Bundle", "GuardCheck", "LieFamily", "Outcome", "Verdict",
             "decide_local", "decide_spin", "identity_samelson_p_part",

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import AllZero, NotPrime, OutOfRange
+from .errors import OutOfRange
 
 
 def require_int(what: str, *values: int) -> None:
@@ -51,9 +51,9 @@ PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def require_prime(p: int) -> None:
-    """Raise NotPrime unless p is prime; OutOfRange for p >= PRIME_BOUND."""
+    """Raise OutOfRange unless p is a prime below PRIME_BOUND."""
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise OutOfRange(f"{p} is not prime")
 
 
 def is_prime(p: int) -> bool:
@@ -108,14 +108,14 @@ def frac_gcd(values: Iterable[Fraction | int]) -> Fraction:
     Every input is an integer multiple of the result, and the result is an
     integer combination of the inputs.  Computed by clearing denominators:
     the gcd of the scaled numerators over the lcm of the denominators.
-    Raises AllZero when no nonzero value is supplied, and OutOfRange for a
-    value that is neither an int nor a Fraction.
+    Raises OutOfRange when no nonzero value is supplied and for a value
+    that is neither an int nor a Fraction.
     """
     vals = list(values)
     require_exact("a frac_gcd value", *vals)
     nonzero = [Fraction(v) for v in vals if v != 0]
     if not nonzero:
-        raise AllZero("frac_gcd needs at least one nonzero value")
+        raise OutOfRange("frac_gcd needs at least one nonzero value")
     denom = math.lcm(*(v.denominator for v in nonzero))
     num = math.gcd(*(v.numerator * (denom // v.denominator) for v in nonzero))
     return Fraction(num, denom)

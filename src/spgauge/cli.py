@@ -5,12 +5,13 @@ computations, classify sp/spin for the p-local deciders, invariant and
 retractible for the bundle invariants, and verify for the self-check sweep.
 Output is a Report written as markdown (default), JSON, or CSV, and is
 byte-stable across runs.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+2 usage error, 141 (128 + SIGPIPE) when the reader of stdout has gone.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from math import factorial
@@ -264,7 +265,14 @@ def _main(argv) -> int:
     except SpgaugeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report.write(args.format, sys.stdout)
+    try:
+        report.write(args.format, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # end as a writer killed by SIGPIPE does, quietly; stdout goes to
+        # /dev/null so that the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0 if report.status == "ok" else 1
 
 

@@ -1,7 +1,11 @@
 """Exception types raised by the library.
 
-Every declared failure mode gets its own class so callers and tests can
-distinguish them; all inherit from SpgaugeError.
+Every error is an SpgaugeError of one of four kinds, and no caller needs
+to tell more apart: the input is outside the domain and other input is
+needed (OutOfRange); the input is in the domain but the theorem's guard
+fails there, so there is no answer (GuardFailed); the printed convention
+breaks (NonIntegralGenerator); or two routes disagree, which is a bug
+(OracleMismatch).  The message names the value at fault.
 """
 
 
@@ -9,36 +13,17 @@ class SpgaugeError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotPrime(SpgaugeError):
-    """A parameter that must be prime is not."""
-
-
-class AllZero(SpgaugeError):
-    """A rational-gcd query where every input is zero (or the list is empty)."""
-
-
 class OutOfRange(SpgaugeError):
-    """An index outside the valid range of the operation."""
-
-
-class NonIntegralGenerator(SpgaugeError):
-    """A scaled image generator failed its integrality check."""
+    """An input outside the operation's domain, or a field that a record
+    cannot hold."""
 
 
 class GuardFailed(SpgaugeError):
     """A theorem guard does not hold for the requested parameters."""
 
 
-class DimensionMismatch(SpgaugeError):
-    """Matrix/vector shapes do not line up."""
-
-
-class OddRank(SpgaugeError):
-    """An even-rank-only pipeline was asked about an odd rank."""
-
-
-class BadDimension(SpgaugeError):
-    """A Spin classification query in a dimension the criterion excludes."""
+class NonIntegralGenerator(SpgaugeError):
+    """A scaled image generator failed its integrality check."""
 
 
 class OracleMismatch(SpgaugeError):

@@ -21,8 +21,7 @@ from math import factorial, gcd
 
 from .arith import (closed_form_order, frac_gcd, require_int, require_prime,
                     require_rank, valuation)
-from .errors import (BadDimension, GuardFailed, OddRank, OracleMismatch,
-                     OutOfRange)
+from .errors import GuardFailed, OracleMismatch, OutOfRange
 
 # Top-row (y_7) Chern-character coefficients of the two free generators of
 # the symplectic K-group of a suspended rank-2 quasi-projective space.  That
@@ -61,12 +60,12 @@ def refined_invariant(bundle: Bundle) -> int:
 
 
 def _require_even_rank(n: int) -> None:
-    """OddRank unless n is even and at least 2; OutOfRange where 2n+1
-    exceeds sys.maxsize, past which math.factorial raises OverflowError
-    (n >= 2^62 on a 64-bit build), and for an n that is not an int."""
+    """OutOfRange unless n is an even int of at least 2 with 2n+1 at most
+    sys.maxsize, past which math.factorial raises OverflowError (n >= 2^62
+    on a 64-bit build)."""
     require_int("the rank", n)
     if n < 2 or n % 2 != 0:
-        raise OddRank(f"rank-2 mapping pipeline needs even n >= 2, got {n}")
+        raise OutOfRange(f"rank-2 mapping pipeline needs even n >= 2, got {n}")
     if 2 * n + 1 > sys.maxsize:
         raise OutOfRange(f"rank-2 mapping pipeline takes (2n+1)!, past the "
                          f"factorial's range at n={n}")
@@ -246,12 +245,12 @@ def decide_spin(m: int, k: int, l: int, p: int) -> Verdict:
     """p-local classification for Spin(m) gauge groups, m = 2n+1 or 2n+2.
 
     Reduces to the rank-n symplectic criterion at odd primes.  Guards: the
-    dimension must give 2n >= 6 (m <= 6 raises BadDimension), p must be odd,
+    dimension must give 2n >= 6 (m <= 6 raises OutOfRange), p must be odd,
     and the retractibility bound (p-1)^2 + 1 >= 2n must hold; any failing
     guard yields NotDetermined."""
     require_int("the dimension m", m)
     if m <= 6:
-        raise BadDimension(f"Spin({m}) is outside the criterion (needs m >= 7)")
+        raise OutOfRange(f"Spin({m}) is outside the criterion (needs m >= 7)")
     require_prime(p)
     require_int("the bundle integer", k, l)
     eps = 1 if m % 2 == 1 else 2
@@ -307,10 +306,9 @@ def retractible(family: LieFamily, rank: int | None, p: int) -> bool:
     exceptional families need p >= 5 (G2, F4, E6) or p >= 7 (E7, E8).  The
     exceptional families may leave rank out, and their answer does not
     depend on it.  Raises OutOfRange for a family that is not a LieFamily
-    (its value string too).  In every family, raises NotPrime for an int p
-    that is not prime, and OutOfRange for a p or a rank that is not an int
-    and for a rank below 1; a classical family without a rank raises
-    OutOfRange too."""
+    (its value string too), for a p that is not a prime int, for a rank
+    that is not an int or is below 1, and for a classical family without a
+    rank."""
     if not isinstance(family, LieFamily):
         raise OutOfRange(f"family must be a LieFamily, got {family!r}")
     require_prime(p)

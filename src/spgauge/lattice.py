@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from math import gcd, lcm, prod
 
-from .errors import DimensionMismatch, OutOfRange
+from .errors import OutOfRange
 
 
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, entries stored row-major: a checked
-    container, read through entries or to_lists.  Every entry must be an
-    int, else OutOfRange."""
+    container, read through entries or to_lists.  The entries must be a
+    tuple of ints, else OutOfRange."""
 
     rows: int
     cols: int
@@ -37,8 +37,10 @@ class IntMatrix:
             raise OutOfRange("matrix dimensions must be integers")
         if self.rows < 1 or self.cols < 1:
             raise OutOfRange("matrix dimensions must be positive")
+        if not isinstance(self.entries, tuple):
+            raise OutOfRange("matrix entries must be a tuple")
         if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch("entry count does not match dimensions")
+            raise OutOfRange("entry count does not match dimensions")
         if not all(map(isinstance, self.entries, repeat(int))):
             raise OutOfRange("matrix entries must be integers")
 
@@ -53,7 +55,7 @@ class IntMatrix:
         flat = []
         for row in rows:
             if len(row) != ncols:
-                raise DimensionMismatch("ragged rows")
+                raise OutOfRange("ragged rows")
             flat.extend(row)
         return cls(len(rows), ncols, tuple(flat))
 
@@ -64,11 +66,17 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """U A V = D with U, V unimodular and D diagonal, d1 | d2 | ..."""
+    """U A V = D with U, V unimodular and D diagonal, d1 | d2 | ...;
+    OutOfRange unless all three are IntMatrix."""
 
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
+
+    def __post_init__(self):
+        if not all(isinstance(m, IntMatrix) for m in (self.u, self.d, self.v)):
+            raise OutOfRange(f"a Smith form holds three IntMatrix, "
+                             f"got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -76,11 +84,22 @@ class FinAbGroup:
     """Invariants of a finitely generated abelian group.
 
     invariant_factors lists the nontrivial cyclic orders (each >= 2, each
-    dividing the next); free_rank counts the Z summands.
+    dividing the next); free_rank counts the Z summands.  OutOfRange unless
+    the factors are such a tuple of ints and free_rank an int >= 0.
     """
 
     invariant_factors: tuple[int, ...]
     free_rank: int
+
+    def __post_init__(self):
+        f, rank = self.invariant_factors, self.free_rank
+        if not (isinstance(f, tuple) and all(isinstance(x, int) for x in f)
+                and all(x >= 2 for x in f)
+                and all(b % a == 0 for a, b in zip(f, f[1:]))
+                and isinstance(rank, int) and rank >= 0):
+            raise OutOfRange(f"a group needs int invariant factors, each at "
+                             f"least 2 and dividing the next, and an int free "
+                             f"rank >= 0, got {self!r}")
 
     def order(self) -> int | None:
         """Group order, or None when the group is infinite."""
@@ -232,9 +251,8 @@ def element_order_in_coker(a: IntMatrix, v: Sequence[int]) -> int | None:
     if not isinstance(v, Sequence):
         raise OutOfRange("the vector must be a sequence")
     if len(v) != a.rows:
-        raise DimensionMismatch(
-            f"vector length {len(v)} does not match {a.rows} rows"
-        )
+        raise OutOfRange(
+            f"vector length {len(v)} does not match {a.rows} rows")
     column = IntMatrix(a.rows, 1, tuple(v)).entries
     u, d, _ = _reduce(a, track_v=False)
     order = 1

@@ -17,7 +17,7 @@ from itertools import islice
 from math import gcd
 from typing import Iterator
 
-from .errors import DimensionMismatch, OutOfRange
+from .errors import OutOfRange
 
 
 def samelson_b(n: int) -> int:
@@ -180,20 +180,20 @@ class EchelonLattice:
 
 def matrix_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """The product of two row-list matrices, each entry a sum of products;
-    DimensionMismatch when a row of a is not as long as b."""
+    OutOfRange when a row of a is not as long as b."""
     if any(len(row) != len(b) for row in a):
-        raise DimensionMismatch("inner dimensions differ")
+        raise OutOfRange("inner dimensions differ")
     columns = list(zip(*b))
     return [[sum(map(operator.mul, row, col)) for col in columns] for row in a]
 
 
 def determinant(rows: list[list[int]]) -> int:
     """Exact determinant of a square row-list matrix by fraction-free
-    (Bareiss) elimination; DimensionMismatch unless it is square and not
+    (Bareiss) elimination; OutOfRange unless it is square and not
     empty."""
     n = len(rows)
     if not rows or any(len(row) != n for row in rows):
-        raise DimensionMismatch("determinant needs a square matrix")
+        raise OutOfRange("determinant needs a square matrix")
     m = [list(row) for row in rows]
     sign = 1
     prev = 1

@@ -41,8 +41,8 @@ class PhiResult:
     lower_gen is the first, the scaled doubled-line anchor 4n(2n+1), and
     pinned_order their gcd when it equals the anchor, which pins the image
     exactly, or None when the bounds leave a gap; each read takes the gcd.
-    OutOfRange for n < 1, for a backend not in BACKENDS, for no generator
-    and for one that is not an int.
+    OutOfRange for n < 1, for a backend not in BACKENDS, for generators
+    that are not a tuple, for no generator and for one that is not an int.
     """
 
     n: int
@@ -54,8 +54,9 @@ class PhiResult:
         if self.backend not in BACKENDS:
             raise OutOfRange(f"unknown backend {self.backend!r}; expected one "
                              f"of {BACKENDS}")
-        if not self.upper_gens:
-            raise OutOfRange(f"the rank-{self.n} image needs its anchor")
+        if not (isinstance(self.upper_gens, tuple) and self.upper_gens):
+            raise OutOfRange(f"the rank-{self.n} image needs a tuple of "
+                             f"generators, its anchor first")
         require_int("an image generator", *self.upper_gens)
 
     @property

@@ -3,12 +3,12 @@
 Every CLI command builds a Report and writes it as JSON, CSV, or a markdown
 table.  Its cells and parameters are the library's exact values, and the
 writer alone turns them into text: a str as is, a bool as true or false,
-an int in decimal, a Fraction as "p/q" ("p" when q = 1); anything else is
-a ValueError.  Construction order is preserved everywhere, and the output
-is byte-stable run to run.  A report is written incrementally, the header,
-one write per row or per run of a Product, the footer, with no buffer of
-its own.  The JSON header and footer are json.dumps(..., indent=2) of the
-fields around the rows.
+an int in decimal, a Fraction as "p/q" ("p" when q = 1); anything else
+raises OutOfRange.  Construction order is preserved everywhere, and the
+output is byte-stable run to run.  A report is written incrementally, the
+header, one write per row or per run of a Product, the footer, with no
+buffer of its own.  The JSON header and footer are json.dumps(...,
+indent=2) of the fields around the rows.
 
 A row is a dict from column names to values or a Product, the rows of
 every outer lead paired with every inner lead and ended by the cells of
@@ -32,6 +32,8 @@ from operator import add
 from typing import (Callable, Hashable, Iterable, Iterator, Mapping,
                     NamedTuple, Sequence, TextIO)
 
+from .errors import OutOfRange
+
 FORMATS = ("json", "csv", "markdown")
 
 
@@ -48,7 +50,7 @@ def _text(value: Value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, Fraction)):
         return str(value)
-    raise ValueError(f"a report value must be a str, bool, int or Fraction, "
+    raise OutOfRange(f"a report value must be a str, bool, int or Fraction, "
                      f"got {type(value).__name__} {value!r}")
 
 
@@ -162,7 +164,7 @@ class _Encoder:
         head, mid = self.cols[:i], self.cols[i:j]
         if (not 0 < i < j or any(tuple(a) != head for a, _ in outer)
                 or any(tuple(b) != mid for b, _ in inner)):
-            raise ValueError("a product's outer and inner leads must each be "
+            raise OutOfRange("a product's outer and inner leads must each be "
                              "the same leading columns, at least one")
         leading = set(self.cols[:j])
         mids = [s.sep + s.sep.join(self.cells(b, i, j)) for b, _ in inner]
@@ -173,7 +175,7 @@ class _Encoder:
             for c in dict.fromkeys(classes):
                 tail = cells[r, c]
                 if not leading.isdisjoint(tail):
-                    raise ValueError("a product's cells repeat a lead column")
+                    raise OutOfRange("a product's cells repeat a lead column")
                 tails[c] = "".join(
                     [s.sep + x for x in self.cells(tail, j)]) + s.closer
             ends[r] = list(map(add, mids, map(tails.__getitem__, classes)))
@@ -186,32 +188,37 @@ class _Encoder:
 class Report:
     """A command's answer.  rows is a list or tuple of records, each from
     column names to values, and Products, and the columns are their keys in
-    first-seen order."""
+    first-seen order.  OutOfRange unless command is a str, parameters a
+    dict, rows a list or tuple and failures a list of str."""
 
     command: str
     parameters: dict[str, Value]
     rows: Sequence[dict[str, Value] | Product]
     failures: list[str] = field(default_factory=list)
 
+    def __post_init__(self):
+        fields = (self.command, self.parameters, self.rows, self.failures)
+        if not (all(map(isinstance, fields, (str, dict, (list, tuple), list)))
+                and all(isinstance(f, str) for f in self.failures)):
+            raise OutOfRange(
+                "a report needs a str command, a dict of parameters, a list "
+                "or tuple of rows and a list of str failures, got "
+                + ", ".join(type(x).__name__ for x in fields))
+
     @property
     def status(self) -> str:
         return "ok" if not self.failures else "failed"
-
-    def _columns(self) -> tuple[str, ...]:
-        if not isinstance(self.rows, (list, tuple)):
-            raise ValueError("a report's rows must be a list or tuple")
-        return tuple(dict.fromkeys(key for row in self.rows
-                                   for key in _keys(row)))
 
     def write(self, fmt: str, out: TextIO) -> None:
         """Write the report to out in fmt: the header, then one write per
         row and one per run of a Product, then the footer.  A Product with
         no outer or no inner leads writes nothing.  A parameter that is not
-        a Value raises ValueError before anything is written, a cell when
+        a Value raises OutOfRange before anything is written, a cell when
         its row is reached."""
         if fmt not in FORMATS:
-            raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-        cols = self._columns()
+            raise OutOfRange(f"unknown format {fmt!r}; expected one of {FORMATS}")
+        cols = tuple(dict.fromkeys(key for row in self.rows
+                                   for key in _keys(row)))
         params = {k: _text(v) for k, v in self.parameters.items()}
         syntax = _LONE_CSV if fmt == "csv" and len(cols) == 1 else _SYNTAX[fmt]
         encode = _Encoder(syntax, cols)

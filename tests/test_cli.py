@@ -288,6 +288,43 @@ def _cli_process(*argv, timeout):
                           env={**os.environ, "PYTHONPATH": src})
 
 
+def _cli_popen(argv, stdout, unbuffered):
+    """The command line in a fresh process, stderr piped, with stdout
+    buffered or not."""
+    code = "import sys; from spgauge.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(spgauge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    return subprocess.Popen([sys.executable, "-c", code, *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, env=env)
+
+
+# 141 is 128 + SIGPIPE, what a shell reports for a writer the signal ended
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_reader_that_stops_after_one_line_ends_the_command_quietly(
+        unbuffered):
+    # 8 MB of rows, so the writer meets the closed pipe inside the report
+    proc = _cli_popen(["classify", "sp", "--n", "8", "--p", "5", "--grid",
+                       "--format", "csv"], subprocess.PIPE, unbuffered)
+    line = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert line == b"k,l,outcome,invariant_k,invariant_l,guards_passed\n"
+    assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_reader_gone_before_the_report_ends_the_command_quietly(unbuffered):
+    # a short report: buffered, it meets the closed pipe at the flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_popen(["order", "--n", "3"], write_end, unbuffered)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
 def test_classify_sp_answers_for_a_19_digit_prime_within_seconds():
     proc = _cli_process("classify", "sp", "--n", "2", "--k", "1", "--l", "2",
                         "--p", "1000000000000000009", timeout=10)

@@ -1,17 +1,18 @@
 """The input contract at every public entry point that takes a rank, a
-count or a prime.
+count or a prime, and at every exported record.
 
-For every integer rank n below 1 the call raises SpgaugeError; for any
-other rank it returns or raises SpgaugeError, never anything else.  The
-same holds for the counts of surjections and sweeps below their least
-valid value, and for every p that is not prime or is too large for the
-primality test to decide.  A verdict that claims EQUIVALENT or DISTINCT has
-passed all of its guards.  An integer argument of an exported function or
-record that is a float or a Fraction raises SpgaugeError.  A matrix or
-vector entry that is not an int raises OutOfRange, never a rounded answer;
-so does a matrix dimension that is not an int, or a matrix row or vector
-that is not a sequence.  The command line exits 0, 1 or 2 on every argv, and each exit
-code prints what it promises.
+For every integer rank n below 1 the call raises OutOfRange; for any other
+rank it returns or raises SpgaugeError, never anything else.  The same
+holds for the counts of surjections and sweeps below their least valid
+value, and for every p that is not prime or is too large for the primality
+test to decide.  A verdict that claims EQUIVALENT or DISTINCT has passed
+all of its guards.  An integer argument of an exported function or record
+that is a float or a Fraction raises OutOfRange.  A matrix or vector entry
+that is not an int raises OutOfRange, never a rounded answer; so does a
+matrix dimension that is not an int, or a matrix row or vector that is not
+a sequence.  Every exported record raises OutOfRange for a field of
+another type.  The command line exits 0, 1 or 2 on every argv, and each
+exit code prints what it promises.
 """
 
 import csv
@@ -47,11 +48,12 @@ from spgauge.gauge import (
     retractible,
     sutherland_invariant,
 )
-from spgauge.lattice import IntMatrix, element_order_in_coker
+from spgauge.lattice import (FinAbGroup, IntMatrix, SmithForm,
+                             element_order_in_coker)
 from spgauge.oracles import surjection_counts, surjection_counts_by_rank
 from spgauge.phi import (BACKENDS, PhiResult, checked_order, phi_image,
                          phi_images, samelson_order)
-from spgauge.report import FORMATS
+from spgauge.report import FORMATS, Report
 from spgauge.series import (exp_minus_one_powers, printed_top_coeffs,
                             truncated_powers)
 from spgauge.verify import verify_sweep
@@ -101,7 +103,7 @@ def test_rank_below_one_always_raises_spgauge_error(name, data, k, l, p):
     fn, ranks = ENTRY_POINTS[name]
     n = data.draw(ranks, label="n")
     if n < 1:
-        with pytest.raises(SpgaugeError):
+        with pytest.raises(OutOfRange):
             fn(n, k, l, p)
     else:
         try:
@@ -130,7 +132,7 @@ def test_surjection_counts_below_their_domain_raise_spgauge_error(m, k):
     if m >= 1 and k >= 0:
         surjection_counts(m, k)
     else:
-        with pytest.raises(SpgaugeError):
+        with pytest.raises(OutOfRange):
             surjection_counts(m, k)
 
 
@@ -138,14 +140,14 @@ def test_surjection_counts_below_their_domain_raise_spgauge_error(m, k):
 @given(max_n=st.integers(max_value=0))
 def test_surjection_counts_by_rank_below_one_raises_before_any_row(max_n):
     # the call itself raises: the stream is never iterated
-    with pytest.raises(SpgaugeError):
+    with pytest.raises(OutOfRange):
         surjection_counts_by_rank(max_n)
 
 
 @settings(max_examples=50, deadline=None)
 @given(max_n=st.integers(max_value=1))
 def test_verify_sweep_below_two_raises_spgauge_error(max_n):
-    with pytest.raises(SpgaugeError):
+    with pytest.raises(OutOfRange):
         verify_sweep(max_n)
 
 
@@ -229,7 +231,7 @@ def test_every_exported_function_is_in_the_non_int_property():
 def test_a_non_int_integer_argument_raises_spgauge_error(name, data):
     """A valid call returns; the same call with one integer argument turned
     into a float or a Fraction, of the same value or of any other, raises
-    SpgaugeError instead of giving an answer."""
+    OutOfRange instead of giving an answer."""
     fn, strategies = INTEGER_ARGUMENTS[name]
     args = [data.draw(s, label="argument") for s in strategies]
     fn(*args)
@@ -239,7 +241,7 @@ def test_a_non_int_integer_argument_raises_spgauge_error(name, data):
     args[i] = data.draw(st.one_of(
         floats if name in _EXACT_RATIONAL_ARGUMENTS else floats + fractions),
         label="spoiled")
-    with pytest.raises(SpgaugeError):
+    with pytest.raises(OutOfRange):
         fn(*args)
 
 
@@ -308,6 +310,52 @@ def test_a_non_int_dimension_raises_out_of_range(rows, cols, which, kind):
     dims[which] = kind(dims[which])
     with pytest.raises(OutOfRange):
         IntMatrix(*dims, tuple(range(rows * cols)))
+
+
+# -- records ------------------------------------------------------------------
+
+
+_MATRIX = IntMatrix(1, 1, (1,))
+
+# each exported class that holds fields, and valid values for them
+RECORDS = {
+    "Bundle": (Bundle, (2, 5)),
+    "GuardCheck": (GuardCheck, ("retractibility", True, "")),
+    "Verdict": (Verdict, ((5, 5), (GuardCheck("retractibility", True, ""),))),
+    "PhiResult": (PhiResult, (2, "series", (40, 120))),
+    "IntMatrix": (IntMatrix, (2, 1, (4, 6))),
+    "SmithForm": (SmithForm, (_MATRIX, _MATRIX, _MATRIX)),
+    "FinAbGroup": (FinAbGroup, ((2, 4), 1)),
+    "Report": (Report, ("order", {"n": 2}, [{"n": 2, "samelson_order": 40}],
+                        [])),
+}
+# the exported classes that hold no fields: the enums, looked up by value
+_NO_FIELDS = {"LieFamily", "Outcome"}
+
+
+def test_every_exported_class_is_in_the_record_property():
+    # the errors, which take any message, are not records
+    exported = {name for name in spgauge._EXPORTS
+                if isinstance(getattr(spgauge, name), type)
+                and not issubclass(getattr(spgauge, name), SpgaugeError)}
+    assert exported == set(RECORDS) | _NO_FIELDS
+    assert not set(RECORDS) & _NO_FIELDS
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_record_field_of_another_type_raises_out_of_range(name, data):
+    """A record built from valid fields builds; with one field swapped for
+    a float, a Fraction, a str (where the field is not one) or None, it
+    raises OutOfRange."""
+    cls, fields = RECORDS[name]
+    cls(*fields)
+    i = data.draw(st.integers(0, len(fields) - 1), label="field")
+    bad = data.draw(_NON_INT.filter(
+        lambda x: not isinstance(x, type(fields[i]))), label="spoiled")
+    with pytest.raises(OutOfRange):
+        cls(*fields[:i], bad, *fields[i + 1:])
 
 
 # -- primes -------------------------------------------------------------------
@@ -380,7 +428,7 @@ def test_every_p_returns_or_raises_spgauge_error(name, n, k, l, arg):
     if kind is None:
         kind = "prime" if _is_prime(p) else "not prime"
     if kind == "not prime":
-        with pytest.raises(SpgaugeError):
+        with pytest.raises(OutOfRange):
             fn(n, k, l, p)
         return
     try:

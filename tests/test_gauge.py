@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spgauge import arith, gauge, lattice
-from spgauge.errors import (BadDimension, NotPrime, OddRank, OracleMismatch,
-                            OutOfRange)
+from spgauge.errors import OracleMismatch, OutOfRange
 from spgauge.gauge import (
     Bundle,
     GuardCheck,
@@ -69,10 +68,10 @@ def test_mapping_group_order_values():
 
 
 def test_mapping_group_order_rejects_odd_rank():
-    with pytest.raises(OddRank):
-        mapping_group_order(3)
-    with pytest.raises(OddRank):
-        mapping_group_order(0)
+    for n in (3, 0):
+        with pytest.raises(OutOfRange, match=f"^rank-2 mapping pipeline "
+                                             f"needs even n >= 2, got {n}$"):
+            mapping_group_order(n)
 
 
 def test_table_routes_equal_factorial_closed_forms():
@@ -190,7 +189,7 @@ def test_a_verdict_refuses_what_is_not_a_pair_of_ints_and_guards(values,
 
 
 def test_decide_local_rejects_composite_modulus():
-    with pytest.raises(NotPrime):
+    with pytest.raises(OutOfRange, match="^6 is not prime$"):
         decide_local(2, 1, 2, 6)
 
 
@@ -232,9 +231,10 @@ def test_decide_spin_spec_triples():
 
 
 def test_decide_spin_guards():
-    with pytest.raises(BadDimension):
+    with pytest.raises(OutOfRange, match=r"^Spin\(6\) is outside the "
+                                         r"criterion \(needs m >= 7\)$"):
         decide_spin(6, 1, 2, 5)
-    with pytest.raises(NotPrime):
+    with pytest.raises(OutOfRange, match="^9 is not prime$"):
         decide_spin(9, 1, 2, 9)
     # p = 2 is a guard failure, not an exception
     v = decide_spin(9, 1, 2, 2)
@@ -324,7 +324,7 @@ def test_decide_local_rejects_nonpositive_rank(n):
 @pytest.mark.parametrize("family", list(LieFamily))
 @pytest.mark.parametrize("p", [4, -7, 1, 0, 9])
 def test_retractible_rejects_non_prime_in_every_family(family, p):
-    with pytest.raises(NotPrime):
+    with pytest.raises(OutOfRange, match=f"^{p} is not prime$"):
         retractible(family, 3, p)
 
 

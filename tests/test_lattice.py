@@ -6,10 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spgauge.errors import DimensionMismatch, OutOfRange
+from spgauge.errors import OutOfRange
 from spgauge.lattice import (
     FinAbGroup,
     IntMatrix,
+    SmithForm,
     cokernel,
     element_order_in_coker,
     smith_normal_form,
@@ -22,7 +23,7 @@ def test_matrix_construction_and_access():
     assert (a.rows, a.cols) == (2, 3)
     assert a.entries == (1, 2, 3, 4, 5, 6)
     assert a.to_lists() == [[1, 2, 3], [4, 5, 6]]
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(OutOfRange, match="^ragged rows$"):
         IntMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(OutOfRange):
         IntMatrix.from_rows([])
@@ -32,7 +33,7 @@ def test_matrix_mul():
     a = [[1, 2], [3, 4]]
     assert matrix_product(a, [[0, 1], [1, 0]]) == [[2, 1], [4, 3]]
     assert matrix_product(a, [[1], [-1]]) == [[-1], [-1]]
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(OutOfRange, match="^inner dimensions differ$"):
         matrix_product(a, [[1, 2, 3]])
 
 
@@ -55,7 +56,8 @@ def test_det_frozen_values():
     assert determinant([[1, 2], [2, 4]]) == 0
     assert determinant([[0, 1], [1, 0]]) == -1
     assert determinant([[3, 1, 4], [1, 5, 9], [2, 6, 5]]) == -90
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(OutOfRange,
+                       match="^determinant needs a square matrix$"):
         determinant([[1, 2, 3]])
 
 
@@ -169,6 +171,24 @@ def test_group_order():
     assert FinAbGroup((4,), 1).order() is None
 
 
+@pytest.mark.parametrize("factors, free_rank", [
+    ((3, 2), 0), ((2, 3), 0), ((1,), 0), ((0,), 0), ((-2, 4), 0), ((2,), -1),
+    ((1,), -1), (0.5, (2.0,)), ((2.0,), 0), ([2, 4], 0), ((2,), 1.0),
+    ((2,), None)])
+def test_a_group_refuses_what_it_cannot_hold(factors, free_rank):
+    # factors each >= 2 and dividing the next, and a free rank >= 0
+    with pytest.raises(OutOfRange, match="^a group needs "):
+        FinAbGroup(factors, free_rank)
+
+
+def test_a_smith_form_holds_three_matrices():
+    m = IntMatrix(1, 1, (1,))
+    assert SmithForm(m, m, m).d is m
+    for fields in ((1, 2, 3), (m, m, [[1]]), (m, None, m)):
+        with pytest.raises(OutOfRange, match="^a Smith form holds three "):
+            SmithForm(*fields)
+
+
 def test_element_order_examples():
     forty = IntMatrix.from_rows([[40]])
     assert element_order_in_coker(forty, [1]) == 40
@@ -179,7 +199,8 @@ def test_element_order_examples():
     # free direction: no multiple of (0,1) lands in the span of (2,0)
     assert element_order_in_coker(
         IntMatrix.from_rows([[2], [0]]), [0, 1]) is None
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(OutOfRange,
+                       match="^vector length 2 does not match 1 rows$"):
         element_order_in_coker(forty, [1, 2])
 
 

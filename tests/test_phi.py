@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import spgauge.phi as phi_mod
 from spgauge.arith import closed_form_order
-from spgauge.errors import GuardFailed, NotPrime, OracleMismatch, OutOfRange
+from spgauge.errors import GuardFailed, OracleMismatch, OutOfRange
 from spgauge.gauge import identity_samelson_p_part
 from spgauge.lattice import IntMatrix, element_order_in_coker, smith_normal_form
 from spgauge.oracles import matrix_product, surjection_counts
@@ -157,10 +157,10 @@ def test_identity_p_part_rejects_nonpositive_rank(n):
 
 
 def test_identity_p_part_rejects_composite():
-    with pytest.raises(NotPrime):
+    with pytest.raises(OutOfRange, match="^6 is not prime$"):
         identity_samelson_p_part(2, 6)
     # primality is checked before the guard
-    with pytest.raises(NotPrime):
+    with pytest.raises(OutOfRange, match="^9 is not prime$"):
         identity_samelson_p_part(100, 9)
 
 

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from spgauge.errors import OutOfRange
 from spgauge.report import FORMATS, Product, Report
 
 
@@ -105,7 +106,7 @@ def test_render_dispatch_and_unknown_format():
     for fmt in FORMATS:
         assert _written(report, fmt) == ORACLES[fmt](report)
     out = io.StringIO()
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange, match="^unknown format 'yaml'"):
         report.write("yaml", out)
     assert out.getvalue() == ""
     assert FORMATS == ("json", "csv", "markdown")
@@ -114,7 +115,7 @@ def test_render_dispatch_and_unknown_format():
 def test_an_iterator_of_rows_raises_value_error():
     for rows in (iter([{"a": "1"}]), iter([]),
                  ({"a": str(i)} for i in range(2))):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange, match="a list or tuple of rows"):
             _written(Report("x", {}, rows), "csv")
 
 
@@ -338,7 +339,7 @@ _BAD_PRODUCTS = [
 def test_runs_are_checked_against_the_columns():
     for rows in _BAD_PRODUCTS:
         for fmt in FORMATS:
-            with pytest.raises(ValueError):
+            with pytest.raises(OutOfRange, match="^a product's "):
                 _written(Report("x", {}, rows), fmt)
 
 
@@ -389,17 +390,20 @@ def test_values_are_written_as_their_exact_text():
         assert _written(report, fmt) == ORACLES[fmt](want)
 
 
+_BAD_VALUE = "^a report value must be a str, bool, int or Fraction, got "
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("bad", [40.0, 0.5, float("nan"), None, 1j, b"1"])
 def test_a_value_of_another_type_raises_value_error(fmt, bad):
     # a parameter before anything is written, a cell when its row is reached
     out = io.StringIO()
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange, match=_BAD_VALUE):
         Report("x", {"n": 2, "p": bad}, [{"a": 1}]).write(fmt, out)
     assert out.getvalue() == ""
     for rows in ([{"a": 1}, {"a": bad}],
                  [Product([({"k": 1}, 0)], [({"l": bad}, 0)], {(0, 0): {}})],
                  [Product([({"k": 1}, 0)], [({"l": 2}, 0)],
                           {(0, 0): {"v": bad}})]):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange, match=_BAD_VALUE):
             _written(Report("x", {"n": 2}, rows), fmt)
