@@ -22,11 +22,11 @@ _EXPORTS = {
         "errors": ("GuardFailed", "NonIntegralGenerator", "OracleMismatch",
                    "OutOfRange", "SpgaugeError"),
         "gauge": (
-            "Bundle", "GuardCheck", "LieFamily", "Outcome", "Verdict",
-            "decide_local", "decide_spin", "identity_samelson_p_part",
-            "im_delta_gen", "im_partial_order", "local_partition",
-            "mapping_group_order", "q2_mapping_invariant",
-            "refined_invariant", "retractible", "sutherland_invariant",
+            "GuardCheck", "LieFamily", "Outcome", "Verdict", "decide_local",
+            "decide_spin", "identity_samelson_p_part", "im_delta_gen",
+            "im_partial_order", "local_partition", "mapping_group_order",
+            "q2_mapping_invariant", "refined_invariant", "retractible",
+            "sutherland_invariant",
         ),
         "lattice": (
             "FinAbGroup", "IntMatrix", "SmithForm", "cokernel",

@@ -18,7 +18,6 @@ from math import factorial
 
 from .errors import SpgaugeError
 from .gauge import (
-    Bundle,
     LieFamily,
     decide_local,
     decide_spin,
@@ -42,8 +41,18 @@ from .report import FORMATS, Product, Report
 _RANKED_FAMILIES = (LieFamily.SU, LieFamily.SP, LieFamily.SPIN_ODD)
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse drops an OSError from its own write of the help, and
+        # --help raises SystemExit next; write and flush here, so that a
+        # closed stdout reaches _main's broken-pipe handler, not exit
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spgauge",
         description="Exact invariants and p-local classification for "
                     "Sp(n) gauge groups over the 4-sphere.",
@@ -201,10 +210,9 @@ def _cmd_invariant(args) -> Report:
     # (2n+1)!/3, checked in gauge against its table-driven value
     group = mapping_group_order(args.n) if even else None
     for k in args.k:
-        bundle = Bundle(args.n, k)
-        refined = refined_invariant(bundle)
-        row = {"n": args.n, "k": k, "sutherland": sutherland_invariant(bundle),
-               "refined": refined}
+        refined = refined_invariant(args.n, k)
+        row = {"n": args.n, "k": k,
+               "sutherland": sutherland_invariant(args.n, k), "refined": refined}
         if even:
             # refined is gcd(k, 4n(2n+1)), the form the statement advertises,
             # and never 0
@@ -259,13 +267,13 @@ def main(argv=None) -> int:
 
 def _main(argv) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        report = args.handler(args)
-    except SpgaugeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        args = parser.parse_args(argv)
+        try:
+            report = args.handler(args)
+        except SpgaugeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         report.write(args.format, sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:

@@ -35,28 +35,22 @@ _THETA_UNIT = frac_gcd(_THETA_TOP)
 _RHO_UNIT = frac_gcd(_RHO_TOP)
 
 
-@dataclass(frozen=True)
-class Bundle:
-    """A principal Sp(n)-bundle over S^4 with classifying integer k."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        require_rank(self.n)
-        require_int("the bundle integer", self.k)
+def sutherland_invariant(n: int, k: int) -> int:
+    """The coarse classification invariant of the rank-n k-bundle:
+    gcd(k, B/4) = gcd(k, n(2n+1)) for even n, gcd(k, B) for odd n,
+    B = 4n(2n+1).  Raises OutOfRange for n < 1."""
+    require_rank(n)
+    require_int("the bundle integer", k)
+    b = closed_form_order(n)
+    return gcd(k, b if n % 2 else b // 4)
 
 
-def sutherland_invariant(bundle: Bundle) -> int:
-    """The coarse classification invariant: gcd(k, B/4) = gcd(k, n(2n+1))
-    for even n, gcd(k, B) for odd n, B = 4n(2n+1)."""
-    b = closed_form_order(bundle.n)
-    return gcd(bundle.k, b if bundle.n % 2 else b // 4)
-
-
-def refined_invariant(bundle: Bundle) -> int:
-    """The finer invariant gcd(k, 4n(2n+1)) valid for every rank."""
-    return gcd(bundle.k, closed_form_order(bundle.n))
+def refined_invariant(n: int, k: int) -> int:
+    """The finer invariant gcd(k, 4n(2n+1)) of the rank-n k-bundle, valid
+    for every rank.  Raises OutOfRange for n < 1."""
+    require_rank(n)
+    require_int("the bundle integer", k)
+    return gcd(k, closed_form_order(n))
 
 
 def _require_even_rank(n: int) -> None:
@@ -244,24 +238,17 @@ def local_partition(n: int, p: int) -> tuple[list[int], dict]:
 def decide_spin(m: int, k: int, l: int, p: int) -> Verdict:
     """p-local classification for Spin(m) gauge groups, m = 2n+1 or 2n+2.
 
-    Reduces to the rank-n symplectic criterion at odd primes.  Guards: the
-    dimension must give 2n >= 6 (m <= 6 raises OutOfRange), p must be odd,
-    and the retractibility bound (p-1)^2 + 1 >= 2n must hold; any failing
-    guard yields NotDetermined."""
+    At odd primes Spin(m) reduces to the rank-n symplectic criterion, so
+    the verdict is decide_local's at n = (m-1)//2 with the odd-prime guard
+    put first: p = 2 yields NotDetermined.  m <= 6 raises OutOfRange, and
+    then p and the bundle integers are checked as decide_local checks
+    them."""
     require_int("the dimension m", m)
     if m <= 6:
         raise OutOfRange(f"Spin({m}) is outside the criterion (needs m >= 7)")
-    require_prime(p)
-    require_int("the bundle integer", k, l)
-    eps = 1 if m % 2 == 1 else 2
-    n = (m - eps) // 2
-    guards = (
-        GuardCheck("dimension", 2 * n >= 6, f"m = {m} gives 2n = {2 * n}"),
-        GuardCheck("odd-prime", p != 2, f"p = {p}"),
-        _retract_guard(n, p),
-    )
-    b = closed_form_order(n)
-    return Verdict((_local_class(b, k, p), _local_class(b, l, p)), guards)
+    sp = decide_local((m - 1) // 2, k, l, p)
+    return Verdict(sp.invariant_values,
+                   (GuardCheck("odd-prime", p != 2, f"p = {p}"), *sp.guards))
 
 
 def identity_samelson_p_part(n: int, p: int) -> int:

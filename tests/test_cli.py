@@ -325,6 +325,30 @@ def test_a_reader_gone_before_the_report_ends_the_command_quietly(unbuffered):
     assert (proc.returncode, err) == (141, b"")
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "sp", "--help"]])
+def test_help_to_an_open_stdout_still_raises_system_exit(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: spgauge ") and "--help" in out
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "sp", "--help"]])
+def test_help_to_a_reader_already_gone_ends_the_command_quietly(argv,
+                                                                unbuffered):
+    # argparse writes the help and raises SystemExit(0) before any report
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_popen(argv, write_end, unbuffered)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
 def test_classify_sp_answers_for_a_19_digit_prime_within_seconds():
     proc = _cli_process("classify", "sp", "--n", "2", "--k", "1", "--l", "2",
                         "--p", "1000000000000000009", timeout=10)

@@ -31,7 +31,6 @@ from spgauge.arith import PRIME_BOUND, closed_form_order, frac_gcd, is_prime
 from spgauge.cli import main
 from spgauge.errors import OutOfRange, SpgaugeError
 from spgauge.gauge import (
-    Bundle,
     GuardCheck,
     LieFamily,
     Outcome,
@@ -64,13 +63,10 @@ _ANY_RANK = st.one_of(_NONPOSITIVE, st.integers(min_value=1))
 _SMALL_RANK = st.one_of(_NONPOSITIVE, st.integers(1, 12))
 
 
-def _invariants(n, k, l, p):
-    bundle = Bundle(n, k)
-    return sutherland_invariant(bundle), refined_invariant(bundle)
-
-
 ENTRY_POINTS = {
-    "invariants": (_invariants, _ANY_RANK),
+    "sutherland_invariant": (
+        lambda n, k, l, p: sutherland_invariant(n, k), _ANY_RANK),
+    "refined_invariant": (lambda n, k, l, p: refined_invariant(n, k), _ANY_RANK),
     "identity_samelson_p_part": (
         lambda n, k, l, p: identity_samelson_p_part(n, p), _ANY_RANK),
     "phi_image_series": (lambda n, k, l, p: phi_image(n, "series"), _SMALL_RANK),
@@ -160,10 +156,10 @@ _RANK = st.integers(1, 12)
 _EVEN_RANK = st.integers(1, 6).map(lambda n: 2 * n)
 _PRIME = st.sampled_from([2, 3, 5, 7, 11, 13])
 
-# each exported function that takes an integer, and the records Bundle,
-# GuardCheck and Verdict, with strategies for their integer arguments (a
-# guard's passed is a bool, which is an int) that make every drawn call
-# valid; a bundle, a guard, a verdict or a list is built from its integers.
+# each exported function that takes an integer, and the records GuardCheck
+# and Verdict, with strategies for their integer arguments (a guard's passed
+# is a bool, which is an int) that make every drawn call valid; a guard, a
+# verdict or a list is built from its integers.
 # The key's part before "[" is the exported name.
 INTEGER_ARGUMENTS = {
     "closed_form_order": (closed_form_order, [_INT]),
@@ -182,16 +178,13 @@ INTEGER_ARGUMENTS = {
         n, "series", (closed_form_order(n), t * closed_form_order(n)))),
         [_RANK, _INT]),
     "samelson_order": (samelson_order, [_RANK]),
-    "Bundle": (Bundle, [_RANK, _INT]),
     "GuardCheck": (lambda passed: GuardCheck("retractibility", passed, ""),
                    [st.booleans()]),
     "Verdict": (lambda a, b, passed: Verdict(
         (a, b), (GuardCheck("retractibility", passed, ""),)),
         [_INT, _INT, st.booleans()]),
-    "sutherland_invariant": (lambda n, k: sutherland_invariant(Bundle(n, k)),
-                             [_RANK, _INT]),
-    "refined_invariant": (lambda n, k: refined_invariant(Bundle(n, k)),
-                          [_RANK, _INT]),
+    "sutherland_invariant": (sutherland_invariant, [_RANK, _INT]),
+    "refined_invariant": (refined_invariant, [_RANK, _INT]),
     "decide_local": (decide_local, [_RANK, _INT, _INT, _PRIME]),
     "decide_spin": (decide_spin, [st.integers(7, 30), _INT, _INT, _PRIME]),
     # inside the retractibility guard, which p >= 5 meets up to rank 8
@@ -319,7 +312,6 @@ _MATRIX = IntMatrix(1, 1, (1,))
 
 # each exported class that holds fields, and valid values for them
 RECORDS = {
-    "Bundle": (Bundle, (2, 5)),
     "GuardCheck": (GuardCheck, ("retractibility", True, "")),
     "Verdict": (Verdict, ((5, 5), (GuardCheck("retractibility", True, ""),))),
     "PhiResult": (PhiResult, (2, "series", (40, 120))),

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from spgauge import arith, gauge, lattice
 from spgauge.errors import OracleMismatch, OutOfRange
 from spgauge.gauge import (
-    Bundle,
     GuardCheck,
     LieFamily,
     Outcome,
@@ -30,32 +29,33 @@ from spgauge.oracles import gcd_p_part
 from spgauge.phi import samelson_order
 
 
-def test_bundle_requires_positive_rank():
-    for n in (0, -3):
-        with pytest.raises(OutOfRange):
-            Bundle(n, 1)
-    assert Bundle(2, -7).k == -7
+def test_invariants_require_positive_rank():
+    for fn in (sutherland_invariant, refined_invariant):
+        for n in (0, -3):
+            with pytest.raises(OutOfRange):
+                fn(n, 1)
+    assert sutherland_invariant(2, -7) == refined_invariant(2, -7) == 1
 
 
 def test_sutherland_invariant_values():
-    assert sutherland_invariant(Bundle(2, 28)) == 2  # gcd(28, 10)
-    assert sutherland_invariant(Bundle(1, 0)) == 12
-    assert sutherland_invariant(Bundle(3, 7)) == 7
+    assert sutherland_invariant(2, 28) == 2  # gcd(28, 10)
+    assert sutherland_invariant(1, 0) == 12
+    assert sutherland_invariant(3, 7) == 7
 
 
 def test_refined_invariant_values():
-    assert refined_invariant(Bundle(2, 28)) == 4
-    assert refined_invariant(Bundle(1, 5)) == 1
+    assert refined_invariant(2, 28) == 4
+    assert refined_invariant(1, 5) == 1
     for n in (1, 2, 3, 5):
-        assert refined_invariant(Bundle(n, 0)) == 4 * n * (2 * n + 1)
+        assert refined_invariant(n, 0) == 4 * n * (2 * n + 1)
 
 
 def test_refined_at_least_as_fine_as_sutherland():
     # n(2n+1) divides 4n(2n+1), so the coarse gcd divides the refined one
     for n in range(1, 9):
         for k in range(-20, 21):
-            coarse = sutherland_invariant(Bundle(n, k))
-            fine = refined_invariant(Bundle(n, k))
+            coarse = sutherland_invariant(n, k)
+            fine = refined_invariant(n, k)
             assert fine % coarse == 0
             if n % 2 == 1:
                 assert fine == coarse
@@ -100,9 +100,9 @@ def test_q2_mapping_invariant_values():
 
 def test_q2_report_divergence_from_advertised_form():
     # the invariant command's q2_gcd_form column is the refined invariant
-    assert q2_mapping_invariant(2, 12) == refined_invariant(Bundle(2, 12)) == 4
+    assert q2_mapping_invariant(2, 12) == refined_invariant(2, 12) == 4
     assert q2_mapping_invariant(4, 1) == 840
-    assert refined_invariant(Bundle(4, 1)) == 1
+    assert refined_invariant(4, 1) == 1
 
 
 def test_q2_equals_mapping_order_at_k0():
@@ -121,7 +121,7 @@ def test_im_partial_report_divergence():
     # the invariant command's boundary_factorial_form column is
     # (2n+1)!/(3 refined)
     def factorial_form(n, k):
-        return factorial(2 * n + 1) // (3 * refined_invariant(Bundle(n, k)))
+        return factorial(2 * n + 1) // (3 * refined_invariant(n, k))
 
     assert im_partial_order(2, 1) == factorial_form(2, 1) == 40
     assert im_partial_order(4, 3) == 48
@@ -212,6 +212,9 @@ def test_decide_local_invariant_under_shift_and_negation(k, t):
     assert decide_local(2, -k, 7, 5).outcome is base
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
 def test_decide_spin_spec_triples():
     v = decide_spin(7, 84, 0, 7)
     assert v.outcome is Outcome.EQUIVALENT
@@ -248,6 +251,31 @@ def test_decide_spin_odd_and_even_dimension_share_criterion():
     b = decide_spin(14, 10, 20, 11)  # n = 6
     assert a.outcome is b.outcome
     assert a.invariant_values == b.invariant_values
+    for m in range(7, 42):
+        for p in _SMALL_PRIMES:
+            for k, l in ((0, 1), (12, 40), (-84, 7), (360, 3 * 5 * 7 * 11)):
+                assert (decide_spin(m, k, l, p).invariant_values
+                        == decide_local((m - 1) // 2, k, l, p).invariant_values)
+
+
+def test_decide_spin_trail_is_the_odd_prime_guard_then_the_sp_trail():
+    for m in range(7, 42):
+        for p in _SMALL_PRIMES:
+            assert [g.name for g in decide_spin(m, 1, 2, p).guards] == [
+                "odd-prime", "retractibility"]
+
+
+def test_every_guard_a_decider_builds_can_fail():
+    # a guard that passes on every input only lengthens the trail
+    verdicts = [decide_local(n, 1, 2, p)
+                for n in range(1, 21) for p in _SMALL_PRIMES]
+    verdicts += [decide_spin(m, 1, 2, p)
+                 for m in range(7, 42) for p in _SMALL_PRIMES]
+    verdicts += [v for n in range(1, 21) for p in _SMALL_PRIMES
+                 for v in local_partition(n, p)[1].values()]
+    built = {g.name for v in verdicts for g in v.guards}
+    failed = {g.name for v in verdicts for g in v.guards if not g.passed}
+    assert built == failed
 
 
 def test_pi_4n1_order_values():
