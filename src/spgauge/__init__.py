@@ -29,8 +29,8 @@ _EXPORTS = {
             "sutherland_invariant",
         ),
         "lattice": (
-            "FinAbGroup", "IntMatrix", "SmithForm", "cokernel",
-            "element_order_in_coker", "smith_normal_form",
+            "FinAbGroup", "cokernel", "element_order_in_coker",
+            "smith_normal_form",
         ),
         "phi": ("PhiResult", "checked_order", "phi_image", "phi_images",
                 "samelson_order"),

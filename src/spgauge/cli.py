@@ -38,9 +38,6 @@ from .phi import (
 )
 from .report import FORMATS, Product, Report
 
-_RANKED_FAMILIES = (LieFamily.SU, LieFamily.SP, LieFamily.SPIN_ODD)
-
-
 class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):
         # argparse drops an OSError from its own write of the help, and
@@ -229,8 +226,6 @@ def _cmd_invariant(args) -> Report:
 
 def _cmd_retractible(args) -> Report:
     family = LieFamily(args.family)
-    if family in _RANKED_FAMILIES and args.n is None:
-        raise SpgaugeError(f"--n is required for {family.value}")
     value = retractible(family, args.n, args.p)
     row = {"family": family.value, "p": args.p, "retractible": value}
     params = {"family": family.value, "p": args.p}

@@ -1,14 +1,14 @@
-"""Integer matrices, Smith normal form, and cokernel invariants.
+"""Integer matrices as row lists: Smith normal form and cokernel invariants.
 
-An IntMatrix is a checked container: its entries are arbitrary-precision
-Python ints, checked once when it is built (anything else raises
-OutOfRange), and it does no arithmetic of its own; the product and
+A matrix is a sequence of equal-length rows of ints, each function checking
+it once per call (anything else raises OutOfRange) and reducing a fresh
+copy, so no call changes the rows it was given.  The product and
 determinant that verify judges a Smith form with live in oracles.  The
-Smith reduction works on row lists and tracks the unimodular transforms
-(U A V = D), so element orders in cokernels can be read off exactly; they
-need only U and D, so they skip V.  Pivot selection is deterministic
-(smallest nonzero absolute value, ties broken by lowest row then lowest
-column) so the transforms are reproducible run to run.
+Smith reduction tracks the unimodular transforms (U A V = D), so element
+orders in cokernels can be read off exactly; they need only U and D, so
+they skip V.  Pivot selection is deterministic (smallest nonzero absolute
+value, ties broken by lowest row then lowest column) so the transforms are
+reproducible run to run.
 """
 
 from __future__ import annotations
@@ -16,67 +16,25 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
 from math import gcd, lcm, prod
 
 from .errors import OutOfRange
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, entries stored row-major: a checked
-    container, read through entries or to_lists.  The entries must be a
-    tuple of ints, else OutOfRange."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if not (isinstance(self.rows, int) and isinstance(self.cols, int)):
-            raise OutOfRange("matrix dimensions must be integers")
-        if self.rows < 1 or self.cols < 1:
-            raise OutOfRange("matrix dimensions must be positive")
-        if not isinstance(self.entries, tuple):
-            raise OutOfRange("matrix entries must be a tuple")
-        if len(self.entries) != self.rows * self.cols:
-            raise OutOfRange("entry count does not match dimensions")
-        if not all(map(isinstance, self.entries, repeat(int))):
-            raise OutOfRange("matrix entries must be integers")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        if not (isinstance(rows, Sequence)
-                and all(isinstance(row, Sequence) for row in rows)):
-            raise OutOfRange("matrix rows must be sequences")
-        if not rows or not rows[0]:
-            raise OutOfRange("matrix dimensions must be positive")
-        ncols = len(rows[0])
-        flat = []
-        for row in rows:
-            if len(row) != ncols:
-                raise OutOfRange("ragged rows")
-            flat.extend(row)
-        return cls(len(rows), ncols, tuple(flat))
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(self.entries[i * self.cols:(i + 1) * self.cols])
-                for i in range(self.rows)]
-
-
-@dataclass(frozen=True)
-class SmithForm:
-    """U A V = D with U, V unimodular and D diagonal, d1 | d2 | ...;
-    OutOfRange unless all three are IntMatrix."""
-
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
-
-    def __post_init__(self):
-        if not all(isinstance(m, IntMatrix) for m in (self.u, self.d, self.v)):
-            raise OutOfRange(f"a Smith form holds three IntMatrix, "
-                             f"got {self!r}")
+def _checked(a: Sequence[Sequence[int]]) -> list[list[int]]:
+    """A fresh copy of the matrix a as a list of int rows, else OutOfRange."""
+    if not (isinstance(a, Sequence)
+            and all(isinstance(row, Sequence) for row in a)):
+        raise OutOfRange("matrix rows must be sequences")
+    if not a or not a[0]:
+        raise OutOfRange("matrix dimensions must be positive")
+    ncols = len(a[0])
+    if any(len(row) != ncols for row in a):
+        raise OutOfRange("ragged rows")
+    rows = [list(row) for row in a]
+    if not all(isinstance(x, int) for row in rows for x in row):
+        raise OutOfRange("matrix entries must be integers")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -108,31 +66,30 @@ class FinAbGroup:
         return prod(self.invariant_factors)
 
 
-def smith_normal_form(a: IntMatrix) -> SmithForm:
+def smith_normal_form(
+    a: Sequence[Sequence[int]]
+) -> tuple[list[list[int]], ...]:
     """Smith normal form with transforms.
 
-    Returns SmithForm(u, d, v) with u*a*v == d, |det u| = |det v| = 1, d
+    Returns the row lists (u, d, v) with u*a*v == d, |det u| = |det v| = 1, d
     diagonal with nonnegative entries forming a divisibility chain.  Pivots
     are chosen as the smallest nonzero absolute value in the working block,
     ties broken by lowest row then lowest column, so the output is
     deterministic.
     """
-    return SmithForm(*(
-        IntMatrix(len(rows), len(rows[0]), tuple(chain.from_iterable(rows)))
-        for rows in _reduce(a, track_v=True)
-    ))
+    return _reduce(_checked(a), track_v=True)
 
 
 def _reduce(
-    a: IntMatrix, track_v: bool
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """The Smith reduction behind smith_normal_form: (u, d, v) as row lists.
+    d: list[list[int]], track_v: bool
+) -> tuple[list[list[int]], ...]:
+    """The Smith reduction behind smith_normal_form: reduces the checked
+    rows d in place and returns (u, d, v).
 
     Without track_v the column operations touch d alone and v is empty,
     which is all a caller reading only u and d needs.
     """
-    m, n = a.rows, a.cols
-    d = a.to_lists()
+    m, n = len(d), len(d[0])
     u = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [[int(i == j) for j in range(n)] for i in range(n)] if track_v else []
 
@@ -231,34 +188,38 @@ def _reduce(
     return u, d, v
 
 
-def cokernel(a: IntMatrix) -> FinAbGroup:
+def cokernel(a: Sequence[Sequence[int]]) -> FinAbGroup:
     """Invariants of Z^rows / column-span(a)."""
-    d = _reduce(a, track_v=False)[1]
-    nonzero = [d[i][i] for i in range(min(a.rows, a.cols)) if d[i][i] != 0]
+    d = _reduce(_checked(a), track_v=False)[1]
+    nonzero = [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i] != 0]
     return FinAbGroup(
         invariant_factors=tuple(x for x in nonzero if x >= 2),
-        free_rank=a.rows - len(nonzero),
+        free_rank=len(d) - len(nonzero),
     )
 
 
-def element_order_in_coker(a: IntMatrix, v: Sequence[int]) -> int | None:
+def element_order_in_coker(
+    a: Sequence[Sequence[int]], v: Sequence[int]
+) -> int | None:
     """Order of the class of v in Z^rows / column-span(a).
 
     Returns the least m >= 1 with m*v in the column span, or None when no
     such m exists (infinite order).  The zero class has order 1.  Entries
-    of v must be ints, as in an IntMatrix, else OutOfRange.
+    of v must be ints, as entries of a are, else OutOfRange.
     """
+    rows = _checked(a)
     if not isinstance(v, Sequence):
         raise OutOfRange("the vector must be a sequence")
-    if len(v) != a.rows:
+    if len(v) != len(rows):
         raise OutOfRange(
-            f"vector length {len(v)} does not match {a.rows} rows")
-    column = IntMatrix(a.rows, 1, tuple(v)).entries
-    u, d, _ = _reduce(a, track_v=False)
+            f"vector length {len(v)} does not match {len(rows)} rows")
+    if not all(isinstance(x, int) for x in v):
+        raise OutOfRange("matrix entries must be integers")
+    u, d, _ = _reduce(rows, track_v=False)
     order = 1
     for i, row in enumerate(u):
-        wi = sum(map(operator.mul, row, column))
-        di = d[i][i] if i < a.cols else 0
+        wi = sum(map(operator.mul, row, v))
+        di = d[i][i] if i < len(d[0]) else 0
         if di == 0:
             if wi != 0:
                 return None

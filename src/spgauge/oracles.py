@@ -4,8 +4,9 @@ Each recomputes by its own route a value the engine computes too: the
 Samelson order B = 4n(2n+1), p-parts, surjection counts, self-maps of a
 small set by image size, and cokernels by brute-force coset enumeration.
 The matrix product and determinant that judge a Smith form work on row
-lists, apart from the engine's IntMatrix.  Nothing from the package is imported but errors, so a fault in the engine
-cannot show on both sides of a check and cancel.
+lists, as the engine's lattice does.  Nothing from the package is imported
+but errors, so a fault in the engine cannot show on both sides of a check
+and cancel.
 """
 
 from __future__ import annotations

@@ -149,7 +149,7 @@ def checked_order(result: PhiResult) -> int:
     checks both against the closed form 4n(2n+1).  Any disagreement raises
     OracleMismatch, and a record of another backend raises OutOfRange.
     """
-    from .lattice import IntMatrix, element_order_in_coker
+    from .lattice import element_order_in_coker
 
     n = result.n
     if result.backend != "series":
@@ -160,8 +160,7 @@ def checked_order(result: PhiResult) -> int:
         raise OracleMismatch(
             f"series-backend image at n={n} failed to pin the order"
         )
-    gens = result.upper_gens
-    via_coker = element_order_in_coker(IntMatrix(1, len(gens), gens), (1,))
+    via_coker = element_order_in_coker([result.upper_gens], (1,))
     if via_coker != direct:
         raise OracleMismatch(
             f"gcd route gave {direct} but cokernel route gave {via_coker} at n={n}"

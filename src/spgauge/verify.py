@@ -32,7 +32,7 @@ from .gauge import (
     q2_mapping_invariant,
     retractible,
 )
-from .lattice import IntMatrix, cokernel, element_order_in_coker, smith_normal_form
+from .lattice import cokernel, element_order_in_coker, smith_normal_form
 from .oracles import (
     EchelonLattice,
     determinant,
@@ -217,12 +217,12 @@ def check_rank2_constants() -> CheckResult:
     return res
 
 
-def _random_matrix(rng: random.Random, max_dim: int, lo: int, hi: int) -> IntMatrix:
+def _random_matrix(
+    rng: random.Random, max_dim: int, lo: int, hi: int
+) -> list[list[int]]:
     rows = rng.randint(1, max_dim)
     cols = rng.randint(1, max_dim)
-    return IntMatrix.from_rows(
-        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
-    )
+    return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
 def check_smith_random() -> CheckResult:
@@ -232,14 +232,13 @@ def check_smith_random() -> CheckResult:
     rng = random.Random(_SEED)
     for idx in range(_SMITH_INSTANCES):
         a = _random_matrix(rng, 6, -20, 20)
-        snf = smith_normal_form(a)
-        u, d, v = snf.u.to_lists(), snf.d.to_lists(), snf.v.to_lists()
-        if matrix_product(matrix_product(u, a.to_lists()), v) != d:
+        u, d, v = smith_normal_form(a)
+        if matrix_product(matrix_product(u, a), v) != d:
             res.failures.append(f"instance {idx}: U A V != D")
             continue
         if abs(determinant(u)) != 1 or abs(determinant(v)) != 1:
             res.failures.append(f"instance {idx}: transform not unimodular")
-        diag = [d[i][i] for i in range(min(a.rows, a.cols))]
+        diag = [d[i][i] for i in range(min(len(a), len(a[0])))]
         if any(x < 0 for x in diag):
             res.failures.append(f"instance {idx}: negative diagonal")
         for prev, nxt in zip(diag, diag[1:]):
@@ -262,11 +261,11 @@ def check_coset_oracle() -> CheckResult:
     skipped = 0
     for idx in range(_COSET_INSTANCES):
         a = _random_matrix(rng, 3, -3, 3)
-        lat = EchelonLattice(a.rows)
-        for column in zip(*a.to_lists()):
+        lat = EchelonLattice(len(a))
+        for column in zip(*a):
             lat.insert(column)
         group = cokernel(a)
-        if group.free_rank != a.rows - len(lat.pivots()):
+        if group.free_rank != len(a) - len(lat.pivots()):
             res.failures.append(f"instance {idx}: free rank mismatch")
             continue
         cosets = enumerate_cosets(lat, _COSET_CAP)
@@ -296,7 +295,7 @@ def check_coset_oracle() -> CheckResult:
                     f"predicted {predicted}"
                 )
         for _ in range(3):
-            vec = [rng.randint(-4, 4) for _ in range(a.rows)]
+            vec = [rng.randint(-4, 4) for _ in range(len(a))]
             direct = element_order_in_coker(a, vec)
             enumerated = order_by_addition(lat, vec, _COSET_CAP + 1)
             if direct != enumerated:

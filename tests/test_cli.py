@@ -438,9 +438,16 @@ def test_retractible(capsys):
 
 
 def test_retractible_requires_rank_for_classical(capsys):
-    code, _, err = run_cli(capsys, "retractible", "--family", "SU", "--p", "5")
-    assert code == 2
-    assert "--n" in err
+    # the library refuses a classical family without a rank; it checks p
+    # first, so a p that is not prime is the refusal named
+    for family in ("SU", "Sp", "SpinOdd"):
+        code, out, err = run_cli(capsys, "retractible", "--family", family,
+                                 "--p", "5")
+        assert (code, out, err) == (
+            2, "", f"error: {family} needs a rank parameter\n")
+    code, out, err = run_cli(capsys, "retractible", "--family", "SU",
+                             "--p", "4")
+    assert (code, out, err) == (2, "", "error: 4 is not prime\n")
 
 
 def test_verify_small_sweep(capsys):

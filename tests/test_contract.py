@@ -9,7 +9,7 @@ test to decide.  A verdict that claims EQUIVALENT or DISTINCT has passed
 all of its guards.  An integer argument of an exported function or record
 that is a float or a Fraction raises OutOfRange.  A matrix or vector entry
 that is not an int raises OutOfRange, never a rounded answer; so does a
-matrix dimension that is not an int, or a matrix row or vector that is not
+ragged or empty matrix, or a matrix, a matrix row or a vector that is not
 a sequence.  Every exported record raises OutOfRange for a field of
 another type.  The command line exits 0, 1 or 2 on every argv, and each
 exit code prints what it promises.
@@ -47,8 +47,8 @@ from spgauge.gauge import (
     retractible,
     sutherland_invariant,
 )
-from spgauge.lattice import (FinAbGroup, IntMatrix, SmithForm,
-                             element_order_in_coker)
+from spgauge.lattice import (FinAbGroup, cokernel, element_order_in_coker,
+                             smith_normal_form)
 from spgauge.oracles import surjection_counts, surjection_counts_by_rank
 from spgauge.phi import (BACKENDS, PhiResult, checked_order, phi_image,
                          phi_images, samelson_order)
@@ -243,32 +243,51 @@ def test_a_non_int_integer_argument_raises_spgauge_error(name, data):
 
 _NON_INT = st.one_of(st.floats(), st.fractions(), st.text(), st.none())
 
-# each takes (rows, cols, matrix entries row-major, vector of length rows)
-NON_INT_ENTRY_POINTS = {
-    "from_rows": lambda rows, cols, matrix, vector: IntMatrix.from_rows(
-        [matrix[i * cols:(i + 1) * cols] for i in range(rows)]),
-    "IntMatrix": lambda rows, cols, matrix, vector: IntMatrix(
-        rows, cols, tuple(matrix)),
-    "element_order_in_coker": lambda rows, cols, matrix, vector:
-        element_order_in_coker(IntMatrix(rows, cols, tuple(matrix)), vector),
+# each takes a matrix as a list of rows and a vector of its row count
+MATRIX_ENTRY_POINTS = {
+    "smith_normal_form": lambda matrix, vector: smith_normal_form(matrix),
+    "cokernel": lambda matrix, vector: cokernel(matrix),
+    "element_order_in_coker": element_order_in_coker,
 }
 
 
-@pytest.mark.parametrize("name", sorted(NON_INT_ENTRY_POINTS))
+@pytest.mark.parametrize("name", sorted(MATRIX_ENTRY_POINTS))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 4),
        bad=_NON_INT)
 def test_a_non_int_entry_raises_out_of_range(name, data, rows, cols, bad):
-    """One entry of a valid matrix (or, for element_order_in_coker, of a
-    valid vector) is replaced by a float, a Fraction, a str or None."""
-    matrix = data.draw(st.lists(st.integers(-50, 50), min_size=rows * cols,
-                                max_size=rows * cols), label="matrix")
+    """One entry of a valid matrix (or, for element_order_in_coker, of the
+    matrix or of a valid vector) is replaced by a float, a Fraction, a str
+    or None."""
+    matrix = data.draw(st.lists(
+        st.lists(st.integers(-50, 50), min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows), label="matrix")
     vector = data.draw(st.lists(st.integers(-50, 50), min_size=rows,
                                 max_size=rows), label="vector")
-    spoiled = vector if name == "element_order_in_coker" else matrix
+    spoiled = data.draw(st.sampled_from(
+        [vector, *matrix] if name == "element_order_in_coker" else matrix),
+        label="spoiled row")
     spoiled[data.draw(st.integers(0, len(spoiled) - 1), label="position")] = bad
-    with pytest.raises(OutOfRange):
-        NON_INT_ENTRY_POINTS[name](rows, cols, matrix, vector)
+    with pytest.raises(OutOfRange, match="^matrix entries must be integers$"):
+        MATRIX_ENTRY_POINTS[name](matrix, vector)
+
+
+_RAGGED = st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+                   min_size=2, max_size=4).filter(
+    lambda rows: len(set(map(len, rows))) > 1)
+_EMPTY = st.lists(st.just([]), max_size=3)
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_ENTRY_POINTS))
+@settings(max_examples=50, deadline=None)
+@given(bad=st.one_of(_RAGGED, _EMPTY))
+@example(bad=[])
+@example(bad=[[1, 2], [3]])
+def test_a_ragged_or_empty_matrix_raises_out_of_range(name, bad):
+    message = "ragged rows" if bad and bad[0] else \
+        "matrix dimensions must be positive"
+    with pytest.raises(OutOfRange, match=f"^{message}$"):
+        MATRIX_ENTRY_POINTS[name](bad, [0] * len(bad))
 
 
 _NON_SEQUENCE = st.one_of(st.integers(), st.floats(), st.fractions(), st.none())
@@ -276,10 +295,15 @@ _NON_SEQUENCE = st.one_of(st.integers(), st.floats(), st.fractions(), st.none())
 # each puts a value that is not a sequence where the rows, a row or the
 # vector belongs
 NON_SEQUENCE_ENTRY_POINTS = {
-    "from_rows": lambda bad: IntMatrix.from_rows(bad),
-    "from_rows_row": lambda bad: IntMatrix.from_rows([[4], bad]),
-    "element_order_in_coker": lambda bad: element_order_in_coker(
-        IntMatrix.from_rows([[4]]), bad),
+    "smith_normal_form": lambda bad: smith_normal_form(bad),
+    "smith_normal_form_row": lambda bad: smith_normal_form([[4], bad]),
+    "cokernel": lambda bad: cokernel(bad),
+    "cokernel_row": lambda bad: cokernel([[4], bad]),
+    "element_order_in_coker_rows": lambda bad: element_order_in_coker(
+        bad, [0]),
+    "element_order_in_coker_row": lambda bad: element_order_in_coker(
+        [[4], bad], [0, 0]),
+    "element_order_in_coker": lambda bad: element_order_in_coker([[4]], bad),
 }
 
 
@@ -292,31 +316,14 @@ def test_a_non_sequence_raises_out_of_range(name, bad):
         NON_SEQUENCE_ENTRY_POINTS[name](bad)
 
 
-@settings(max_examples=50, deadline=None)
-@given(rows=st.integers(1, 4), cols=st.integers(1, 4), which=st.integers(0, 1),
-       kind=st.sampled_from([float, Fraction, str]))
-@example(rows=2, cols=1, which=0, kind=float)
-def test_a_non_int_dimension_raises_out_of_range(rows, cols, which, kind):
-    """A valid matrix whose row or column count is given as a float, a
-    Fraction or a str of the same value."""
-    dims = [rows, cols]
-    dims[which] = kind(dims[which])
-    with pytest.raises(OutOfRange):
-        IntMatrix(*dims, tuple(range(rows * cols)))
-
-
 # -- records ------------------------------------------------------------------
 
-
-_MATRIX = IntMatrix(1, 1, (1,))
 
 # each exported class that holds fields, and valid values for them
 RECORDS = {
     "GuardCheck": (GuardCheck, ("retractibility", True, "")),
     "Verdict": (Verdict, ((5, 5), (GuardCheck("retractibility", True, ""),))),
     "PhiResult": (PhiResult, (2, "series", (40, 120))),
-    "IntMatrix": (IntMatrix, (2, 1, (4, 6))),
-    "SmithForm": (SmithForm, (_MATRIX, _MATRIX, _MATRIX)),
     "FinAbGroup": (FinAbGroup, ((2, 4), 1)),
     "Report": (Report, ("order", {"n": 2}, [{"n": 2, "samelson_order": 40}],
                         [])),

@@ -49,11 +49,11 @@ def test_every_public_name_is_its_module_attribute():
         mod = importlib.import_module(f"spgauge.{module}")
         assert getattr(spgauge, name) is getattr(mod, name), name
     assert set(spgauge._EXPORTS) | spgauge._MODULES <= set(dir(spgauge))
-    from spgauge import IntMatrix, verify_sweep
-    from spgauge.lattice import IntMatrix as lattice_matrix
+    from spgauge import FinAbGroup, verify_sweep
+    from spgauge.lattice import FinAbGroup as lattice_group
     from spgauge.verify import verify_sweep as sweep
 
-    assert (IntMatrix, verify_sweep) == (lattice_matrix, sweep)
+    assert (FinAbGroup, verify_sweep) == (lattice_group, sweep)
 
 
 def test_a_module_is_an_attribute_of_the_package():
@@ -91,8 +91,8 @@ _VERIFY_ENGINE_IMPORTS = {
     ("gauge", "LieFamily"), ("gauge", "Outcome"), ("gauge", "decide_local"),
     ("gauge", "identity_samelson_p_part"), ("gauge", "mapping_group_order"),
     ("gauge", "q2_mapping_invariant"), ("gauge", "retractible"),
-    ("lattice", "IntMatrix"), ("lattice", "cokernel"),
-    ("lattice", "element_order_in_coker"), ("lattice", "smith_normal_form"),
+    ("lattice", "cokernel"), ("lattice", "element_order_in_coker"),
+    ("lattice", "smith_normal_form"),
     ("phi", "PhiResult"), ("phi", "checked_order"), ("phi", "phi_image"),
     ("phi", "phi_images"),
     ("report", "Report"),
@@ -178,7 +178,6 @@ _EXPORTS_READ_FROM_OUTSIDE = {
     "im_delta_gen": "the connecting-map image |k|(2n-1)!/6 under "
                     "invariant's q2_order",
     "FinAbGroup": "what cokernel returns",
-    "SmithForm": "what smith_normal_form returns, U A V = D",
     "truncated_powers": "the series powers under printed_top_coeffs "
                         "(phi-gens --backend printed) and "
                         "exp_minus_one_powers (verify's series identity)",

@@ -12,7 +12,7 @@ import spgauge.phi as phi_mod
 from spgauge.arith import closed_form_order
 from spgauge.errors import GuardFailed, OracleMismatch, OutOfRange
 from spgauge.gauge import identity_samelson_p_part
-from spgauge.lattice import IntMatrix, element_order_in_coker, smith_normal_form
+from spgauge.lattice import element_order_in_coker, smith_normal_form
 from spgauge.oracles import matrix_product, surjection_counts
 from spgauge.phi import (PhiResult, checked_order, phi_image, phi_images,
                          samelson_order)
@@ -229,11 +229,9 @@ def test_phi_image_builds_only_its_own_result(monkeypatch, n):
 
 
 def _order_from_full_smith_form(a, vec):
-    snf = smith_normal_form(a)
-    w = [row[0]
-         for row in matrix_product(snf.u.to_lists(), [[x] for x in vec])]
-    d = snf.d.to_lists()
-    diag = [d[i][i] for i in range(min(a.rows, a.cols))]
+    u, d, _ = smith_normal_form(a)
+    w = [row[0] for row in matrix_product(u, [[x] for x in vec])]
+    diag = [d[i][i] for i in range(min(len(a), len(a[0])))]
     order = 1
     for i, wi in enumerate(w):
         di = diag[i] if i < len(diag) else 0
@@ -247,7 +245,7 @@ def _order_from_full_smith_form(a, vec):
 
 def test_coker_order_without_v_on_image_rows():
     for res in phi_images(40):
-        row = IntMatrix.from_rows([list(res.upper_gens)])
+        row = [list(res.upper_gens)]
         assert element_order_in_coker(row, [1]) == \
             _order_from_full_smith_form(row, [1])
 
@@ -259,6 +257,6 @@ def test_coker_order_without_v_on_random_matrices():
     for _ in range(1000):
         a = _random_matrix(rng, 6, -20, 20)
         for _ in range(2):
-            vec = [vectors.randint(-30, 30) for _ in range(a.rows)]
+            vec = [vectors.randint(-30, 30) for _ in range(len(a))]
             assert element_order_in_coker(a, vec) == \
                 _order_from_full_smith_form(a, vec)
