@@ -28,15 +28,11 @@ _EXPORTS = {
             "q2_mapping_invariant", "refined_invariant", "retractible",
             "sutherland_invariant",
         ),
-        "lattice": (
-            "FinAbGroup", "cokernel", "element_order_in_coker",
-            "smith_normal_form",
-        ),
+        "lattice": ("element_order_in_coker", "smith_normal_form"),
         "phi": ("PhiResult", "checked_order", "phi_image", "phi_images",
                 "samelson_order"),
         "report": ("Report",),
-        "series": ("exp_minus_one_powers", "printed_top_coeffs",
-                   "truncated_powers"),
+        "series": ("printed_top_coeffs",),
         "verify": ("verify_sweep",),
     }.items()
     for name in names

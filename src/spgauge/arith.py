@@ -24,13 +24,6 @@ def require_int(what: str, *values: int) -> None:
             raise OutOfRange(f"{what} must be an integer, got {x!r}")
 
 
-def require_exact(what: str, *values: int | Fraction) -> None:
-    """Raise OutOfRange unless every value is an int or a Fraction."""
-    for x in values:
-        if not isinstance(x, (int, Fraction)):
-            raise OutOfRange(f"{what} must be an int or a Fraction, got {x!r}")
-
-
 def require_rank(n: int) -> None:
     """Raise OutOfRange unless the rank n is a positive integer."""
     if not isinstance(n, int) or n < 1:
@@ -112,7 +105,10 @@ def frac_gcd(values: Iterable[Fraction | int]) -> Fraction:
     that is neither an int nor a Fraction.
     """
     vals = list(values)
-    require_exact("a frac_gcd value", *vals)
+    for x in vals:
+        if not isinstance(x, (int, Fraction)):
+            raise OutOfRange(
+                f"a frac_gcd value must be an int or a Fraction, got {x!r}")
     nonzero = [Fraction(v) for v in vals if v != 0]
     if not nonzero:
         raise OutOfRange("frac_gcd needs at least one nonzero value")

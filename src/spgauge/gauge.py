@@ -116,9 +116,11 @@ def im_partial_order(n: int, k: int) -> int:
     mapping_group_order(n) / q2_mapping_invariant(n, k).
 
     Equals 4n(2n+1)/gcd(k, 4n(2n+1)); the quotient is checked.  k = 0 gives 1.
+    The divisor is taken as q2_mapping_invariant does, from the mapping
+    group order already in hand, so (2n+1)! is computed once.
     """
     total = mapping_group_order(n)
-    inv = q2_mapping_invariant(n, k)
+    inv = gcd(total, im_delta_gen(n, k))
     order, rem = divmod(total, inv)
     if rem != 0:
         raise OracleMismatch(f"quotient not exact at n={n}, k={k}")

@@ -1,22 +1,24 @@
-"""Integer matrices as row lists: Smith normal form and cokernel invariants.
+"""Integer matrices as row lists: Smith normal form and element orders in
+cokernels.
 
 A matrix is a sequence of equal-length rows of ints, each function checking
 it once per call (anything else raises OutOfRange) and reducing a fresh
 copy, so no call changes the rows it was given.  The product and
 determinant that verify judges a Smith form with live in oracles.  The
-Smith reduction tracks the unimodular transforms (U A V = D), so element
-orders in cokernels can be read off exactly; they need only U and D, so
-they skip V.  Pivot selection is deterministic (smallest nonzero absolute
-value, ties broken by lowest row then lowest column) so the transforms are
-reproducible run to run.
+nonzero diagonal entries of D are the cyclic orders of the cokernel
+Z^rows / column-span, and the rows less their count are its free rank;
+verify reads both off D.  The Smith reduction tracks the unimodular
+transforms (U A V = D), so element orders in cokernels can be read off
+exactly; they need only U and D, so they skip V.  Pivot selection is
+deterministic (smallest nonzero absolute value, ties broken by lowest row
+then lowest column) so the transforms are reproducible run to run.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .errors import OutOfRange
 
@@ -35,35 +37,6 @@ def _checked(a: Sequence[Sequence[int]]) -> list[list[int]]:
     if not all(isinstance(x, int) for row in rows for x in row):
         raise OutOfRange("matrix entries must be integers")
     return rows
-
-
-@dataclass(frozen=True)
-class FinAbGroup:
-    """Invariants of a finitely generated abelian group.
-
-    invariant_factors lists the nontrivial cyclic orders (each >= 2, each
-    dividing the next); free_rank counts the Z summands.  OutOfRange unless
-    the factors are such a tuple of ints and free_rank an int >= 0.
-    """
-
-    invariant_factors: tuple[int, ...]
-    free_rank: int
-
-    def __post_init__(self):
-        f, rank = self.invariant_factors, self.free_rank
-        if not (isinstance(f, tuple) and all(isinstance(x, int) for x in f)
-                and all(x >= 2 for x in f)
-                and all(b % a == 0 for a, b in zip(f, f[1:]))
-                and isinstance(rank, int) and rank >= 0):
-            raise OutOfRange(f"a group needs int invariant factors, each at "
-                             f"least 2 and dividing the next, and an int free "
-                             f"rank >= 0, got {self!r}")
-
-    def order(self) -> int | None:
-        """Group order, or None when the group is infinite."""
-        if self.free_rank > 0:
-            return None
-        return prod(self.invariant_factors)
 
 
 def smith_normal_form(
@@ -186,16 +159,6 @@ def _reduce(
             u[i] = [-x for x in u[i]]
 
     return u, d, v
-
-
-def cokernel(a: Sequence[Sequence[int]]) -> FinAbGroup:
-    """Invariants of Z^rows / column-span(a)."""
-    d = _reduce(_checked(a), track_v=False)[1]
-    nonzero = [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i] != 0]
-    return FinAbGroup(
-        invariant_factors=tuple(x for x in nonzero if x >= 2),
-        free_rank=len(d) - len(nonzero),
-    )
 
 
 def element_order_in_coker(

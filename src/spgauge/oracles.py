@@ -1,8 +1,10 @@
 """Independent oracles, which verify holds the engine's answers against.
 
-Each recomputes by its own route a value the engine computes too: the
-Samelson order B = 4n(2n+1), p-parts, surjection counts, self-maps of a
-small set by image size, and cokernels by brute-force coset enumeration.
+Each recomputes by its own route a value the engine computes too, or a
+value another oracle here computes: the Samelson order B = 4n(2n+1),
+p-parts, surjection counts, the powers of e^x - 1 (whose coefficients are
+surjection counts), self-maps of a small set by image size, and cokernels
+by brute-force coset enumeration.
 The matrix product and determinant that judge a Smith form work on row
 lists, as the engine's lattice does.  Nothing from the package is imported
 but errors, so a fault in the engine cannot show on both sides of a check
@@ -14,8 +16,9 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
+from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import factorial, gcd
 from typing import Iterator
 
 from .errors import OutOfRange
@@ -86,6 +89,29 @@ def _surjection_rows_by_rank(max_n: int) -> Iterator[list[int]]:
         powers = [j * j * power for j, power in enumerate(powers)]
         powers.append(n ** (2 * n - 1))
         yield _differences_at_zero(powers)
+
+
+def exp_minus_one_powers(max_deg: int) -> Iterator[list[Fraction]]:
+    """(e^x - 1)^k for k = 1, 2, ..., truncated at max_deg, as lists of the
+    x^0..x^max_deg coefficients; the stream never ends.
+
+    m! times the x^m coefficient of the k-th power is surj(m, k), the
+    exponential generating identity for surjection counts; verify holds
+    the two routes against each other.  Each power is the one before times
+    e^x - 1, a plain truncated product.  Raises OutOfRange at the call for
+    a max_deg that is not an int or is negative.
+    """
+    if not isinstance(max_deg, int):
+        raise OutOfRange(f"max_deg must be an integer, got {max_deg!r}")
+    if max_deg < 0:
+        raise OutOfRange("max_deg must be nonnegative")
+    base = [Fraction(0)] + [Fraction(1, factorial(m)) for m in range(1, max_deg + 1)]
+
+    def product(a, b):
+        return [sum((a[i] * b[m - i] for i in range(m + 1)), Fraction(0))
+                for m in range(max_deg + 1)]
+
+    return itertools.accumulate(itertools.repeat(base), product)
 
 
 def image_size_tally(m: int) -> Counter:

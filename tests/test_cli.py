@@ -98,6 +98,16 @@ def test_phi_gens_printed_reports_unpinned(capsys):
     assert all(r["pinned_order"] == "unpinned" for r in data["rows"])
 
 
+@pytest.mark.parametrize("n, top", [(4, "193/1425600"), (5, "1411/8072064000")])
+def test_phi_gens_printed_refuses_a_non_integral_generator(capsys, n, top):
+    # past rank 3 the printed convention gives a generator that is not an
+    # integer, which is a usage error, not a row
+    code, out, err = run_cli(
+        capsys, "phi-gens", "--n", str(n), "--backend", "printed")
+    assert (code, out) == (2, "")
+    assert err == f"error: (2n+1)! * {top} is not an integer at n={n}\n"
+
+
 def test_classify_sp_single(capsys):
     code, out, _ = run_cli(
         capsys, "classify", "sp", "--n", "2", "--p", "5",

@@ -47,14 +47,12 @@ from spgauge.gauge import (
     retractible,
     sutherland_invariant,
 )
-from spgauge.lattice import (FinAbGroup, cokernel, element_order_in_coker,
-                             smith_normal_form)
+from spgauge.lattice import element_order_in_coker, smith_normal_form
 from spgauge.oracles import surjection_counts, surjection_counts_by_rank
 from spgauge.phi import (BACKENDS, PhiResult, checked_order, phi_image,
                          phi_images, samelson_order)
 from spgauge.report import FORMATS, Report
-from spgauge.series import (exp_minus_one_powers, printed_top_coeffs,
-                            truncated_powers)
+from spgauge.series import printed_top_coeffs
 from spgauge.verify import verify_sweep
 
 _NONPOSITIVE = st.integers(max_value=0)
@@ -165,10 +163,7 @@ INTEGER_ARGUMENTS = {
     "closed_form_order": (closed_form_order, [_INT]),
     "frac_gcd": (lambda a, b: frac_gcd([a, b]), [_NONZERO, _INT]),
     "is_prime": (is_prime, [_INT]),
-    "exp_minus_one_powers": (exp_minus_one_powers, [st.integers(0, 12)]),
     "printed_top_coeffs": (printed_top_coeffs, [_RANK]),
-    "truncated_powers": (lambda *base: truncated_powers(list(base)),
-                         [_INT] * 3),
     "phi_image": (phi_image, [_RANK]),
     "phi_images": (phi_images, [_RANK]),
     "PhiResult": (lambda n, *gens: PhiResult(n, "series", gens),
@@ -205,8 +200,8 @@ INTEGER_ARGUMENTS = {
 }
 # the exported callables left out: the enums, which take no integer
 _NO_INTEGER_ARGUMENT = {"LieFamily", "Outcome"}
-# they take Fractions too, so only a float spoils them
-_EXACT_RATIONAL_ARGUMENTS = {"frac_gcd", "truncated_powers"}
+# it takes Fractions too, so only a float spoils it
+_EXACT_RATIONAL_ARGUMENTS = {"frac_gcd"}
 
 
 def test_every_exported_function_is_in_the_non_int_property():
@@ -246,7 +241,6 @@ _NON_INT = st.one_of(st.floats(), st.fractions(), st.text(), st.none())
 # each takes a matrix as a list of rows and a vector of its row count
 MATRIX_ENTRY_POINTS = {
     "smith_normal_form": lambda matrix, vector: smith_normal_form(matrix),
-    "cokernel": lambda matrix, vector: cokernel(matrix),
     "element_order_in_coker": element_order_in_coker,
 }
 
@@ -297,8 +291,6 @@ _NON_SEQUENCE = st.one_of(st.integers(), st.floats(), st.fractions(), st.none())
 NON_SEQUENCE_ENTRY_POINTS = {
     "smith_normal_form": lambda bad: smith_normal_form(bad),
     "smith_normal_form_row": lambda bad: smith_normal_form([[4], bad]),
-    "cokernel": lambda bad: cokernel(bad),
-    "cokernel_row": lambda bad: cokernel([[4], bad]),
     "element_order_in_coker_rows": lambda bad: element_order_in_coker(
         bad, [0]),
     "element_order_in_coker_row": lambda bad: element_order_in_coker(
@@ -324,7 +316,6 @@ RECORDS = {
     "GuardCheck": (GuardCheck, ("retractibility", True, "")),
     "Verdict": (Verdict, ((5, 5), (GuardCheck("retractibility", True, ""),))),
     "PhiResult": (PhiResult, (2, "series", (40, 120))),
-    "FinAbGroup": (FinAbGroup, ((2, 4), 1)),
     "Report": (Report, ("order", {"n": 2}, [{"n": 2, "samelson_order": 40}],
                         [])),
 }

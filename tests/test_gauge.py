@@ -441,7 +441,8 @@ _CROSS_CHECK_FAULTS = [
     (gauge, "_THETA_UNIT", lambda real: Fraction(1, 7),
      lambda: im_delta_gen(2, 1),
      "connecting-map unit is not integral at n=2"),
-    (gauge, "q2_mapping_invariant", lambda real: lambda n, k: 7,
+    # the quotient's divisor is gcd(mapping group order, connecting image)
+    (gauge, "gcd", lambda real: lambda a, b: 7,
      lambda: im_partial_order(2, 1),
      "quotient not exact at n=2, k=1"),
     (gauge, "closed_form_order", lambda real: lambda n: 2 * real(n),

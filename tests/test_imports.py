@@ -49,11 +49,11 @@ def test_every_public_name_is_its_module_attribute():
         mod = importlib.import_module(f"spgauge.{module}")
         assert getattr(spgauge, name) is getattr(mod, name), name
     assert set(spgauge._EXPORTS) | spgauge._MODULES <= set(dir(spgauge))
-    from spgauge import FinAbGroup, verify_sweep
-    from spgauge.lattice import FinAbGroup as lattice_group
+    from spgauge import PhiResult, verify_sweep
+    from spgauge.phi import PhiResult as phi_result
     from spgauge.verify import verify_sweep as sweep
 
-    assert (FinAbGroup, verify_sweep) == (lattice_group, sweep)
+    assert (PhiResult, verify_sweep) == (phi_result, sweep)
 
 
 def test_a_module_is_an_attribute_of_the_package():
@@ -84,19 +84,15 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 # the engine: the modules verify checks, and the command line
 _ENGINE = ("arith", "series", "phi", "lattice", "gauge", "report", "cli")
 # the engine names verify holds against the oracles (and writes its report
-# with).  series.exp_minus_one_powers, and truncated_powers under it, stays
-# shared with the printed backend: that oracle checks the surjection
-# oracle, not the printed backend, so sharing it hides no engine fault.
+# with)
 _VERIFY_ENGINE_IMPORTS = {
     ("gauge", "LieFamily"), ("gauge", "Outcome"), ("gauge", "decide_local"),
     ("gauge", "identity_samelson_p_part"), ("gauge", "mapping_group_order"),
     ("gauge", "q2_mapping_invariant"), ("gauge", "retractible"),
-    ("lattice", "cokernel"), ("lattice", "element_order_in_coker"),
-    ("lattice", "smith_normal_form"),
+    ("lattice", "element_order_in_coker"), ("lattice", "smith_normal_form"),
     ("phi", "PhiResult"), ("phi", "checked_order"), ("phi", "phi_image"),
     ("phi", "phi_images"),
     ("report", "Report"),
-    ("series", "exp_minus_one_powers"),
 }
 
 
@@ -177,10 +173,6 @@ _EXPORTS_READ_FROM_OUTSIDE = {
     "Verdict": "the record classify sp and spin print, outcome and values",
     "im_delta_gen": "the connecting-map image |k|(2n-1)!/6 under "
                     "invariant's q2_order",
-    "FinAbGroup": "what cokernel returns",
-    "truncated_powers": "the series powers under printed_top_coeffs "
-                        "(phi-gens --backend printed) and "
-                        "exp_minus_one_powers (verify's series identity)",
 }
 
 

@@ -1,4 +1,6 @@
-"""Unit tests for the streamed truncated powers and their two users."""
+"""Unit tests for the printed backend's composition-sum coefficients and
+for the powers of e^x - 1, the oracle that the series backend's top
+coefficients are held against."""
 
 import itertools
 from fractions import Fraction
@@ -9,17 +11,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spgauge.errors import OutOfRange
-from spgauge.oracles import surjection_counts
+from spgauge.oracles import exp_minus_one_powers, surjection_counts
 from spgauge.phi import BACKENDS, phi_images
-from spgauge.series import exp_minus_one_powers, printed_top_coeffs, truncated_powers
+from spgauge.series import printed_top_coeffs
 
 
 def test_backends_tuple():
     assert BACKENDS == ("series", "printed")
-
-
-def _fracs(*coeffs) -> list[Fraction]:
-    return [Fraction(c) for c in coeffs]
 
 
 def _mul(a, b):
@@ -29,26 +27,27 @@ def _mul(a, b):
 
 
 def test_coeff_bounds():
-    # every power keeps the base's truncation: degrees 0..len(base) - 1
-    for power in islice(truncated_powers(_fracs(0, 1, 1, 1)), 5):
+    # every power keeps the truncation: degrees 0..max_deg
+    for power in islice(exp_minus_one_powers(3), 5):
         assert len(power) == 4
     assert [len(p) for p in islice(exp_minus_one_powers(0), 3)] == [1, 1, 1]
 
 
 def test_mul_truncates():
-    # (1 + x)^2 = 1 + 2x + x^2, truncated at degree 1 drops the x^2 term
-    first, second = islice(truncated_powers(_fracs(1, 1)), 2)
-    assert first == [1, 1]
-    assert second == [1, 2]
+    # (e^x - 1)^2 = x^2 + x^3 + ..., truncated at degree 2 keeps only x^2
+    # and at degree 1 drops it
+    assert list(islice(exp_minus_one_powers(2), 2)) == [
+        [0, 1, Fraction(1, 2)], [0, 0, 1]]
+    assert list(islice(exp_minus_one_powers(1), 3)) == [[0, 1], [0, 0], [0, 0]]
 
 
 @given(st.integers(1, 5), st.integers(0, 8))
 def test_pow_matches_repeated_mul(k, deg):
-    base = [Fraction(i + 1, 3) for i in range(deg + 1)]
-    expected = base
-    for power in islice(truncated_powers(base), k):
-        assert power == expected
+    powers = exp_minus_one_powers(deg)
+    base = expected = next(powers)
+    for power in islice(powers, k):
         expected = _mul(expected, base)
+        assert power == expected
 
 
 def test_exp_minus_one_coeffs():
@@ -128,5 +127,8 @@ def test_top_coeff_domain_errors():
     for n in (0, -1, -8):
         with pytest.raises(OutOfRange):
             printed_top_coeffs(n)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match="^max_deg must be nonnegative$"):
         exp_minus_one_powers(-1)
+    for bad in (2.0, Fraction(2), "2", None):
+        with pytest.raises(OutOfRange, match="^max_deg must be an integer"):
+            exp_minus_one_powers(bad)
