@@ -19,14 +19,13 @@ _EXPORTS = {
     name: module
     for module, names in {
         "arith": ("closed_form_order", "frac_gcd", "is_prime"),
-        "errors": ("GuardFailed", "NonIntegralGenerator", "OracleMismatch",
-                   "OutOfRange", "SpgaugeError"),
+        "errors": ("NonIntegralGenerator", "OracleMismatch", "OutOfRange",
+                   "SpgaugeError"),
         "gauge": (
             "GuardCheck", "LieFamily", "Outcome", "Verdict", "decide_local",
-            "decide_spin", "identity_samelson_p_part", "im_delta_gen",
-            "im_partial_order", "local_partition", "mapping_group_order",
-            "q2_mapping_invariant", "refined_invariant", "retractible",
-            "sutherland_invariant",
+            "decide_spin", "im_delta_gen", "im_partial_order",
+            "local_partition", "mapping_group_order", "q2_mapping_invariant",
+            "refined_invariant", "retractible", "sutherland_invariant",
         ),
         "lattice": ("element_order_in_coker", "smith_normal_form"),
         "phi": ("PhiResult", "checked_order", "phi_image", "phi_images",

@@ -3,9 +3,10 @@
 Everything in the package runs on arbitrary-precision integers and
 `fractions.Fraction`; there are no floats anywhere.  This module collects the
 number-theoretic primitives the pipelines share: the integer, rank and prime
-guards, which refuse anything that is not an int, the Samelson order
-B = 4n(2n+1), bounded deterministic primality, the p-adic valuation that
-gauge reads every p-part with, and rational subgroup generators.
+guards, which refuse anything that is not an int (a bool or an IntEnum
+member too), the Samelson order B = 4n(2n+1), bounded deterministic
+primality, the p-adic valuation that gauge reads every p-part with, and
+rational subgroup generators.
 """
 
 from __future__ import annotations
@@ -18,15 +19,17 @@ from .errors import OutOfRange
 
 
 def require_int(what: str, *values: int) -> None:
-    """Raise OutOfRange unless every value is an int; what names them."""
+    """Raise OutOfRange unless every value is an int, and not a bool or
+    another subclass of int; what names them."""
     for x in values:
-        if not isinstance(x, int):
+        if type(x) is not int:
             raise OutOfRange(f"{what} must be an integer, got {x!r}")
 
 
 def require_rank(n: int) -> None:
-    """Raise OutOfRange unless the rank n is a positive integer."""
-    if not isinstance(n, int) or n < 1:
+    """Raise OutOfRange unless the rank n is a positive int, as require_int
+    takes one."""
+    if type(n) is not int or n < 1:
         raise OutOfRange(f"rank must be a positive integer, got {n!r}")
 
 
@@ -106,7 +109,7 @@ def frac_gcd(values: Iterable[Fraction | int]) -> Fraction:
     """
     vals = list(values)
     for x in vals:
-        if not isinstance(x, (int, Fraction)):
+        if not (type(x) is int or isinstance(x, Fraction)):
             raise OutOfRange(
                 f"a frac_gcd value must be an int or a Fraction, got {x!r}")
     nonzero = [Fraction(v) for v in vals if v != 0]

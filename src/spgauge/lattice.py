@@ -34,7 +34,7 @@ def _checked(a: Sequence[Sequence[int]]) -> list[list[int]]:
     if any(len(row) != ncols for row in a):
         raise OutOfRange("ragged rows")
     rows = [list(row) for row in a]
-    if not all(isinstance(x, int) for row in rows for x in row):
+    if not all(type(x) is int for row in rows for x in row):
         raise OutOfRange("matrix entries must be integers")
     return rows
 
@@ -176,7 +176,7 @@ def element_order_in_coker(
     if len(v) != len(rows):
         raise OutOfRange(
             f"vector length {len(v)} does not match {len(rows)} rows")
-    if not all(isinstance(x, int) for x in v):
+    if not all(type(x) is int for x in v):
         raise OutOfRange("matrix entries must be integers")
     u, d, _ = _reduce(rows, track_v=False)
     order = 1

@@ -1,10 +1,11 @@
 """Independent oracles, which verify holds the engine's answers against.
 
 Each recomputes by its own route a value the engine computes too, or a
-value another oracle here computes: the Samelson order B = 4n(2n+1),
-p-parts, surjection counts, the powers of e^x - 1 (whose coefficients are
-surjection counts), self-maps of a small set by image size, and cokernels
-by brute-force coset enumeration.
+value another oracle here computes: the Samelson order B = 4n(2n+1), the
+closed forms of the rank-2 mapping pipeline, p-parts, surjection counts,
+the powers of e^x - 1 (whose coefficients are surjection counts),
+self-maps of a small set by image size, and cokernels by brute-force coset
+enumeration.
 The matrix product and determinant that judge a Smith form work on row
 lists, as the engine's lattice does.  Nothing from the package is imported
 but errors, so a fault in the engine cannot show on both sides of a check
@@ -28,6 +29,19 @@ def samelson_b(n: int) -> int:
     """B = 4n(2n+1), the Samelson order, written apart from the engine's
     closed form so that a wrong B there fails a check."""
     return 4 * n * (2 * n + 1)
+
+
+def rank2_factor(n: int) -> int:
+    """c(n) = (2n-1)!/6 for n >= 2: the rank-2 mapping group order is c(n)B
+    and its quotient by the k-th connecting image c(n)gcd(k, B), since
+    (2n+1)!/3 = c(n)B and gcd(c(n)B, c(n)k) = c(n)gcd(k, B)."""
+    return factorial(2 * n - 1) // 6
+
+
+def mapping_group_factorial_form(n: int) -> int:
+    """(2n+1)!/3, the rank-2 mapping group order as a cokernel of the
+    comparison map, for n >= 1."""
+    return factorial(2 * n + 1) // 3
 
 
 def gcd_p_part(a: int, p: int) -> int:

@@ -42,13 +42,14 @@ Value = str | bool | int | Fraction
 
 
 def _text(value: Value) -> str:
-    """value as the report writes it; a bool is tested before an int, which
-    it also is."""
+    """value as the report writes it.  A bool is an int too, but is written
+    as true or false; any other subclass of int raises, as the text of one
+    (an IntEnum member's) differs between Python versions."""
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
+    if type(value) is bool:
         return "true" if value else "false"
-    if isinstance(value, (int, Fraction)):
+    if type(value) is int or isinstance(value, Fraction):
         return str(value)
     raise OutOfRange(f"a report value must be a str, bool, int or Fraction, "
                      f"got {type(value).__name__} {value!r}")

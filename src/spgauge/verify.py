@@ -4,7 +4,9 @@ Each check here reruns one acceptance property at a requested scale and
 compares the engine's answers with the independent oracles in oracles
 (closed forms, exhaustive map enumeration, brute-force coset enumeration,
 row-list matrix arithmetic), which share no code with the engine they
-check; the series identity holds two oracles, the powers of e^x - 1 and
+check.  The engine does not re-check its own constants: verify alone
+holds the rank-2 mapping pipeline to its closed forms at every even rank
+up to 200; the series identity holds two oracles, the powers of e^x - 1 and
 inclusion-exclusion, against each other.  Scales cap at each property's
 stated bound so a large max_n stays within the documented runtime
 budgets.  The sweep walks the image stream phi_images once, feeding both
@@ -24,12 +26,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import comb, factorial, gcd, prod
 
-from .errors import GuardFailed, OracleMismatch, OutOfRange
+from .errors import OracleMismatch, OutOfRange
 from .gauge import (
     LieFamily,
     Outcome,
     decide_local,
-    identity_samelson_p_part,
+    im_partial_order,
     mapping_group_order,
     q2_mapping_invariant,
     retractible,
@@ -43,8 +45,10 @@ from .oracles import (
     exp_minus_one_powers,
     gcd_p_part,
     image_size_tally,
+    mapping_group_factorial_form,
     matrix_product,
     order_by_addition,
+    rank2_factor,
     samelson_b,
     surjection_counts,
     surjection_counts_by_rank,
@@ -162,37 +166,51 @@ def check_printed_discrepancy() -> CheckResult:
 
 
 def check_mapping_group(max_n: int) -> CheckResult:
-    """Rank-2 mapping group order equals (2n+1)!/3 for even n (anchor 40 at
-    n = 2); the pipeline itself cross-checks the rho-table route against the
-    closed form and raises OracleMismatch, recorded here, when they differ."""
+    """Rank-2 mapping group order equals (2n+1)!/3 for even n <= 40 (anchor
+    40 at n = 2)."""
     res = CheckResult("mapping-group-order")
-    with res.recording():
-        for n in range(2, min(max_n, 40) + 1, 2):
-            res.add(n=n, order=mapping_group_order(n))
+    for n in range(2, min(max_n, 40) + 1, 2):
+        order = mapping_group_order(n)
+        expected = mapping_group_factorial_form(n)
+        if order != expected:
+            res.failures.append(f"n={n}: mapping group order {order} differs "
+                                f"from (2n+1)!/3 = {expected}")
+        res.add(n=n, order=order)
     if max_n >= 2 and res.rows and res.rows[0]["order"] != 40:
         res.failures.append("anchor n=2 should give 40")
     return res
 
 
 def check_separation(max_n: int) -> CheckResult:
-    """The quotient invariant separates bundles exactly as gcd(k, 4n(2n+1))
-    does: over k, l in [0, B] the two values determine each other."""
+    """The rank-2 pipeline is one identity: with c(n) = (2n-1)!/6 and
+    B = 4n(2n+1), the mapping group order is c(n)B, the quotient invariant
+    c(n)gcd(k, B) and the boundary image order B/gcd(k, B).  As c(n) > 0,
+    the quotient invariant then separates bundles exactly as gcd(k, B)
+    does.  Every k in [0, B] is checked at even n <= 12, each with a row of
+    its class count, the number of divisors of B; k = 1 and one seeded k
+    at even 14 <= n <= min(max_n, 200).  A rank fails at its first wrong
+    k."""
     res = CheckResult("quotient-invariant-separation")
-    with res.recording():
-        for n in range(2, min(max_n, 12) + 1, 2):
-            b = samelson_b(n)
-            gcds = [gcd(k, b) for k in range(b + 1)]
-            q2s = [q2_mapping_invariant(n, k) for k in range(b + 1)]
-            by_gcd: dict[int, set[int]] = {}
-            by_q2: dict[int, set[int]] = {}
-            for g, q in zip(gcds, q2s):
-                by_gcd.setdefault(g, set()).add(q)
-                by_q2.setdefault(q, set()).add(g)
-            if any(len(v) != 1 for v in by_gcd.values()):
-                res.failures.append(f"n={n}: equal gcds with different invariants")
-            if any(len(v) != 1 for v in by_q2.values()):
-                res.failures.append(f"n={n}: equal invariants with different gcds")
-            res.add(n=n, modulus=b, classes=len(by_gcd))
+    rng = random.Random(_SEED + 2)
+    for n in range(2, min(max_n, 200) + 1, 2):
+        b = samelson_b(n)
+        c = rank2_factor(n)
+        if mapping_group_order(n) != c * b:
+            res.failures.append(
+                f"n={n}: mapping group order differs from c(n)B")
+        ks = range(b + 1) if n <= 12 else (1, rng.randint(-10**9, 10**9))
+        for k in ks:
+            g = gcd(k, b)
+            if q2_mapping_invariant(n, k) != c * g:
+                res.failures.append(f"n={n} k={k}: quotient invariant "
+                                    f"differs from c(n)gcd(k, B)")
+                break
+            if im_partial_order(n, k) != b // g:
+                res.failures.append(f"n={n} k={k}: boundary image order "
+                                    f"differs from B/gcd(k, B)")
+                break
+        if n <= 12:
+            res.add(n=n, modulus=b, classes=len(divisors(b)))
     return res
 
 
@@ -200,10 +218,9 @@ def check_rank2_constants() -> CheckResult:
     """At n = 2 the quotient invariant is literally gcd(k, 40), and the
     5-local decider partitions k in [0, 40] by the 5-part (1 or 5)."""
     res = CheckResult("rank2-constants")
-    with res.recording():
-        for k in range(81):
-            if q2_mapping_invariant(2, k) != gcd(k, 40):
-                res.failures.append(f"k={k}: invariant differs from gcd(k, 40)")
+    for k in range(81):
+        if q2_mapping_invariant(2, k) != gcd(k, 40):
+            res.failures.append(f"k={k}: invariant differs from gcd(k, 40)")
     parts = {k: gcd_p_part(gcd(k, 40), 5) for k in range(41)}
     if set(parts.values()) != {1, 5}:
         res.failures.append(f"5-parts over [0,40] were {sorted(set(parts.values()))}")
@@ -335,30 +352,26 @@ def check_series_identity() -> CheckResult:
 
 
 def check_guards(max_n: int) -> CheckResult:
-    """Guarded operations refuse exactly when (p-1)^2 + 1 < 2n, and the
-    retractibility registry matches its defining thresholds row by row."""
+    """Verdicts read not-determined exactly when (p-1)^2 + 1 < 2n, and hold
+    the p-parts of gcd(k, B) for (k, l) = (0, 1), whose first is the p-part
+    of B, and (1, 2); the retractibility registry matches its defining
+    thresholds row by row."""
     res = CheckResult("guard-behavior")
     top = min(max_n, 20)
     for n in range(1, top + 1):
+        b = samelson_b(n)
         for p in _GUARD_PRIMES:
             should_fail = (p - 1) ** 2 + 1 < 2 * n
-            try:
-                value = identity_samelson_p_part(n, p)
-                failed = False
-            except GuardFailed:
-                failed = True
-                value = None
-            if failed != should_fail:
-                res.failures.append(f"n={n} p={p}: guard exception mismatch")
-            b = samelson_b(n)
-            if not failed and value != gcd_p_part(b, p):
-                res.failures.append(f"n={n} p={p}: wrong p-part {value}")
-            verdict = decide_local(n, 1, 2, p)
-            if (verdict.outcome is Outcome.NOT_DETERMINED) != should_fail:
-                res.failures.append(f"n={n} p={p}: verdict guard mismatch")
-            if verdict.invariant_values != (1, gcd_p_part(gcd(2, b), p)):
-                res.failures.append(f"n={n} p={p}: verdict invariants "
-                                    f"{verdict.invariant_values}")
+            for k, l in ((0, 1), (1, 2)):
+                verdict = decide_local(n, k, l, p)
+                if (verdict.outcome is Outcome.NOT_DETERMINED) != should_fail:
+                    res.failures.append(f"n={n} p={p} k={k} l={l}: verdict "
+                                        f"guard mismatch")
+                expected = (gcd_p_part(gcd(k, b), p), gcd_p_part(gcd(l, b), p))
+                if verdict.invariant_values != expected:
+                    res.failures.append(
+                        f"n={n} p={p} k={k} l={l}: verdict invariants "
+                        f"{verdict.invariant_values}")
     for p in _GUARD_PRIMES:
         bound = (p - 1) ** 2 + 1
         for rank in range(1, top + 1):
@@ -409,18 +422,18 @@ def verify_sweep(max_n: int) -> Report:
     """Run every acceptance property up to max_n and assemble a Report.
 
     Each property caps at its stated scale (orders and divisibility at
-    max_n, mapping group at 40, separation at 12, guards at 20; fixed-size
-    checks run whenever max_n admits them), so max_n = 200 reproduces the
-    full acceptance suite.  The image stream is walked once, by
-    check_image_stream, in one forked child while this process runs the
-    other checks; the child sends its two checks down a pipe.  An
-    exception the walk raised is raised here again, a child that exits
-    with any status but 0 raises ChildProcessError, whatever it wrote
+    max_n, mapping group at 40, separation at 200, over every k up to 12,
+    guards at 20; fixed-size checks run whenever max_n admits them), so
+    max_n = 200 reproduces the full acceptance suite.  The image stream is
+    walked once, by check_image_stream, in one forked child while this
+    process runs the other checks; the child sends its two checks down a
+    pipe.  An exception the walk raised is raised here again, a child that
+    exits with any status but 0 raises ChildProcessError, whatever it wrote
     first, and if the checks here raise, the child is killed.
     Either way the child is reaped before this returns.
     The rows come in the same order whichever process ran them.
     """
-    if not isinstance(max_n, int) or max_n < 2:
+    if type(max_n) is not int or max_n < 2:
         raise OutOfRange(f"verify needs an integer max_n >= 2, got {max_n!r}")
     read_fd, write_fd = os.pipe()
     with os.fdopen(read_fd, "rb") as pipe:

@@ -97,11 +97,14 @@ def test_mapping_group_orders_even_ranks():
 
 
 def test_separation_property():
-    """Quotient invariant separates bundles exactly like gcd(k, B) for even
-    n <= 12, k, l in [0, B] (budget: 2 minutes)."""
-    result = check_separation(12)
-    _report("separation even n<=12", result,
-            "invariant classes = gcd classes on every full period")
+    """The rank-2 pipeline equals c(n)B, c(n)gcd(k, B) and B/gcd(k, B), so
+    the quotient invariant separates bundles exactly like gcd(k, B): every
+    k in [0, B] for even n <= 12, k = 1 and a seeded k for even n <= 200
+    (budget: seconds)."""
+    result = check_separation(200)
+    assert [row["n"] for row in result.rows] == list(range(2, 13, 2))
+    _report("separation even n<=200", result,
+            "the rank-2 identity on every full period to n=12, sampled to 200")
 
 
 def test_rank2_classification_constants():

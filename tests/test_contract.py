@@ -7,20 +7,22 @@ holds for the counts of surjections and sweeps below their least valid
 value, and for every p that is not prime or is too large for the primality
 test to decide.  A verdict that claims EQUIVALENT or DISTINCT has passed
 all of its guards.  An integer argument of an exported function or record
-that is a float or a Fraction raises OutOfRange.  A matrix or vector entry
-that is not an int raises OutOfRange, never a rounded answer; so does a
-ragged or empty matrix, or a matrix, a matrix row or a vector that is not
-a sequence.  Every exported record raises OutOfRange for a field of
-another type.  The command line exits 0, 1 or 2 on every argv, and each
-exit code prints what it promises.
+that is a float, a Fraction, a bool or an IntEnum member raises OutOfRange.
+A matrix or vector entry that is not an int raises OutOfRange, never a
+rounded answer; so does a ragged or empty matrix, or a matrix, a matrix
+row or a vector that is not a sequence.  Every exported record raises
+OutOfRange for a field of another type.  The command line exits 0, 1 or 2
+on every argv, and each exit code prints what it promises.
 """
 
 import csv
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from operator import mul
 
 import pytest
@@ -37,7 +39,6 @@ from spgauge.gauge import (
     Verdict,
     decide_local,
     decide_spin,
-    identity_samelson_p_part,
     im_delta_gen,
     im_partial_order,
     local_partition,
@@ -65,8 +66,6 @@ ENTRY_POINTS = {
     "sutherland_invariant": (
         lambda n, k, l, p: sutherland_invariant(n, k), _ANY_RANK),
     "refined_invariant": (lambda n, k, l, p: refined_invariant(n, k), _ANY_RANK),
-    "identity_samelson_p_part": (
-        lambda n, k, l, p: identity_samelson_p_part(n, p), _ANY_RANK),
     "phi_image_series": (lambda n, k, l, p: phi_image(n, "series"), _SMALL_RANK),
     "phi_image_printed": (lambda n, k, l, p: phi_image(n, "printed"), _SMALL_RANK),
     "phi_images": (lambda n, k, l, p: list(phi_images(n)), _SMALL_RANK),
@@ -153,6 +152,8 @@ _NONZERO = _INT.filter(bool)
 _RANK = st.integers(1, 12)
 _EVEN_RANK = st.integers(1, 6).map(lambda n: 2 * n)
 _PRIME = st.sampled_from([2, 3, 5, 7, 11, 13])
+# a multiple of B = 4n(2n+1) at every rank _RANK draws
+_EVERY_B = lcm(*(4 * n * (2 * n + 1) for n in range(1, 13)))
 
 # each exported function that takes an integer, and the records GuardCheck
 # and Verdict, with strategies for their integer arguments (a guard's passed
@@ -168,10 +169,11 @@ INTEGER_ARGUMENTS = {
     "phi_images": (phi_images, [_RANK]),
     "PhiResult": (lambda n, *gens: PhiResult(n, "series", gens),
                   [_RANK, _INT, _INT]),
-    # the rank-n image generated by B and a multiple of it pins B
-    "checked_order": (lambda n, t: checked_order(PhiResult(
-        n, "series", (closed_form_order(n), t * closed_form_order(n)))),
-        [_RANK, _INT]),
+    # the rank-n image generated by B and a multiple of it pins B; the
+    # multiple is drawn whole, so that a spoiled one reaches the record
+    "checked_order": (lambda n, g: checked_order(PhiResult(
+        n, "series", (closed_form_order(n), g))),
+        [_RANK, _INT.map(lambda t: t * _EVERY_B)]),
     "samelson_order": (samelson_order, [_RANK]),
     "GuardCheck": (lambda passed: GuardCheck("retractibility", passed, ""),
                    [st.booleans()]),
@@ -182,10 +184,6 @@ INTEGER_ARGUMENTS = {
     "refined_invariant": (refined_invariant, [_RANK, _INT]),
     "decide_local": (decide_local, [_RANK, _INT, _INT, _PRIME]),
     "decide_spin": (decide_spin, [st.integers(7, 30), _INT, _INT, _PRIME]),
-    # inside the retractibility guard, which p >= 5 meets up to rank 8
-    "identity_samelson_p_part": (
-        identity_samelson_p_part,
-        [st.integers(1, 8), st.sampled_from([5, 7, 11, 13])]),
     "im_delta_gen": (im_delta_gen, [_EVEN_RANK, _INT]),
     "im_partial_order": (im_partial_order, [_EVEN_RANK, _INT]),
     "local_partition": (local_partition, [_RANK, _PRIME]),
@@ -218,17 +216,22 @@ def test_every_exported_function_is_in_the_non_int_property():
 @given(data=st.data())
 def test_a_non_int_integer_argument_raises_spgauge_error(name, data):
     """A valid call returns; the same call with one integer argument turned
-    into a float or a Fraction, of the same value or of any other, raises
-    OutOfRange instead of giving an answer."""
+    into a float or a Fraction, of the same value or of any other, or into
+    an IntEnum member of the same value, or a bool where the argument is
+    not one, raises OutOfRange instead of giving an answer."""
     fn, strategies = INTEGER_ARGUMENTS[name]
     args = [data.draw(s, label="argument") for s in strategies]
     fn(*args)
     i = data.draw(st.integers(0, len(args) - 1), label="position")
     floats = [st.just(float(args[i])), st.floats()]
     fractions = [st.just(Fraction(args[i])), st.fractions()]
+    # int subclasses: a guard's passed is the one bool argument
+    subclasses = [st.just(IntEnum("Spoiled", {"VALUE": int(args[i])}).VALUE)]
+    if not isinstance(args[i], bool):
+        subclasses.append(st.booleans())
     args[i] = data.draw(st.one_of(
-        floats if name in _EXACT_RATIONAL_ARGUMENTS else floats + fractions),
-        label="spoiled")
+        floats + subclasses if name in _EXACT_RATIONAL_ARGUMENTS
+        else floats + fractions + subclasses), label="spoiled")
     with pytest.raises(OutOfRange):
         fn(*args)
 
@@ -236,7 +239,13 @@ def test_a_non_int_integer_argument_raises_spgauge_error(name, data):
 # -- matrix entries -----------------------------------------------------------
 
 
-_NON_INT = st.one_of(st.floats(), st.fractions(), st.text(), st.none())
+class _Five(IntEnum):
+    FIVE = 5
+
+
+# an int subclass among them: a bool, or an IntEnum member
+_NON_INT = st.one_of(st.floats(), st.fractions(), st.text(), st.none(),
+                     st.booleans(), st.just(_Five.FIVE))
 
 # each takes a matrix as a list of rows and a vector of its row count
 MATRIX_ENTRY_POINTS = {
@@ -251,8 +260,8 @@ MATRIX_ENTRY_POINTS = {
        bad=_NON_INT)
 def test_a_non_int_entry_raises_out_of_range(name, data, rows, cols, bad):
     """One entry of a valid matrix (or, for element_order_in_coker, of the
-    matrix or of a valid vector) is replaced by a float, a Fraction, a str
-    or None."""
+    matrix or of a valid vector) is replaced by a float, a Fraction, a str,
+    None, a bool or an IntEnum member."""
     matrix = data.draw(st.lists(
         st.lists(st.integers(-50, 50), min_size=cols, max_size=cols),
         min_size=rows, max_size=rows), label="matrix")
@@ -337,13 +346,13 @@ def test_every_exported_class_is_in_the_record_property():
 @given(data=st.data())
 def test_a_record_field_of_another_type_raises_out_of_range(name, data):
     """A record built from valid fields builds; with one field swapped for
-    a float, a Fraction, a str (where the field is not one) or None, it
-    raises OutOfRange."""
+    a float, a Fraction, a str, None, a bool or an IntEnum member (where
+    the field is not one), it raises OutOfRange."""
     cls, fields = RECORDS[name]
     cls(*fields)
     i = data.draw(st.integers(0, len(fields) - 1), label="field")
     bad = data.draw(_NON_INT.filter(
-        lambda x: not isinstance(x, type(fields[i]))), label="spoiled")
+        lambda x: type(x) is not type(fields[i])), label="spoiled")
     with pytest.raises(OutOfRange):
         cls(*fields[:i], bad, *fields[i + 1:])
 
@@ -397,7 +406,6 @@ PRIME_ENTRY_POINTS = {
     # the partition lists a class for each of 4n(2n+1) + 1 values of k, so
     # its rank is capped; n <= 0 is kept
     "local_partition": lambda n, k, l, p: local_partition(min(n, 12), p),
-    "identity_samelson_p_part": lambda n, k, l, p: identity_samelson_p_part(n, p),
     **{
         f"retractible_{family.value}":
             lambda n, k, l, p, family=family: retractible(family, n, p)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spgauge import arith, gauge, lattice
 from spgauge.errors import OracleMismatch, OutOfRange
@@ -15,7 +15,6 @@ from spgauge.gauge import (
     Verdict,
     decide_local,
     decide_spin,
-    identity_samelson_p_part,
     im_delta_gen,
     im_partial_order,
     local_partition,
@@ -132,6 +131,23 @@ def test_im_partial_report_divergence():
 def test_im_partial_is_modulus_over_gcd(n, k):
     b = 4 * n * (2 * n + 1)
     assert im_partial_order(n, k) == b // gcd(k, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200).map(lambda h: 2 * h),
+       st.integers(-10**9, 10**9))
+@example(400, 0)
+@example(400, -1)
+@example(400, 4 * 400 * 801)
+def test_rank2_pipeline_is_one_identity(n, k):
+    # c(n) = (2n-1)!/6: the group order is c B, the quotient invariant
+    # c gcd(k, B) and the boundary image order B/gcd(k, B)
+    c = factorial(2 * n - 1) // 6
+    b = 4 * n * (2 * n + 1)
+    g = gcd(k, b)
+    assert mapping_group_order(n) == c * b
+    assert q2_mapping_invariant(n, k) == c * g
+    assert im_partial_order(n, k) == b // g
 
 
 def test_decide_local_spec_triples():
@@ -410,7 +426,8 @@ def test_is_prime_runs_once_per_p_part_query(monkeypatch):
     queries = 0
     for n in (1, 2, 5):
         for p in (5, 7, 999_999_999_989):
-            identity_samelson_p_part(n, p)
+            # the p-part of B is the class of k = 0 in this verdict
+            decide_local(n, 0, 1, p)
             queries += 1
     assert len(calls) == queries
 
@@ -427,34 +444,18 @@ def test_local_verdict_values_are_public_p_parts(n, k, l, p):
 
 # (module, name, a wrong variant of the real value, the call that must
 # catch it, and the message it raises): every cross-check in phi and gauge
-# that the rest of the suite does not reach
+# that the rest of the suite does not reach; gauge has none left, as verify
+# alone holds the rank-2 pipeline to its closed forms
 _CROSS_CHECK_FAULTS = [
     (lattice, "element_order_in_coker", lambda real: lambda a, v: real(a, v) + 1,
      lambda: samelson_order(1),
      "gcd route gave 12 but cokernel route gave 13 at n=1"),
-    (gauge, "_RHO_UNIT", lambda real: Fraction(1, 7),
-     lambda: mapping_group_order(2),
-     "mapping group order is not integral at n=2"),
-    (gauge, "_RHO_UNIT", lambda real: Fraction(1, 6),
-     lambda: mapping_group_order(2),
-     "table-driven order 20 differs from (2n+1)!/3 at n=2"),
-    (gauge, "_THETA_UNIT", lambda real: Fraction(1, 7),
-     lambda: im_delta_gen(2, 1),
-     "connecting-map unit is not integral at n=2"),
-    # the quotient's divisor is gcd(mapping group order, connecting image)
-    (gauge, "gcd", lambda real: lambda a, b: 7,
-     lambda: im_partial_order(2, 1),
-     "quotient not exact at n=2, k=1"),
-    (gauge, "closed_form_order", lambda real: lambda n: 2 * real(n),
-     lambda: im_partial_order(2, 1),
-     "boundary image order 40 differs from 4n(2n+1)/gcd(k,B) at n=2, k=1"),
 ]
 
 
 @pytest.mark.parametrize(
     "module, name, wrong, call, message", _CROSS_CHECK_FAULTS,
-    ids=["coker-route", "rho-integrality", "rho-closed-form",
-         "theta-integrality", "quotient-exactness", "boundary-closed-form"])
+    ids=["coker-route"])
 def test_every_engine_cross_check_raises_oracle_mismatch(
         monkeypatch, module, name, wrong, call, message):
     monkeypatch.setattr(module, name, wrong(getattr(module, name)))

@@ -87,7 +87,7 @@ _ENGINE = ("arith", "series", "phi", "lattice", "gauge", "report", "cli")
 # with)
 _VERIFY_ENGINE_IMPORTS = {
     ("gauge", "LieFamily"), ("gauge", "Outcome"), ("gauge", "decide_local"),
-    ("gauge", "identity_samelson_p_part"), ("gauge", "mapping_group_order"),
+    ("gauge", "im_partial_order"), ("gauge", "mapping_group_order"),
     ("gauge", "q2_mapping_invariant"), ("gauge", "retractible"),
     ("lattice", "element_order_in_coker"), ("lattice", "smith_normal_form"),
     ("phi", "PhiResult"), ("phi", "checked_order"), ("phi", "phi_image"),
@@ -155,13 +155,13 @@ def test_cli_and_verify_hand_the_report_their_values_as_they_are():
 def test_phi_keeps_only_the_image_and_gauge_every_p_local_answer():
     # the retractibility guard and the p-part of B are written once, in
     # gauge, which reads B from arith; phi imports nothing that takes a
-    # prime or refuses on a guard
+    # prime
     assert "phi" not in {source for _, source, _ in _package_imports("gauge")}
     assert not {name for _, _, name in _package_imports("phi")} & {
-        "require_prime", "is_prime", "valuation", "GuardFailed"}
+        "require_prime", "is_prime", "valuation"}
     assert {module for module in _ENGINE
             for _, _, name in _package_imports(module)
-            if name in ("require_prime", "GuardFailed")} == {"gauge"}
+            if name == "require_prime"} == {"gauge"}
 
 
 # the public names no other package module imports, each with the command

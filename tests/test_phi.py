@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import spgauge.phi as phi_mod
 from spgauge.arith import closed_form_order
-from spgauge.errors import GuardFailed, OracleMismatch, OutOfRange
-from spgauge.gauge import identity_samelson_p_part
+from spgauge.errors import OracleMismatch, OutOfRange
+from spgauge.gauge import Outcome, decide_local
 from spgauge.lattice import element_order_in_coker, smith_normal_form
 from spgauge.oracles import matrix_product, surjection_counts
 from spgauge.phi import (PhiResult, checked_order, phi_image, phi_images,
@@ -129,39 +129,44 @@ def test_upper_gens_all_multiples_of_order():
         assert res.upper_gens[0] == res.lower_gen
 
 
+def _identity_p_part(n, p):
+    # the p-part of the Samelson order of the identity, the class of k = 0
+    return decide_local(n, 0, 1, p).invariant_values[0]
+
+
 def test_identity_p_part_values():
-    assert identity_samelson_p_part(2, 5) == 5
-    assert identity_samelson_p_part(1, 2) == 4
-    assert identity_samelson_p_part(2, 3) == 1
-    assert identity_samelson_p_part(3, 7) == 7
-    assert identity_samelson_p_part(3, 5) == 1
+    assert _identity_p_part(2, 5) == 5
+    assert _identity_p_part(1, 2) == 4
+    assert _identity_p_part(2, 3) == 1
+    assert _identity_p_part(3, 7) == 7
+    assert _identity_p_part(3, 5) == 1
 
 
 def test_identity_p_part_guard():
-    # (p-1)^2 + 1 < 2n refuses: p = 2 only reaches rank 1, p = 3 rank 2
-    with pytest.raises(GuardFailed):
-        identity_samelson_p_part(2, 2)
-    with pytest.raises(GuardFailed):
-        identity_samelson_p_part(3, 3)
-    with pytest.raises(GuardFailed):
-        identity_samelson_p_part(10, 3)
-    assert identity_samelson_p_part(8, 5) == 1  # 17 >= 16 passes
-    with pytest.raises(GuardFailed):
-        identity_samelson_p_part(9, 5)  # 17 < 18 refuses
+    # (p-1)^2 + 1 < 2n claims nothing: p = 2 only reaches rank 1, p = 3
+    # rank 2
+    def undetermined(n, p):
+        return decide_local(n, 0, 1, p).outcome is Outcome.NOT_DETERMINED
+
+    assert undetermined(2, 2)
+    assert undetermined(3, 3)
+    assert undetermined(10, 3)
+    assert not undetermined(8, 5)  # 17 >= 16 passes
+    assert undetermined(9, 5)  # 17 < 18 claims nothing
 
 
 @pytest.mark.parametrize("n", [0, -1, -8])
 def test_identity_p_part_rejects_nonpositive_rank(n):
     with pytest.raises(OutOfRange):
-        identity_samelson_p_part(n, 3)
+        _identity_p_part(n, 3)
 
 
 def test_identity_p_part_rejects_composite():
     with pytest.raises(OutOfRange, match="^6 is not prime$"):
-        identity_samelson_p_part(2, 6)
-    # primality is checked before the guard
+        _identity_p_part(2, 6)
+    # primality is checked whatever the guard says
     with pytest.raises(OutOfRange, match="^9 is not prime$"):
-        identity_samelson_p_part(100, 9)
+        _identity_p_part(100, 9)
 
 
 def _oracle_gens(n):

@@ -10,6 +10,7 @@ import signal
 import sys
 import time
 from collections import Counter
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -135,7 +136,12 @@ def test_verify_sweep_rejects_tiny_max_n():
         verify_sweep(1)
 
 
-@pytest.mark.parametrize("max_n", [None, "3", 2.5, 3.0, Fraction(3)])
+class _Three(IntEnum):
+    THREE = 3
+
+
+@pytest.mark.parametrize("max_n", [None, "3", 2.5, 3.0, Fraction(3), True,
+                                   pytest.param(_Three.THREE, id="IntEnum")])
 def test_verify_sweep_rejects_a_non_int_max_n_before_forking(monkeypatch,
                                                              max_n):
     def no_fork():
@@ -247,12 +253,46 @@ def test_a_child_killed_mid_answer_raises(monkeypatch, end, status):
 
 
 def test_a_table_fault_in_the_mapping_group_is_a_failure(monkeypatch):
-    # the pipeline's OracleMismatch is recorded by the check, not raised
+    # the engine does not check its table; the check holds each order to
+    # the oracle's (2n+1)!/3 and still writes the engine's value
     monkeypatch.setattr(gauge, "_RHO_UNIT", Fraction(1, 6))
     result = verify_mod.check_mapping_group(4)
-    assert not result.ok and result.rows == []
+    assert not result.ok
+    assert result.rows == [
+        {"check": "mapping-group-order", "n": 2, "order": 20},
+        {"check": "mapping-group-order", "n": 4, "order": 60480}]
     assert result.failures == [
-        "table-driven order 20 differs from (2n+1)!/3 at n=2"]
+        "n=2: mapping group order 20 differs from (2n+1)!/3 = 40",
+        "n=4: mapping group order 60480 differs from (2n+1)!/3 = 120960",
+        "anchor n=2 should give 40"]
+
+
+# (gauge's name, a wrong variant of the real one, the first failure of the
+# separation check): faults of the rank-2 pipeline's constant table, which
+# gauge does not check itself
+_TABLE_FAULTS = [
+    ("_RHO_UNIT", lambda real: Fraction(1, 7),
+     "n=2: mapping group order differs from c(n)B"),
+    ("_RHO_UNIT", lambda real: Fraction(1, 6),
+     "n=2: mapping group order differs from c(n)B"),
+    ("_THETA_UNIT", lambda real: Fraction(1, 7),
+     "n=2 k=1: quotient invariant differs from c(n)gcd(k, B)"),
+    # the quotient's divisor is gcd(mapping group order, connecting image)
+    ("gcd", lambda real: lambda a, b: 7,
+     "n=2 k=0: quotient invariant differs from c(n)gcd(k, B)"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, wrong, first", _TABLE_FAULTS,
+    ids=["rho-integrality", "rho-closed-form", "theta-integrality",
+         "quotient-exactness"])
+def test_a_table_fault_fails_the_separation_check(monkeypatch, name, wrong,
+                                                  first):
+    monkeypatch.setattr(gauge, name, wrong(getattr(gauge, name)))
+    result = verify_mod.check_separation(20)
+    assert not result.ok and result.failures[0] == first
+    assert verify_sweep(20).status == "failed"
 
 
 def test_an_exception_in_the_parent_kills_and_reaps_the_child(monkeypatch):
@@ -378,8 +418,11 @@ _WRONG_ENGINES = [
     ("retractible",
      lambda real: lambda family, rank, p: not real(family, rank, p),
      "check_guards", (20,)),
-    ("identity_samelson_p_part",
-     lambda real: lambda n, p: p * real(n, p),
+    # the class of k = 0, the p-part of B, one power of p too large
+    ("decide_local",
+     lambda real: lambda n, k, l, p: (lambda v: dataclasses.replace(
+         v, invariant_values=(v.invariant_values[0] * p ** (k == 0),
+                              v.invariant_values[1])))(real(n, k, l, p)),
      "check_guards", (20,)),
     ("phi_image",
      lambda real: lambda n, backend="series": real(n, "printed"),
