@@ -18,7 +18,7 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     name: module
     for module, names in {
-        "arith": ("closed_form_order", "frac_gcd", "is_prime"),
+        "arith": ("closed_form_order", "is_prime"),
         "errors": ("NonIntegralGenerator", "OracleMismatch", "OutOfRange",
                    "SpgaugeError"),
         "gauge": (

@@ -1,19 +1,14 @@
-"""Exact integer and rational helpers.
+"""Exact integer helpers.
 
 Everything in the package runs on arbitrary-precision integers and
 `fractions.Fraction`; there are no floats anywhere.  This module collects the
 number-theoretic primitives the pipelines share: the integer, rank and prime
 guards, which refuse anything that is not an int (a bool or an IntEnum
 member too), the Samelson order B = 4n(2n+1), bounded deterministic
-primality, the p-adic valuation that gauge reads every p-part with, and
-rational subgroup generators.
+primality, and the p-adic valuation that gauge reads every p-part with.
 """
 
 from __future__ import annotations
-
-import math
-from fractions import Fraction
-from typing import Iterable
 
 from .errors import OutOfRange
 
@@ -96,26 +91,4 @@ def valuation(a: int, p: int) -> int:
         a //= p
         r += 1
     return r
-
-
-def frac_gcd(values: Iterable[Fraction | int]) -> Fraction:
-    """Positive generator of the additive subgroup of Q spanned by values.
-
-    Every input is an integer multiple of the result, and the result is an
-    integer combination of the inputs.  Computed by clearing denominators:
-    the gcd of the scaled numerators over the lcm of the denominators.
-    Raises OutOfRange when no nonzero value is supplied and for a value
-    that is neither an int nor a Fraction.
-    """
-    vals = list(values)
-    for x in vals:
-        if not (type(x) is int or isinstance(x, Fraction)):
-            raise OutOfRange(
-                f"a frac_gcd value must be an int or a Fraction, got {x!r}")
-    nonzero = [Fraction(v) for v in vals if v != 0]
-    if not nonzero:
-        raise OutOfRange("frac_gcd needs at least one nonzero value")
-    denom = math.lcm(*(v.denominator for v in nonzero))
-    num = math.gcd(*(v.numerator * (denom // v.denominator) for v in nonzero))
-    return Fraction(num, denom)
 

@@ -204,7 +204,7 @@ def _cmd_classify_spin(args) -> Report:
 def _cmd_invariant(args) -> Report:
     rows = []
     even = args.n >= 2 and args.n % 2 == 0
-    # (2n+1)!/3, checked in gauge against its table-driven value
+    # (2n+1)!/3, which verify holds to c(n)B, c(n) = (2n-1)!/6
     group = mapping_group_order(args.n) if even else None
     for k in args.k:
         refined = refined_invariant(args.n, k)

@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial, gcd
 
-from .arith import (closed_form_order, frac_gcd, require_int, require_prime,
+from .arith import (closed_form_order, require_int, require_prime,
                     require_rank, valuation)
 from .errors import OutOfRange
 
@@ -30,11 +30,15 @@ from .errors import OutOfRange
 # group depends on the suspension only mod 8 (Bott periodicity), and for even
 # n the pipelines below read just two suspensions: 4n-7, which is 1 mod 8
 # (the theta pair), and 4n-3, which is 5 mod 8 (the rho pair).  So these two
-# pairs are the whole table, and their subgroup generators are fixed too.
+# pairs are the whole table, and their units are fixed too: each unit
+# generates the subgroup of Q its pair x, y spans, the gcd of the pair
+# scaled by the product of its denominators, over that product.
 _THETA_TOP = (Fraction(-1, 6), Fraction(2))
 _RHO_TOP = (Fraction(1, 3), Fraction(1))
-_THETA_UNIT = frac_gcd(_THETA_TOP)
-_RHO_UNIT = frac_gcd(_RHO_TOP)
+_THETA_UNIT, _RHO_UNIT = (
+    Fraction(gcd(x.numerator * y.denominator, y.numerator * x.denominator),
+             x.denominator * y.denominator)
+    for x, y in (_THETA_TOP, _RHO_TOP))
 
 
 def sutherland_invariant(n: int, k: int) -> int:
@@ -72,9 +76,9 @@ def mapping_group_order(n: int) -> int:
     of the rank-2 quasi-projective space into Sp(n), for even n.
 
     Derived from the rho pair: the image of the comparison map is generated
-    by (2n+1)! * frac_gcd of the top-row coefficients {1/3, 1}, so the
+    by (2n+1)! times the unit of the top-row coefficients {1/3, 1}, so the
     cokernel is cyclic of order (2n+1)!/3.  verify holds it to that closed
-    form.
+    form, c(n)B.
     """
     _require_even_rank(n)
     # in int arithmetic, as a Fraction product costs several times more

@@ -38,12 +38,6 @@ def rank2_factor(n: int) -> int:
     return factorial(2 * n - 1) // 6
 
 
-def mapping_group_factorial_form(n: int) -> int:
-    """(2n+1)!/3, the rank-2 mapping group order as a cokernel of the
-    comparison map, for n >= 1."""
-    return factorial(2 * n + 1) // 3
-
-
 def gcd_p_part(a: int, p: int) -> int:
     """The p-part of a > 0, as gcd(a, p^e) with p^e > a; it shares no code
     with the valuation loop of the engine."""

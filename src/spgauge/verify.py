@@ -45,7 +45,6 @@ from .oracles import (
     exp_minus_one_powers,
     gcd_p_part,
     image_size_tally,
-    mapping_group_factorial_form,
     matrix_product,
     order_by_addition,
     rank2_factor,
@@ -166,12 +165,12 @@ def check_printed_discrepancy() -> CheckResult:
 
 
 def check_mapping_group(max_n: int) -> CheckResult:
-    """Rank-2 mapping group order equals (2n+1)!/3 for even n <= 40 (anchor
-    40 at n = 2)."""
+    """Rank-2 mapping group order equals (2n+1)!/3, read as c(n)B, for even
+    n <= 40 (anchor 40 at n = 2)."""
     res = CheckResult("mapping-group-order")
     for n in range(2, min(max_n, 40) + 1, 2):
         order = mapping_group_order(n)
-        expected = mapping_group_factorial_form(n)
+        expected = rank2_factor(n) * samelson_b(n)
         if order != expected:
             res.failures.append(f"n={n}: mapping group order {order} differs "
                                 f"from (2n+1)!/3 = {expected}")

@@ -1,6 +1,5 @@
-"""Unit tests for the exact integer/rational primitives."""
+"""Unit tests for the exact integer primitives."""
 
-from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from spgauge.arith import (
     PRIME_BOUND,
-    frac_gcd,
     is_prime,
     require_prime,
     require_rank,
@@ -120,35 +118,6 @@ def test_p_part_divides_exactly(a, p):
     part = gcd_p_part(a, p)
     assert a % part == 0
     assert (a // part) % p != 0
-
-
-def test_frac_gcd_examples():
-    assert frac_gcd([Fraction(1, 6), Fraction(1, 4)]) == Fraction(1, 12)
-    assert frac_gcd([Fraction(-1, 6), Fraction(2)]) == Fraction(1, 6)
-    assert frac_gcd([Fraction(1, 3), Fraction(1)]) == Fraction(1, 3)
-    assert frac_gcd([4, 6]) == 2
-    assert frac_gcd([0, Fraction(3, 7)]) == Fraction(3, 7)
-
-
-def test_frac_gcd_all_zero():
-    for values in ([0, Fraction(0)], []):
-        with pytest.raises(OutOfRange, match="^frac_gcd needs at least one "
-                                             "nonzero value$"):
-            frac_gcd(values)
-
-
-@given(st.lists(
-    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4),
-    min_size=1, max_size=6,
-))
-def test_frac_gcd_generates_inputs(values):
-    """Every input is an integer multiple of the subgroup generator."""
-    if all(v == 0 for v in values):
-        return
-    g = frac_gcd(values)
-    assert g > 0
-    for v in values:
-        assert (v / g).denominator == 1
 
 
 def test_surjections_frozen_values():

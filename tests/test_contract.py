@@ -29,7 +29,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spgauge
-from spgauge.arith import PRIME_BOUND, closed_form_order, frac_gcd, is_prime
+from spgauge.arith import PRIME_BOUND, closed_form_order, is_prime
 from spgauge.cli import main
 from spgauge.errors import OutOfRange, SpgaugeError
 from spgauge.gauge import (
@@ -148,7 +148,6 @@ def test_verify_sweep_below_two_raises_spgauge_error(max_n):
 
 
 _INT = st.integers(-10**6, 10**6)
-_NONZERO = _INT.filter(bool)
 _RANK = st.integers(1, 12)
 _EVEN_RANK = st.integers(1, 6).map(lambda n: 2 * n)
 _PRIME = st.sampled_from([2, 3, 5, 7, 11, 13])
@@ -162,7 +161,6 @@ _EVERY_B = lcm(*(4 * n * (2 * n + 1) for n in range(1, 13)))
 # The key's part before "[" is the exported name.
 INTEGER_ARGUMENTS = {
     "closed_form_order": (closed_form_order, [_INT]),
-    "frac_gcd": (lambda a, b: frac_gcd([a, b]), [_NONZERO, _INT]),
     "is_prime": (is_prime, [_INT]),
     "printed_top_coeffs": (printed_top_coeffs, [_RANK]),
     "phi_image": (phi_image, [_RANK]),
@@ -198,8 +196,6 @@ INTEGER_ARGUMENTS = {
 }
 # the exported callables left out: the enums, which take no integer
 _NO_INTEGER_ARGUMENT = {"LieFamily", "Outcome"}
-# it takes Fractions too, so only a float spoils it
-_EXACT_RATIONAL_ARGUMENTS = {"frac_gcd"}
 
 
 def test_every_exported_function_is_in_the_non_int_property():
@@ -229,9 +225,8 @@ def test_a_non_int_integer_argument_raises_spgauge_error(name, data):
     subclasses = [st.just(IntEnum("Spoiled", {"VALUE": int(args[i])}).VALUE)]
     if not isinstance(args[i], bool):
         subclasses.append(st.booleans())
-    args[i] = data.draw(st.one_of(
-        floats + subclasses if name in _EXACT_RATIONAL_ARGUMENTS
-        else floats + fractions + subclasses), label="spoiled")
+    args[i] = data.draw(st.one_of(floats + fractions + subclasses),
+                        label="spoiled")
     with pytest.raises(OutOfRange):
         fn(*args)
 

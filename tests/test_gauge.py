@@ -79,6 +79,21 @@ def test_table_routes_equal_factorial_closed_forms():
         assert im_delta_gen(n, 1) == factorial(2 * n - 1) // 6
 
 
+@pytest.mark.parametrize("pair, unit, expected", [
+    ("_THETA_TOP", "_THETA_UNIT", Fraction(1, 6)),
+    ("_RHO_TOP", "_RHO_UNIT", Fraction(1, 3)),
+], ids=["theta", "rho"])
+def test_each_unit_generates_the_subgroup_its_pair_spans(pair, unit, expected):
+    """Each entry of the pair is an integer multiple of the positive unit,
+    and the multiples are coprime, so the unit is an integer combination of
+    the pair: it generates exactly the subgroup of Q the pair spans."""
+    pair, unit = getattr(gauge, pair), getattr(gauge, unit)
+    assert unit == expected > 0
+    multiples = [x / unit for x in pair]
+    assert all(m.denominator == 1 for m in multiples)
+    assert gcd(*(m.numerator for m in multiples)) == 1
+
+
 def test_im_delta_gen_values():
     assert im_delta_gen(2, 1) == 1
     assert im_delta_gen(4, 1) == 840
