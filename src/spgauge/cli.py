@@ -39,6 +39,25 @@ from .phi import (
 from .report import FORMATS, Product, Report
 
 class _Parser(argparse.ArgumentParser):
+    """A parser that adds its own arguments when it first parses.
+
+    `arguments`, if given, is called with the parser at the start of its
+    first parse_known_args.  argparse's subparsers action calls
+    parse_known_args(arg_strings, None) only on the subparser the command
+    line selects, so a command builds only its own subcommand's arguments;
+    every subcommand's name and help, which the top-level usage, help and
+    invalid-choice errors print, are registered up front."""
+
+    def __init__(self, *args, arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            fill, self._arguments = self._arguments, None
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
     def print_help(self, file=None):
         # argparse drops an OSError from its own write of the help, and
         # --help raises SystemExit next; write and flush here, so that a
@@ -60,71 +79,87 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS, default="markdown",
                        help="output format (default markdown)")
 
-    p_order = sub.add_parser(
-        "order", help="Samelson product orders 4n(2n+1) from the image pipeline")
-    group = p_order.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int, help="single rank")
-    group.add_argument("--max-n", type=int, help="sweep ranks 1..max-n")
-    add_format(p_order)
-    p_order.set_defaults(handler=_cmd_order)
+    def order(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--n", type=int, help="single rank")
+        group.add_argument("--max-n", type=int, help="sweep ranks 1..max-n")
+        add_format(p)
+        p.set_defaults(handler=_cmd_order)
 
-    p_gens = sub.add_parser(
-        "phi-gens", help="image generators of the comparison map at rank n")
-    p_gens.add_argument("--n", type=int, required=True)
-    p_gens.add_argument("--backend", choices=BACKENDS, default="series")
-    add_format(p_gens)
-    p_gens.set_defaults(handler=_cmd_phi_gens)
+    sub.add_parser(
+        "order", help="Samelson product orders 4n(2n+1) from the image pipeline",
+        arguments=order)
 
-    p_classify = sub.add_parser(
-        "classify", help="p-local gauge group classification verdicts")
-    classify_sub = p_classify.add_subparsers(dest="target", required=True)
+    def phi_gens(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--backend", choices=BACKENDS, default="series")
+        add_format(p)
+        p.set_defaults(handler=_cmd_phi_gens)
 
-    p_sp = classify_sub.add_parser("sp", help="Sp(n) gauge groups")
-    p_sp.add_argument("--n", type=int, required=True)
-    p_sp.add_argument("--p", type=int, required=True)
-    p_sp.add_argument("--k", type=int)
-    p_sp.add_argument("--l", type=int)
-    p_sp.add_argument("--grid", action="store_true",
-                      help="full verdict grid over k, l in [0, 4n(2n+1)]")
-    add_format(p_sp)
-    p_sp.set_defaults(handler=_cmd_classify_sp)
+    sub.add_parser("phi-gens", arguments=phi_gens,
+                   help="image generators of the comparison map at rank n")
 
-    p_spin = classify_sub.add_parser("spin", help="Spin(2n+epsilon) gauge groups")
-    p_spin.add_argument("--n", type=int, required=True)
-    p_spin.add_argument("--epsilon", type=int, choices=(1, 2), required=True)
-    p_spin.add_argument("--k", type=int, required=True)
-    p_spin.add_argument("--l", type=int, required=True)
-    p_spin.add_argument("--p", type=int, required=True)
-    add_format(p_spin)
-    p_spin.set_defaults(handler=_cmd_classify_spin)
+    def classify_sp(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--k", type=int)
+        p.add_argument("--l", type=int)
+        p.add_argument("--grid", action="store_true",
+                       help="full verdict grid over k, l in [0, 4n(2n+1)]")
+        add_format(p)
+        p.set_defaults(handler=_cmd_classify_sp)
 
-    p_inv = sub.add_parser(
-        "invariant", help="bundle invariants (coarse, refined, quotient)")
-    p_inv.add_argument("--n", type=int, required=True)
-    p_inv.add_argument("--k", type=int, action="append", required=True,
+    def classify_spin(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--epsilon", type=int, choices=(1, 2), required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--l", type=int, required=True)
+        p.add_argument("--p", type=int, required=True)
+        add_format(p)
+        p.set_defaults(handler=_cmd_classify_spin)
+
+    def classify(p):
+        targets = p.add_subparsers(dest="target", required=True)
+        targets.add_parser("sp", help="Sp(n) gauge groups", arguments=classify_sp)
+        targets.add_parser("spin", help="Spin(2n+epsilon) gauge groups",
+                           arguments=classify_spin)
+
+    sub.add_parser("classify", arguments=classify,
+                   help="p-local gauge group classification verdicts")
+
+    def invariant(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, action="append", required=True,
                        help="bundle integer; repeat for several")
-    add_format(p_inv)
-    p_inv.set_defaults(handler=_cmd_invariant)
+        add_format(p)
+        p.set_defaults(handler=_cmd_invariant)
 
-    p_ret = sub.add_parser(
-        "retractible", help="p-local retractibility of the generating complex")
-    p_ret.add_argument("--family", required=True,
+    sub.add_parser("invariant", arguments=invariant,
+                   help="bundle invariants (coarse, refined, quotient)")
+
+    def retractible(p):
+        p.add_argument("--family", required=True,
                        choices=[f.value for f in LieFamily])
-    p_ret.add_argument("--p", type=int, required=True)
-    p_ret.add_argument("--n", type=int,
+        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--n", type=int,
                        help="rank (required for SU, Sp, SpinOdd)")
-    add_format(p_ret)
-    p_ret.set_defaults(handler=_cmd_retractible)
+        add_format(p)
+        p.set_defaults(handler=_cmd_retractible)
 
-    p_verify = sub.add_parser(
-        "verify", help="run the acceptance property sweep")
-    p_verify.add_argument("--max-n", type=int, default=20)
-    p_verify.add_argument("--jobs", type=int, default=1,
-                          help="kept for compatibility and echoed in the "
-                               "report; changes nothing (the sweep always "
-                               "forks one child for its image stream)")
-    add_format(p_verify)
-    p_verify.set_defaults(handler=_cmd_verify)
+    sub.add_parser("retractible", arguments=retractible,
+                   help="p-local retractibility of the generating complex")
+
+    def verify(p):
+        p.add_argument("--max-n", type=int, default=20)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="kept for compatibility and echoed in the "
+                            "report; changes nothing (the sweep always "
+                            "forks one child for its image stream)")
+        add_format(p)
+        p.set_defaults(handler=_cmd_verify)
+
+    sub.add_parser(
+        "verify", help="run the acceptance property sweep", arguments=verify)
 
     return parser
 

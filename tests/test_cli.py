@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -335,13 +336,56 @@ def test_a_reader_gone_before_the_report_ends_the_command_quietly(unbuffered):
     assert (proc.returncode, err) == (141, b"")
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["classify", "sp", "--help"]])
-def test_help_to_an_open_stdout_still_raises_system_exit(capsys, argv):
+# stdout, stderr and exit code of --help at every parser level and of the
+# usage errors argparse reports, captured when every subcommand's arguments
+# were built up front; COLUMNS=80 fixes the help's width
+_SURFACE = json.loads(Path(__file__).with_name("cli_surface.json").read_text())
+
+
+def _argparse_quotes_choices() -> bool:
+    # a patch release of 3.12 and of 3.13 stopped quoting the choices of an
+    # invalid-choice error: 3.13.0 prints 'sp', 'spin' and 3.13.13 sp, spin
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_argument("x", choices=["a"])
+    with pytest.raises(argparse.ArgumentError) as exc:
+        probe.parse_args(["b"])
+    return "'a'" in str(exc.value)
+
+
+@pytest.mark.parametrize("case", _SURFACE,
+                         ids=["_".join(c["argv"]) or "no-command"
+                              for c in _SURFACE])
+def test_help_and_usage_errors_print_the_same_bytes(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
-    assert out.startswith("usage: spgauge ") and "--help" in out
+        main(case["argv"])
+    stderr = case["stderr"]
+    if not _argparse_quotes_choices():
+        stderr = case.get("stderr_unquoted", stderr)
+    assert (exc.value.code, *capsys.readouterr()) == (
+        case["code"], case["stdout"], stderr)
+
+
+def test_a_command_adds_only_its_own_subcommands_arguments(monkeypatch):
+    # each parser argparse creates adds its -h; a subcommand's own options
+    # are added only when argparse's subparsers action parses with it
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def record(self, *names, **kwargs):
+        added.extend(names)
+        return add_argument(self, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record)
+    assert main(["retractible", "--family", "Sp", "--n", "3", "--p", "5"]) == 0
+    # the top parser and its six subcommands
+    assert added == ["-h", "--help"] * 7 + ["--family", "--p", "--n", "--format"]
+    added.clear()
+    assert main(["classify", "sp", "--n", "2", "--p", "5", "--k", "1",
+                 "--l", "2"]) == 0
+    # classify adds sp and spin, and sp its options
+    assert added == ["-h", "--help"] * 9 + [
+        "--n", "--p", "--k", "--l", "--grid", "--format"]
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
