@@ -39,22 +39,29 @@ from .phi import (
 from .report import FORMATS, Product, Report
 
 class _Parser(argparse.ArgumentParser):
-    """A parser that adds its own arguments when it first parses.
+    """A parser that, made with `arguments`, is built when it first parses.
 
-    `arguments`, if given, is called with the parser at the start of its
-    first parse_known_args.  argparse's subparsers action calls
-    parse_known_args(arg_strings, None) only on the subparser the command
-    line selects, so a command builds only its own subcommand's arguments;
-    every subcommand's name and help, which the top-level usage, help and
-    invalid-choice errors print, are registered up front."""
+    Such a parser keeps its keyword arguments and runs
+    ArgumentParser.__init__, then `arguments(parser)`, at the start of its
+    first parse_known_args; one made without is built at once.  Three
+    behaviours of argparse make this safe (read in the argparse of 3.10.13,
+    3.11.7, 3.12.1 and 3.13.0): add_subparsers makes subparsers of the
+    parent's own class unless told otherwise, add_parser only constructs the
+    subparser and stores it, and the subparsers action calls
+    parse_known_args only on the subparser the command line selects.  So a
+    command constructs only the parsers it parses with, while every
+    subcommand's name and help, which the usage, help and invalid-choice
+    errors above it print, are registered up front."""
 
-    def __init__(self, *args, arguments=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._arguments = arguments
+    def __init__(self, *, arguments=None, **kwargs):
+        self._deferred = arguments and (arguments, kwargs)
+        if arguments is None:
+            super().__init__(**kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
-        if self._arguments is not None:
-            fill, self._arguments = self._arguments, None
+        if self._deferred:
+            (fill, kwargs), self._deferred = self._deferred, None
+            super().__init__(**kwargs)
             fill(self)
         return super().parse_known_args(args, namespace)
 

@@ -337,8 +337,8 @@ def test_a_reader_gone_before_the_report_ends_the_command_quietly(unbuffered):
 
 
 # stdout, stderr and exit code of --help at every parser level and of the
-# usage errors argparse reports, captured when every subcommand's arguments
-# were built up front; COLUMNS=80 fixes the help's width
+# usage errors argparse reports at each level, captured when every parser
+# was constructed up front; COLUMNS=80 fixes the help's width
 _SURFACE = json.loads(Path(__file__).with_name("cli_surface.json").read_text())
 
 
@@ -366,26 +366,67 @@ def test_help_and_usage_errors_print_the_same_bytes(capsys, monkeypatch, case):
         case["code"], case["stdout"], stderr)
 
 
-def test_a_command_adds_only_its_own_subcommands_arguments(monkeypatch):
-    # each parser argparse creates adds its -h; a subcommand's own options
-    # are added only when argparse's subparsers action parses with it
-    added = []
+@pytest.mark.parametrize("short,full", [
+    (["retractible", "--fam", "Sp", "--n", "2", "--p", "5"],
+     ["retractible", "--family", "Sp", "--n", "2", "--p", "5"]),
+    (["classify", "sp", "--n", "2", "--p", "5", "--k", "1", "--l", "2",
+      "--form", "json"],
+     ["classify", "sp", "--n", "2", "--p", "5", "--k", "1", "--l", "2",
+      "--format", "json"]),
+], ids=["depth-2", "depth-3"])
+def test_an_abbreviated_option_prints_the_same_bytes(capsys, short, full):
+    # a subparser built at its first parse still resolves unique prefixes
+    printed = run_cli(capsys, *short)
+    assert printed[0] == 0 and printed == run_cli(capsys, *full)
+
+
+# each leaf command and the options its own subcommand adds through
+# ArgumentParser.add_argument (order's --n and --max-n go through its
+# mutually exclusive group's)
+_LEAVES = [
+    (["order", "--n", "3"], ["--format"]),
+    (["phi-gens", "--n", "3"], ["--n", "--backend", "--format"]),
+    (["classify", "sp", "--n", "2", "--p", "5", "--k", "1", "--l", "2"],
+     ["--n", "--p", "--k", "--l", "--grid", "--format"]),
+    (["classify", "spin", "--n", "3", "--epsilon", "1", "--k", "1", "--l",
+      "2", "--p", "5"], ["--n", "--epsilon", "--k", "--l", "--p", "--format"]),
+    (["invariant", "--n", "3", "--k", "1"], ["--n", "--k", "--format"]),
+    (["retractible", "--family", "Sp", "--n", "3", "--p", "5"],
+     ["--family", "--p", "--n", "--format"]),
+    (["verify", "--max-n", "2"], ["--max-n", "--jobs", "--format"]),
+]
+
+
+def _leaf(argv):
+    return argv[:2] if argv[0] == "classify" else argv[:1]
+
+
+@pytest.mark.parametrize("argv,options", _LEAVES,
+                         ids=["-".join(_leaf(argv)) for argv, _ in _LEAVES])
+def test_a_command_constructs_only_the_parsers_it_parses(monkeypatch, argv,
+                                                         options):
+    built, added = [], []
+    init = argparse.ArgumentParser.__init__
     add_argument = argparse.ArgumentParser.add_argument
+
+    def construct(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
 
     def record(self, *names, **kwargs):
         added.extend(names)
         return add_argument(self, *names, **kwargs)
 
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", construct)
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record)
-    assert main(["retractible", "--family", "Sp", "--n", "3", "--p", "5"]) == 0
-    # the top parser and its six subcommands
-    assert added == ["-h", "--help"] * 7 + ["--family", "--p", "--n", "--format"]
-    added.clear()
-    assert main(["classify", "sp", "--n", "2", "--p", "5", "--k", "1",
-                 "--l", "2"]) == 0
-    # classify adds sp and spin, and sp its options
-    assert added == ["-h", "--help"] * 9 + [
-        "--n", "--p", "--k", "--l", "--grid", "--format"]
+    assert main(argv) == 0
+    # the top parser, classify for sp and spin, and the leaf: 2 parsers, or
+    # 3; each adds its -h, and the leaf its options only when the
+    # subparsers action parses with it
+    path = _leaf(argv)
+    assert built == [" ".join(["spgauge", *path[:i]])
+                     for i in range(len(path) + 1)]
+    assert added == ["-h", "--help"] * len(built) + options
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
