@@ -19,8 +19,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "arith": ("closed_form_order", "is_prime"),
-        "errors": ("NonIntegralGenerator", "OracleMismatch", "OutOfRange",
-                   "SpgaugeError"),
+        "errors": ("NonIntegralGenerator", "OutOfRange", "SpgaugeError"),
         "gauge": (
             "GuardCheck", "LieFamily", "Outcome", "Verdict", "decide_local",
             "decide_spin", "im_delta_gen", "im_partial_order",
@@ -28,8 +27,7 @@ _EXPORTS = {
             "refined_invariant", "retractible", "sutherland_invariant",
         ),
         "lattice": ("element_order_in_coker", "smith_normal_form"),
-        "phi": ("PhiResult", "checked_order", "phi_image", "phi_images",
-                "samelson_order"),
+        "phi": ("PhiResult", "phi_image", "phi_images"),
         "report": ("Report",),
         "series": ("printed_top_coeffs",),
         "verify": ("verify_sweep",),

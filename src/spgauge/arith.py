@@ -4,11 +4,14 @@ Everything in the package runs on arbitrary-precision integers and
 `fractions.Fraction`; there are no floats anywhere.  This module collects the
 number-theoretic primitives the pipelines share: the integer, rank and prime
 guards, which refuse anything that is not an int (a bool or an IntEnum
-member too), the Samelson order B = 4n(2n+1), bounded deterministic
-primality, and the p-adic valuation that gauge reads every p-part with.
+member too), the factorial bound on a rank, the Samelson order
+B = 4n(2n+1), bounded deterministic primality, and the p-adic valuation
+that gauge reads every p-part with.
 """
 
 from __future__ import annotations
+
+import sys
 
 from .errors import OutOfRange
 
@@ -28,8 +31,19 @@ def require_rank(n: int) -> None:
         raise OutOfRange(f"rank must be a positive integer, got {n!r}")
 
 
+def require_factorial_rank(n: int) -> None:
+    """Raise OutOfRange unless the rank n is a positive int, as require_rank
+    takes one, with 2n+1 at most sys.maxsize, past which math.factorial
+    raises OverflowError (n >= 2^62 on a 64-bit build).  Every path that
+    takes (2n+1)! or (2n-1)!, or walks rank by rank up to n, calls it first."""
+    require_rank(n)
+    if 2 * n + 1 > sys.maxsize:
+        raise OutOfRange(f"(2n+1)! is past the factorial's range at n={n}")
+
+
 def closed_form_order(n: int) -> int:
-    """B = 4n(2n+1), the closed form the pipeline output is checked against."""
+    """B = 4n(2n+1), the printed backend's anchor and the modulus of gauge's
+    invariants."""
     require_int("the rank", n)
     return 4 * n * (2 * n + 1)
 

@@ -29,13 +29,7 @@ from .gauge import (
     retractible,
     sutherland_invariant,
 )
-from .phi import (
-    BACKENDS,
-    checked_order,
-    phi_image,
-    phi_images,
-    samelson_order,
-)
+from .phi import BACKENDS, phi_image, phi_images
 from .report import FORMATS, Product, Report
 
 class _Parser(argparse.ArgumentParser):
@@ -171,13 +165,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pinned(result) -> int | str:
+    order = result.pinned_order
+    return "unpinned" if order is None else order
+
+
 def _cmd_order(args) -> Report:
-    # samelson_order and phi_images refuse a rank below 1 at the call
+    # the image's pinned order, which verify alone holds to the cokernel
+    # route and the closed form; phi_image and phi_images refuse a rank
+    # below 1, or past the factorial's range, at the call
     if args.n is not None:
-        orders = [(args.n, samelson_order(args.n))]
+        images = [phi_image(args.n)]
     else:
-        orders = ((r.n, checked_order(r)) for r in phi_images(args.max_n))
-    rows = [{"n": n, "samelson_order": order} for n, order in orders]
+        images = phi_images(args.max_n)
+    rows = [{"n": r.n, "samelson_order": _pinned(r)} for r in images]
     params = ({"n": args.n} if args.n is not None
               else {"max_n": args.max_n})
     return Report("order", params, rows)
@@ -185,11 +186,12 @@ def _cmd_order(args) -> Report:
 
 def _cmd_phi_gens(args) -> Report:
     result = phi_image(args.n, args.backend)
-    pinned = result.pinned_order
+    pinned = _pinned(result)
     rows = []
     names = ["zeta1"] + [f"xi{k}" for k in range(2, args.n + 1)]
     # every tabulated top coefficient is positive, so it is the image
-    # generator over (2n+1)!
+    # generator over (2n+1)!; phi_image has refused, with
+    # require_factorial_rank, an n whose (2n+1)! is out of range
     scale = factorial(2 * args.n + 1)
     for name, gen in zip(names, result.upper_gens):
         rows.append({
@@ -198,7 +200,7 @@ def _cmd_phi_gens(args) -> Report:
             "top_coeff": Fraction(gen, scale),
             "image_gen": gen,
             "lower_gen": result.lower_gen,
-            "pinned_order": "unpinned" if pinned is None else pinned,
+            "pinned_order": pinned,
         })
     return Report("phi-gens", {"n": args.n, "backend": args.backend}, rows)
 

@@ -1,11 +1,12 @@
 """Exception types raised by the library.
 
-Every error is an SpgaugeError of one of three kinds, and no caller needs
+Every error is an SpgaugeError of one of two kinds, and no caller needs
 to tell more apart: the input is outside the domain and other input is
-needed (OutOfRange); the printed convention breaks (NonIntegralGenerator);
-or two routes disagree, which is a bug (OracleMismatch).  A theorem's
-failed guard is no error: the verdict reads not-determined.  The message
-names the value at fault.
+needed (OutOfRange), or the printed convention breaks
+(NonIntegralGenerator).  Two routes that disagree raise nothing: verify
+reports the disagreement as a failed check.  A theorem's failed guard is
+no error either: the verdict reads not-determined.  The message names the
+value at fault.
 """
 
 
@@ -20,7 +21,3 @@ class OutOfRange(SpgaugeError):
 
 class NonIntegralGenerator(SpgaugeError):
     """A scaled image generator failed its integrality check."""
-
-
-class OracleMismatch(SpgaugeError):
-    """Two independent computation routes disagreed; always a bug."""

@@ -15,14 +15,13 @@ claim; a record that holds anything else raises OutOfRange.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial, gcd
 
-from .arith import (closed_form_order, require_int, require_prime,
-                    require_rank, valuation)
+from .arith import (closed_form_order, require_factorial_rank, require_int,
+                    require_prime, require_rank, valuation)
 from .errors import OutOfRange
 
 # Top-row (y_7) Chern-character coefficients of the two free generators of
@@ -60,15 +59,12 @@ def refined_invariant(n: int, k: int) -> int:
 
 
 def _require_even_rank(n: int) -> None:
-    """OutOfRange unless n is an even int of at least 2 with 2n+1 at most
-    sys.maxsize, past which math.factorial raises OverflowError (n >= 2^62
-    on a 64-bit build)."""
+    """OutOfRange unless n is an even int of at least 2 within
+    require_factorial_rank's bound."""
     require_int("the rank", n)
     if n < 2 or n % 2 != 0:
         raise OutOfRange(f"rank-2 mapping pipeline needs even n >= 2, got {n}")
-    if 2 * n + 1 > sys.maxsize:
-        raise OutOfRange(f"rank-2 mapping pipeline takes (2n+1)!, past the "
-                         f"factorial's range at n={n}")
+    require_factorial_rank(n)
 
 
 def mapping_group_order(n: int) -> int:

@@ -4,8 +4,9 @@ The image of a degree-(4n+2) class group under the comparison map is a
 subgroup of Z; its generators come from scaling the tabulated top
 coefficients by (2n+1)!.  The order of the Samelson product of the bottom
 cell with the rank-n quasi-projective inclusion is the index of that image,
-computed along two independent routes (plain gcd, and element order in a
-Smith-form cokernel) that must agree.
+the gcd of the generators, which a PhiResult reads as its pinned order.
+The engine computes it once: verify alone holds it to the Smith-form
+cokernel route and to the closed form.
 
 The series backend's generators are integers outright:
 (2n+1)! * surj(2n-1, k)/(2n-1)! = 2n(2n+1) * surj(2n-1, k).  phi_images
@@ -16,8 +17,8 @@ them, and the printed one, kept for comparison, comes from series.  The
 closed form B = 4n(2n+1) comes from arith, and every p-local answer, the
 guarded p-part of B too, from gauge: this module keeps only the image, and
 a PhiResult reads its anchor and pinned order off the generators it holds.
-lattice and series are imported where they are first used, so a command
-that reads neither route does not load them.
+series is imported where it is first used, so a command that reads only
+the series backend does not load it.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from itertools import count, islice
 from math import factorial, gcd
 from typing import Iterator
 
-from .arith import closed_form_order, require_int, require_rank
-from .errors import NonIntegralGenerator, OracleMismatch, OutOfRange
+from .arith import (closed_form_order, require_factorial_rank, require_int,
+                    require_rank)
+from .errors import NonIntegralGenerator, OutOfRange
 
 # the coefficient conventions phi_image knows; the first is the engine's
 BACKENDS = ("series", "printed")
@@ -77,10 +79,11 @@ def phi_images(max_n: int) -> Iterator[PhiResult]:
     of the second kind, times k!; Graham-Knuth-Patashnik, Concrete
     Mathematics 6.1).  At rank n the row is m = 2n-1; the anchor is
     4n(2n+1) and the k-th generator 2n(2n+1) * surj(2n-1, k).  No rank
-    reads k > max_n, so the row stops there.  Raises OutOfRange for
-    max_n < 1 at the call, before any item is made.
+    reads k > max_n, so the row stops there.  Raises OutOfRange at the call,
+    before any item is made, for a max_n that require_factorial_rank
+    refuses.
     """
-    require_rank(max_n)
+    require_factorial_rank(max_n)
     return map(_series_image, count(1), _surjection_rows(max_n))
 
 
@@ -112,9 +115,10 @@ def phi_image(n: int, backend: str = "series") -> PhiResult:
     product must be an integer, and the first non-integral one means the
     coefficient convention is broken and raises NonIntegralGenerator.
     Signs are dropped, since a subgroup of Z does not see them.  Raises
-    OutOfRange for n < 1 and for a backend not in BACKENDS.
+    OutOfRange, before any walk, for an n that require_factorial_rank
+    refuses and for a backend not in BACKENDS.
     """
-    require_rank(n)
+    require_factorial_rank(n)
     if backend not in BACKENDS:
         raise OutOfRange(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if backend == "series":
@@ -133,41 +137,3 @@ def phi_image(n: int, backend: str = "series") -> PhiResult:
             )
         gens.append(abs(int(val)))
     return PhiResult(n, backend, tuple(gens))
-
-
-def samelson_order(n: int) -> int:
-    """Order of the Samelson product of the bottom cell with the rank-n
-    quasi-projective inclusion: checked_order of the series-backend image."""
-    return checked_order(phi_image(n, "series"))
-
-
-def checked_order(result: PhiResult) -> int:
-    """The Samelson order read off series-backend image data.
-
-    Reads the order both as the gcd of the image generators and as the order
-    of the fundamental class in the cokernel of the image presentation, and
-    checks both against the closed form 4n(2n+1).  Any disagreement raises
-    OracleMismatch, and a record of another backend raises OutOfRange.
-    """
-    from .lattice import element_order_in_coker
-
-    n = result.n
-    if result.backend != "series":
-        raise OutOfRange(f"the order is read off series-backend data, got "
-                         f"the {result.backend!r} image at n={n}")
-    direct = result.pinned_order
-    if direct is None:
-        raise OracleMismatch(
-            f"series-backend image at n={n} failed to pin the order"
-        )
-    via_coker = element_order_in_coker([result.upper_gens], (1,))
-    if via_coker != direct:
-        raise OracleMismatch(
-            f"gcd route gave {direct} but cokernel route gave {via_coker} at n={n}"
-        )
-    if direct != closed_form_order(n):
-        raise OracleMismatch(
-            f"pipeline order {direct} differs from closed form "
-            f"{closed_form_order(n)} at n={n}"
-        )
-    return direct

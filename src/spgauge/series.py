@@ -12,7 +12,7 @@ from itertools import islice
 from math import factorial
 from typing import Iterator
 
-from .arith import require_rank
+from .arith import require_factorial_rank
 
 
 def _powers(base: list[Fraction]) -> Iterator[list[Fraction]]:
@@ -40,9 +40,10 @@ def printed_top_coeffs(n: int) -> Iterator[Fraction]:
     x^(2n-1) coefficient of the k-th power of sum_{r>=1} x^r/(r!(2r-1)!).
     It disagrees with the series value surj(2n-1, k)/(2n-1)! for k >= 2 and
     is retained only for comparison.  Lazy: the k-th power is built only
-    when the k-th coefficient is read.  Raises OutOfRange for n < 1.
+    when the k-th coefficient is read.  Raises OutOfRange at the call for
+    an n that require_factorial_rank refuses.
     """
-    require_rank(n)
+    require_factorial_rank(n)
     m = 2 * n - 1
     base = [Fraction(0)] + [
         Fraction(1, factorial(r) * factorial(2 * r - 1)) for r in range(1, m + 1)

@@ -4,12 +4,13 @@ Each check here reruns one acceptance property at a requested scale and
 compares the engine's answers with the independent oracles in oracles
 (closed forms, exhaustive map enumeration, brute-force coset enumeration,
 row-list matrix arithmetic), which share no code with the engine they
-check.  The engine does not re-check its own constants: verify alone
-holds the rank-2 mapping pipeline to its closed forms at every even rank
-up to 200; the series identity holds two oracles, the powers of e^x - 1 and
-inclusion-exclusion, against each other.  Scales cap at each property's
-stated bound so a large max_n stays within the documented runtime
-budgets.  The sweep walks the image stream phi_images once, feeding both
+check.  The engine does not re-check its own answers: verify alone holds
+the Samelson order to the Smith-form cokernel route and the closed form at
+every rank it walks, and the rank-2 mapping pipeline to its closed forms
+at every even rank up to 200; the series identity holds two oracles, the
+powers of e^x - 1 and inclusion-exclusion, against each other.  Scales
+cap at each property's stated bound so a large max_n stays within the
+documented runtime budgets.  The sweep walks the image stream phi_images once, feeding both
 the orders check and the divisibility check, in one forked child process
 while the sweep's own process runs the other checks (POSIX only).  A
 check's rows hold its values as they are, ints and bools among them, and
@@ -22,11 +23,10 @@ import marshal
 import os
 import random
 import signal
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import comb, factorial, gcd, prod
 
-from .errors import OracleMismatch, OutOfRange
+from .errors import OutOfRange
 from .gauge import (
     LieFamily,
     Outcome,
@@ -52,7 +52,7 @@ from .oracles import (
     surjection_counts,
     surjection_counts_by_rank,
 )
-from .phi import PhiResult, checked_order, phi_image, phi_images
+from .phi import PhiResult, phi_image, phi_images
 from .report import Report
 
 _SEED = 20260819
@@ -72,15 +72,6 @@ class CheckResult:
     def ok(self) -> bool:
         return not self.failures
 
-    @contextmanager
-    def recording(self):
-        """Record an OracleMismatch that the engine raises inside the block
-        as a failure of this check, so that the sweep still reports."""
-        try:
-            yield
-        except OracleMismatch as exc:
-            self.failures.append(str(exc))
-
     def add(self, **cells: object) -> None:
         """Append a row of this check: its name, then cells."""
         self.rows.append({"check": self.name, **cells})
@@ -88,6 +79,25 @@ class CheckResult:
     def summarize(self, **cells: object) -> None:
         """Close the check with one row: its name, cells and verdict."""
         self.add(**cells, ok=self.ok)
+
+
+def _order_failure(res: PhiResult) -> str | None:
+    """The first of three faults of the rank-n image's order, or None: no
+    pinned order; a pinned order off the order of the fundamental class in
+    the Smith-form cokernel of the generators; or both off the oracle's
+    closed form B = 4n(2n+1)."""
+    n = res.n
+    order = res.pinned_order
+    if order is None:
+        return f"series-backend image at n={n} failed to pin the order"
+    via_coker = element_order_in_coker([res.upper_gens], (1,))
+    if via_coker != order:
+        return (f"gcd route gave {order} but cokernel route gave {via_coker} "
+                f"at n={n}")
+    if order != samelson_b(n):
+        return (f"pipeline order {order} differs from closed form "
+                f"{samelson_b(n)} at n={n}")
+    return None
 
 
 def _divisibility_row(res: PhiResult, counts: list[int]) -> list[str]:
@@ -117,10 +127,11 @@ def _divisibility_row(res: PhiResult, counts: list[int]) -> list[str]:
 def check_image_stream(max_n: int) -> tuple[CheckResult, CheckResult]:
     """The orders and divisibility checks, fed by one walk of phi_images.
 
-    Orders: checked_order reads every order 4n(2n+1), n = 1..max_n, both as
-    a gcd and as an element order in a Smith-form cokernel and raises
-    OracleMismatch on any disagreement, which fails the check at that rank
-    and leaves out its row; a pass has the two routes agreeing throughout.
+    Orders: every image's pinned order, n = 1..max_n, the gcd that order
+    prints, is held to the element order in a Smith-form cokernel and to
+    the closed form 4n(2n+1); the first disagreement of a rank fails the
+    check and leaves out its row, so a pass has all three agreeing
+    throughout.
 
     Divisibility, at every rank: scaled top coefficients equal 2n(2n+1)
     times the inclusion-exclusion surjection count, are divisible by
@@ -132,8 +143,11 @@ def check_image_stream(max_n: int) -> tuple[CheckResult, CheckResult]:
     pairs = 0
     for image, counts in zip(phi_images(max_n),
                              surjection_counts_by_rank(max_n)):
-        with orders.recording():
-            orders.add(n=image.n, samelson_order=checked_order(image))
+        failure = _order_failure(image)
+        if failure is None:
+            orders.add(n=image.n, samelson_order=image.pinned_order)
+        else:
+            orders.failures.append(failure)
         divisibility.failures.extend(_divisibility_row(image, counts))
         pairs += image.n - 1
     divisibility.add(pairs=pairs, all_divisible=divisibility.ok)

@@ -116,9 +116,10 @@ def test_rank2_classification_constants():
 
 
 def test_lattice_oracle_equivalence():
-    """gcd route vs cokernel route for n <= 60 (checked_order compares them
-    at every rank of the order sweep); Smith form on 1000 random matrices;
-    cokernel vs brute-force coset enumeration (budget: 2 minutes)."""
+    """gcd route vs cokernel route for n <= 60 (check_image_stream holds
+    each rank's pinned order to the cokernel route and the closed form);
+    Smith form on 1000 random matrices; cokernel vs brute-force coset
+    enumeration (budget: 2 minutes)."""
     orders = check_image_stream(60)[0]
     smith = check_smith_random()
     cosets = check_coset_oracle()

@@ -13,9 +13,11 @@ from pathlib import Path
 import pytest
 
 import spgauge
+import spgauge.cli as cli_mod
 import spgauge.report as report_mod
 from spgauge.cli import _classify_grid, main
 from spgauge.gauge import decide_local
+from spgauge.phi import PhiResult
 from spgauge.report import Report
 from test_report import ORACLES, _report_from_json, _written
 from spgauge.verify import CheckResult
@@ -56,6 +58,22 @@ def test_order_csv(capsys):
         {"n": "2", "samelson_order": "40"},
     ]
     assert "\r" not in out
+
+
+def test_order_prints_unpinned_for_an_image_that_pins_no_order(
+        monkeypatch, capsys):
+    # order prints the image's pinned order and does not judge it; an image
+    # whose anchor does not divide a generator pins none, which verify fails
+    real = cli_mod.phi_images
+
+    def unpinned_at_two(max_n):
+        for res in real(max_n):
+            yield PhiResult(2, "series", (40, 140)) if res.n == 2 else res
+
+    monkeypatch.setattr(cli_mod, "phi_images", unpinned_at_two)
+    code, out, err = run_cli(capsys, "order", "--max-n", "3", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out == "n,samelson_order\n1,12\n2,unpinned\n3,84\n"
 
 
 def test_order_rejects_flag_combinations(capsys):

@@ -2,7 +2,9 @@
 count or a prime, and at every exported record.
 
 For every integer rank n below 1 the call raises OutOfRange; for any other
-rank it returns or raises SpgaugeError, never anything else.  The same
+rank it returns or raises SpgaugeError, never anything else.  A rank whose
+(2n+1)! is past math.factorial's range raises OutOfRange at once wherever
+a factorial of it is taken or a walk goes up to it.  The same
 holds for the counts of surjections and sweeps below their least valid
 value, and for every p that is not prime or is too large for the primality
 test to decide.  A verdict that claims EQUIVALENT or DISTINCT has passed
@@ -22,7 +24,6 @@ from contextlib import redirect_stderr, redirect_stdout
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
 from operator import mul
 
 import pytest
@@ -50,8 +51,7 @@ from spgauge.gauge import (
 )
 from spgauge.lattice import element_order_in_coker, smith_normal_form
 from spgauge.oracles import surjection_counts, surjection_counts_by_rank
-from spgauge.phi import (BACKENDS, PhiResult, checked_order, phi_image,
-                         phi_images, samelson_order)
+from spgauge.phi import BACKENDS, PhiResult, phi_image, phi_images
 from spgauge.report import FORMATS, Report
 from spgauge.series import printed_top_coeffs
 from spgauge.verify import verify_sweep
@@ -69,7 +69,9 @@ ENTRY_POINTS = {
     "phi_image_series": (lambda n, k, l, p: phi_image(n, "series"), _SMALL_RANK),
     "phi_image_printed": (lambda n, k, l, p: phi_image(n, "printed"), _SMALL_RANK),
     "phi_images": (lambda n, k, l, p: list(phi_images(n)), _SMALL_RANK),
-    "samelson_order": (lambda n, k, l, p: samelson_order(n), _SMALL_RANK),
+    # the order that order prints
+    "samelson_order": (
+        lambda n, k, l, p: phi_image(n).pinned_order, _SMALL_RANK),
     "decide_local": (decide_local, _ANY_RANK),
     "decide_spin": (decide_spin, _ANY_RANK),
     # the partition lists a class for each of 4n(2n+1) + 1 values of k
@@ -109,13 +111,42 @@ _RANK_2 = ("mapping_group_order", "im_delta_gen", "q2_mapping_invariant",
            "im_partial_order")
 
 
+# the one refusal of a rank whose (2n+1)! is past math.factorial's range,
+# from n = 2^62 on
+_PAST_FACTORIAL = r"\(2n\+1\)! is past the factorial's range at n="
+
+
 @pytest.mark.parametrize("name", _RANK_2)
-@pytest.mark.parametrize("n", [2**62, 10**20])
+@pytest.mark.parametrize("n", [2**62, 10**20, 10**31])
 def test_rank_2_pipeline_past_the_factorial_range_raises_out_of_range(name, n):
-    # (2n+1)! is past math.factorial's range from n = 2^62 on
     fn, _ = ENTRY_POINTS[name]
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match=f"^{_PAST_FACTORIAL}{n}$"):
         fn(n, 5, 0, 2)
+
+
+# the image exports that take a factorial of the rank, or walk rank by rank
+# up to it, called with the rank alone; phi_images is not iterated
+_IMAGE_PAST_FACTORIAL = {
+    "phi_image_series": lambda n: phi_image(n, "series"),
+    "phi_image_printed": lambda n: phi_image(n, "printed"),
+    "phi_images": phi_images,
+    "printed_top_coeffs": printed_top_coeffs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_IMAGE_PAST_FACTORIAL))
+@pytest.mark.parametrize("n", [2**62, 10**31])
+def test_an_image_rank_past_the_factorial_range_is_refused_at_once(name, n):
+    # refused at the call, before a row is walked or a factorial taken
+    with pytest.raises(OutOfRange, match=f"^{_PAST_FACTORIAL}{n}$"):
+        _IMAGE_PAST_FACTORIAL[name](n)
+
+
+@pytest.mark.parametrize("n", [2**62, 10**31])
+def test_the_cheap_exports_answer_past_the_factorial_range(n):
+    # 4n divides B = 4n(2n+1)
+    assert refined_invariant(n, 4 * n) == 4 * n
+    assert decide_local(n, 5, 10, 5).outcome is Outcome.NOT_DETERMINED
 
 
 @settings(max_examples=150, deadline=None)
@@ -151,8 +182,6 @@ _INT = st.integers(-10**6, 10**6)
 _RANK = st.integers(1, 12)
 _EVEN_RANK = st.integers(1, 6).map(lambda n: 2 * n)
 _PRIME = st.sampled_from([2, 3, 5, 7, 11, 13])
-# a multiple of B = 4n(2n+1) at every rank _RANK draws
-_EVERY_B = lcm(*(4 * n * (2 * n + 1) for n in range(1, 13)))
 
 # each exported function that takes an integer, and the records GuardCheck
 # and Verdict, with strategies for their integer arguments (a guard's passed
@@ -167,12 +196,6 @@ INTEGER_ARGUMENTS = {
     "phi_images": (phi_images, [_RANK]),
     "PhiResult": (lambda n, *gens: PhiResult(n, "series", gens),
                   [_RANK, _INT, _INT]),
-    # the rank-n image generated by B and a multiple of it pins B; the
-    # multiple is drawn whole, so that a spoiled one reaches the record
-    "checked_order": (lambda n, g: checked_order(PhiResult(
-        n, "series", (closed_form_order(n), g))),
-        [_RANK, _INT.map(lambda t: t * _EVERY_B)]),
-    "samelson_order": (samelson_order, [_RANK]),
     "GuardCheck": (lambda passed: GuardCheck("retractibility", passed, ""),
                    [st.booleans()]),
     "Verdict": (lambda a, b, passed: Verdict(
@@ -518,6 +541,11 @@ def _argv(draw):
 # even ranks whose (2n+1)! is past math.factorial's range
 @example(argv=["invariant", "--n", str(10**20), "--k", "5"])
 @example(argv=["invariant", "--n", str(2**62), "--k", "5", "--format", "json"])
+# and ranks the image commands must refuse before they walk
+@example(argv=["phi-gens", "--n", str(2**62)])
+@example(argv=["phi-gens", "--n", str(2**62), "--backend", "printed"])
+@example(argv=["order", "--n", str(2**62)])
+@example(argv=["order", "--max-n", str(10**31), "--format", "csv"])
 def test_every_argv_exits_0_1_or_2_with_the_output_its_code_promises(argv):
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "markdown"
     out, err = io.StringIO(), io.StringIO()

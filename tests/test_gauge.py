@@ -6,8 +6,8 @@ from math import factorial, gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spgauge import arith, gauge, lattice
-from spgauge.errors import OracleMismatch, OutOfRange
+from spgauge import arith, gauge
+from spgauge.errors import OutOfRange
 from spgauge.gauge import (
     GuardCheck,
     LieFamily,
@@ -25,7 +25,6 @@ from spgauge.gauge import (
     sutherland_invariant,
 )
 from spgauge.oracles import gcd_p_part
-from spgauge.phi import samelson_order
 
 
 def test_invariants_require_positive_rank():
@@ -455,25 +454,3 @@ def test_local_verdict_values_are_public_p_parts(n, k, l, p):
     verdict = decide_local(n, k, l, p)
     assert verdict.invariant_values == (
         gcd_p_part(gcd(k, b), p), gcd_p_part(gcd(l, b), p))
-
-
-# (module, name, a wrong variant of the real value, the call that must
-# catch it, and the message it raises): every cross-check in phi and gauge
-# that the rest of the suite does not reach; gauge has none left, as verify
-# alone holds the rank-2 pipeline to its closed forms
-_CROSS_CHECK_FAULTS = [
-    (lattice, "element_order_in_coker", lambda real: lambda a, v: real(a, v) + 1,
-     lambda: samelson_order(1),
-     "gcd route gave 12 but cokernel route gave 13 at n=1"),
-]
-
-
-@pytest.mark.parametrize(
-    "module, name, wrong, call, message", _CROSS_CHECK_FAULTS,
-    ids=["coker-route"])
-def test_every_engine_cross_check_raises_oracle_mismatch(
-        monkeypatch, module, name, wrong, call, message):
-    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
-    with pytest.raises(OracleMismatch) as caught:
-        call()
-    assert str(caught.value) == message

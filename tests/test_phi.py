@@ -10,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import spgauge.phi as phi_mod
 from spgauge.arith import closed_form_order
-from spgauge.errors import OracleMismatch, OutOfRange
+from spgauge.errors import OutOfRange
 from spgauge.gauge import Outcome, decide_local
 from spgauge.lattice import element_order_in_coker, smith_normal_form
 from spgauge.oracles import matrix_product, surjection_counts
-from spgauge.phi import (PhiResult, checked_order, phi_image, phi_images,
-                         samelson_order)
+from spgauge.phi import PhiResult, phi_image, phi_images
 from spgauge.verify import _SEED, _random_matrix
 
 
@@ -57,22 +56,12 @@ def test_phi_result_reads_its_claims_off_its_generators():
     for backend in ("series", "printed"):
         res = PhiResult(2, backend, (40, 60))
         assert (res.lower_gen, res.pinned_order) == (40, None)
-    with pytest.raises(OracleMismatch):
-        checked_order(PhiResult(2, "series", (40, 60)))
-    assert checked_order(PhiResult(2, "series", (40, 120))) == 40
 
 
 def test_a_phi_result_holds_a_known_backend():
     for backend in ("nonsense", "Series", "", None, 0):
         with pytest.raises(OutOfRange):
             PhiResult(2, backend, (40, 120))
-
-
-def test_checked_order_reads_only_series_backend_data():
-    # a printed record that pins the closed form still reads no order
-    for gens in ((40, 120), (40, 60)):
-        with pytest.raises(OutOfRange):
-            checked_order(PhiResult(2, "printed", gens))
 
 
 @pytest.mark.parametrize("n, gens", [
@@ -110,16 +99,16 @@ def test_printed_backend_anchor_is_the_closed_form():
 
 
 def test_samelson_order_anchors():
-    assert samelson_order(1) == 12
-    assert samelson_order(2) == 40
-    assert samelson_order(3) == 84
-    assert samelson_order(10) == 840
+    assert phi_image(1).pinned_order == 12
+    assert phi_image(2).pinned_order == 40
+    assert phi_image(3).pinned_order == 84
+    assert phi_image(10).pinned_order == 840
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 60))
 def test_samelson_order_matches_closed_form(n):
-    assert samelson_order(n) == 4 * n * (2 * n + 1)
+    assert phi_image(n).pinned_order == 4 * n * (2 * n + 1)
 
 
 def test_upper_gens_all_multiples_of_order():

@@ -171,6 +171,45 @@ def test_divisibility_check_catches_a_generator_off_the_oracle(monkeypatch):
         "n=5 k=3: generator 1996940 differs from the surjection oracle")
 
 
+def _unpinned_at_two(real):
+    # the rank-2 generator 120 made 140, which the anchor 40 does not
+    # divide: the gcd is 20, and the image pins no order
+    def images(max_n):
+        for res in real(max_n):
+            if res.n == 2:
+                res = dataclasses.replace(res, upper_gens=(40, 140))
+            yield res
+
+    return images
+
+
+# (the name as verify holds it, a wrong variant of the real one, the rank
+# the walk goes to, and the orders check's one failure, at that rank): the
+# engine does not check the order it prints, so verify must
+_WRONG_ORDERS = [
+    ("element_order_in_coker", lambda real: lambda a, v: real(a, v) + 1, 1,
+     "gcd route gave 12 but cokernel route gave 13 at n=1"),
+    ("phi_images", _unpinned_at_two, 2,
+     "series-backend image at n=2 failed to pin the order"),
+    ("samelson_b", lambda real: lambda n: 2 * real(n), 1,
+     "pipeline order 12 differs from closed form 24 at n=1"),
+]
+
+
+@pytest.mark.parametrize("name, wrong, max_n, failure", _WRONG_ORDERS,
+                         ids=["coker-route", "unpinned", "closed-form"])
+def test_the_orders_check_names_a_wrong_order(monkeypatch, name, wrong,
+                                              max_n, failure):
+    monkeypatch.setattr(verify_mod, name, wrong(getattr(verify_mod, name)))
+    orders = verify_mod.check_image_stream(max_n)[0]
+    assert orders.failures == [failure]
+    # the failing rank leaves out its row, and only its row
+    assert [row["n"] for row in orders.rows] == list(range(1, max_n))
+    report = verify_sweep(2)
+    assert report.status == "failed"
+    assert f"samelson-orders: {failure}" in report.failures
+
+
 def test_a_wrong_oracle_count_fails_the_sweep(monkeypatch):
     # the oracle rows are walked beside the image stream; one count off at
     # one rank must show as a divisibility failure at that rank
