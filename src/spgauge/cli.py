@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from math import factorial
 
-from .errors import SpgaugeError
+from .errors import OutOfRange, SpgaugeError
 from .gauge import (
     LieFamily,
     decide_local,
@@ -227,10 +227,10 @@ def _classify_grid(n: int, p: int) -> Report:
 def _cmd_classify_sp(args) -> Report:
     if args.grid:
         if args.k is not None or args.l is not None:
-            raise SpgaugeError("--grid does not take --k/--l")
+            raise OutOfRange("--grid does not take --k/--l")
         return _classify_grid(args.n, args.p)
     if args.k is None or args.l is None:
-        raise SpgaugeError("classify sp needs --k and --l (or --grid)")
+        raise OutOfRange("classify sp needs --k and --l (or --grid)")
     verdict = decide_local(args.n, args.k, args.l, args.p)
     params = {"n": args.n, "k": args.k, "l": args.l, "p": args.p}
     return Report("classify-sp", params, [_verdict_row(params, verdict)])
@@ -279,9 +279,9 @@ def _cmd_retractible(args) -> Report:
 
 
 def _cmd_verify(args) -> Report:
-    # verify_sweep refuses a max_n below 2; no library function sees --jobs
+    # verify_sweep refuses a bad max_n before it forks; no library sees --jobs
     if args.jobs < 1:
-        raise SpgaugeError("--jobs must be at least 1")
+        raise OutOfRange("--jobs must be at least 1")
     # the sweep alone loads verify, and through it lattice and series
     from .verify import verify_sweep
 

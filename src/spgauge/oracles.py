@@ -25,6 +25,14 @@ from typing import Iterator
 from .errors import OutOfRange
 
 
+def _require_int(**values: int) -> None:
+    """Raise OutOfRange unless every value is an int, and not a bool or
+    another subclass of int, naming the first that is not."""
+    for name, x in values.items():
+        if type(x) is not int:
+            raise OutOfRange(f"{name} must be an integer, got {x!r}")
+
+
 def samelson_b(n: int) -> int:
     """B = 4n(2n+1), the Samelson order, written apart from the engine's
     closed form so that a wrong B there fails a check."""
@@ -67,8 +75,9 @@ def surjection_counts(m: int, top: int) -> list[int]:
     table j^m, j = 0..min(top, m), differenced once per k, yields the whole
     row in O(min(top, m)^2) subtractions, with no binomials.  Entries with
     k > m are 0, as a degree-m polynomial has no higher differences.
-    Raises OutOfRange for m < 1 or top < 0.
+    Raises OutOfRange for an m or top that is not an int, m < 1 or top < 0.
     """
+    _require_int(m=m, top=top)
     if m < 1 or top < 0:
         raise OutOfRange("surjection_counts requires m >= 1 and top >= 0")
     last = min(top, m)
@@ -83,9 +92,10 @@ def surjection_counts_by_rank(max_n: int) -> Iterator[list[int]]:
     rank multiplies every entry by j * j and appends n^(2n-1), then
     differences the table afresh.  No rank reads the counts of the one
     before, so the stream stays an inclusion-exclusion oracle, apart from
-    the Stirling recurrence of phi.  Raises OutOfRange for max_n < 1 at the
-    call, before any item is made.
+    the Stirling recurrence of phi.  Raises OutOfRange for a max_n that is
+    not an int or is below 1 at the call, before any item is made.
     """
+    _require_int(max_n=max_n)
     if max_n < 1:
         raise OutOfRange(f"rank must be a positive integer, got {max_n}")
     return _surjection_rows_by_rank(max_n)
@@ -109,8 +119,7 @@ def exp_minus_one_powers(max_deg: int) -> Iterator[list[Fraction]]:
     e^x - 1, a plain truncated product.  Raises OutOfRange at the call for
     a max_deg that is not an int or is negative.
     """
-    if not isinstance(max_deg, int):
-        raise OutOfRange(f"max_deg must be an integer, got {max_deg!r}")
+    _require_int(max_deg=max_deg)
     if max_deg < 0:
         raise OutOfRange("max_deg must be nonnegative")
     base = [Fraction(0)] + [Fraction(1, factorial(m)) for m in range(1, max_deg + 1)]

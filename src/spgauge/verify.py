@@ -10,11 +10,11 @@ every rank it walks, and the rank-2 mapping pipeline to its closed forms
 at every even rank up to 200; the series identity holds two oracles, the
 powers of e^x - 1 and inclusion-exclusion, against each other.  Scales
 cap at each property's stated bound so a large max_n stays within the
-documented runtime budgets.  The sweep walks the image stream phi_images once, feeding both
-the orders check and the divisibility check, in one forked child process
-while the sweep's own process runs the other checks (POSIX only).  A
-check's rows hold its values as they are, ints and bools among them, and
-the report writes them.
+documented runtime budgets.  The sweep refuses a bad max_n, then forks
+one child process (POSIX only) to walk the image stream phi_images once
+for the orders and divisibility checks while its own process runs the
+others.  A check's rows hold its values as they are, ints and bools among
+them, and the report writes them.
 """
 
 from __future__ import annotations
@@ -23,9 +23,11 @@ import marshal
 import os
 import random
 import signal
+import sys
 from dataclasses import dataclass, field
 from math import comb, factorial, gcd, prod
 
+from .arith import require_factorial_rank
 from .errors import OutOfRange
 from .gauge import (
     LieFamily,
@@ -410,23 +412,21 @@ def check_guards(max_n: int) -> CheckResult:
 
 def _walk_in_child(write_fd: int, max_n: int) -> None:
     """The forked child's whole life: walk the image stream, send down the
-    pipe the fields of its two checks, or the exception the walk raised,
-    pickled, and leave by os._exit, so it never returns into the caller's
-    code nor flushes the caller's buffered output.  The checks' fields are
-    strings, ints and bools in lists and dicts, which marshal carries
-    without loading pickle into the sweep's process."""
+    pipe the fields of its two checks, strings, ints and bools in lists and
+    dicts that marshal carries, and leave by os._exit, so it never returns
+    into the caller's code nor flushes the caller's buffered output.  As
+    verify_sweep has refused a bad max_n, a walk that raises is a fault:
+    the child prints the traceback to stderr and exits 1."""
     status = 1
     try:
-        try:
-            answer = ([(c.name, c.rows, c.failures)
-                       for c in check_image_stream(max_n)], None)
-        except Exception as exc:
-            import pickle
-
-            answer = (None, pickle.dumps(exc))
+        fields = [(c.name, c.rows, c.failures)
+                  for c in check_image_stream(max_n)]
         with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(marshal.dumps(answer))
+            pipe.write(marshal.dumps(fields))
         status = 0
+    except Exception:
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
     finally:
         os._exit(status)
 
@@ -440,14 +440,16 @@ def verify_sweep(max_n: int) -> Report:
     max_n = 200 reproduces the full acceptance suite.  The image stream is
     walked once, by check_image_stream, in one forked child while this
     process runs the other checks; the child sends its two checks down a
-    pipe.  An exception the walk raised is raised here again, a child that
-    exits with any status but 0 raises ChildProcessError, whatever it wrote
-    first, and if the checks here raise, the child is killed.
+    pipe.  A max_n below 2 or past the factorial's range raises OutOfRange
+    before the fork; a child that exits with any status but 0, as one whose
+    walk raised does, raises ChildProcessError, whatever it wrote first.
+    If the checks here raise, the child is killed.
     Either way the child is reaped before this returns.
     The rows come in the same order whichever process ran them.
     """
     if type(max_n) is not int or max_n < 2:
         raise OutOfRange(f"verify needs an integer max_n >= 2, got {max_n!r}")
+    require_factorial_rank(max_n)
     read_fd, write_fd = os.pipe()
     with os.fdopen(read_fd, "rb") as pipe:
         try:
@@ -479,12 +481,7 @@ def verify_sweep(max_n: int) -> Report:
         raise ChildProcessError(
             f"the image-stream walk sent {len(answer)} bytes and exited "
             f"with status {os.waitstatus_to_exitcode(status)}")
-    fields, error = marshal.loads(answer)
-    if error is not None:
-        import pickle
-
-        raise pickle.loads(error)
-    orders, divisibility = (CheckResult(*f) for f in fields)
+    orders, divisibility = (CheckResult(*f) for f in marshal.loads(answer))
     rows: list[dict[str, object]] = []
     failures: list[str] = []
     for c in [orders, divisibility, *checks]:

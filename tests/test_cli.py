@@ -580,6 +580,34 @@ def test_verify_usage_errors(capsys):
     assert "max_n >= 2" in err
     code, _, err = run_cli(capsys, "verify", "--jobs", "0")
     assert code == 2
+    # refused before the sweep forks, with the image commands' message
+    code, out, err = run_cli(capsys, "verify", "--max-n", str(2**62))
+    assert (code, out, err) == (
+        2, "", f"error: (2n+1)! is past the factorial's range at n={2**62}\n")
+
+
+def test_a_walk_that_raises_is_a_fault_not_a_usage_error():
+    # an OutOfRange inside the forked walk, after verify_sweep has checked
+    # max_n, is no usage error: the child's traceback and then the parent's
+    # ChildProcessError reach stderr, and the process exits 1, not 2
+    code = ("import sys, spgauge.verify as v\n"
+            "from spgauge.cli import main\n"
+            "from spgauge.errors import OutOfRange\n"
+            "def walk(max_n):\n"
+            "    raise OutOfRange(f'no walk to {max_n}')\n"
+            "v.check_image_stream = walk\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(spgauge.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code, "verify", "--max-n", "6"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout) == (1, "")
+    assert "spgauge.errors.OutOfRange: no walk to 6\n" in done.stderr
+    assert done.stderr.endswith(
+        "ChildProcessError: the image-stream walk sent 0 bytes and exited "
+        "with status 1\n")
+    assert "error: " not in done.stderr
 
 
 def test_verification_failure_exits_one(capsys, monkeypatch):

@@ -86,6 +86,7 @@ _ENGINE = ("arith", "series", "phi", "lattice", "gauge", "report", "cli")
 # the engine names verify holds against the oracles (and writes its report
 # with)
 _VERIFY_ENGINE_IMPORTS = {
+    ("arith", "require_factorial_rank"),
     ("gauge", "LieFamily"), ("gauge", "Outcome"), ("gauge", "decide_local"),
     ("gauge", "im_partial_order"), ("gauge", "mapping_group_order"),
     ("gauge", "q2_mapping_invariant"), ("gauge", "retractible"),
@@ -184,3 +185,23 @@ def test_every_public_name_is_read_by_the_package_or_listed():
     unread = {name for name, module in spgauge._EXPORTS.items()
               if (module, name) not in read}
     assert unread == set(_EXPORTS_READ_FROM_OUTSIDE)
+
+
+def test_every_package_error_raised_is_one_of_the_two_kinds():
+    # errors promises that every error is OutOfRange or
+    # NonIntegralGenerator, so no module raises the base class or another
+    # name from errors
+    package = Path(spgauge.__file__).resolve().parent
+    kinds = {name for name, obj in vars(spgauge.errors).items()
+             if isinstance(obj, type)
+             and issubclass(obj, spgauge.errors.SpgaugeError)}
+    raised = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if isinstance(exc, ast.Name) and exc.id in kinds:
+                    raised.add((path.stem, exc.id))
+    assert raised and {name for _, name in raised} <= {
+        "OutOfRange", "NonIntegralGenerator"}, raised

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spgauge.errors import OutOfRange
-from spgauge.oracles import exp_minus_one_powers, surjection_counts
+from spgauge.oracles import (exp_minus_one_powers, surjection_counts,
+                             surjection_counts_by_rank)
 from spgauge.phi import BACKENDS, phi_images
 from spgauge.series import printed_top_coeffs
 
@@ -129,6 +130,21 @@ def test_top_coeff_domain_errors():
             printed_top_coeffs(n)
     with pytest.raises(OutOfRange, match="^max_deg must be nonnegative$"):
         exp_minus_one_powers(-1)
-    for bad in (2.0, Fraction(2), "2", None):
+    for bad in (2.0, Fraction(2), "2", None, True):
         with pytest.raises(OutOfRange, match="^max_deg must be an integer"):
             exp_minus_one_powers(bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    # exact-arithmetic oracles: a float would come back as float counts
+    (lambda: surjection_counts(3.0, 2), "m must be an integer, got 3.0"),
+    (lambda: surjection_counts(3, 2.0), "top must be an integer, got 2.0"),
+    (lambda: surjection_counts(True, 1), "m must be an integer, got True"),
+    (lambda: surjection_counts_by_rank(2.5),
+     "max_n must be an integer, got 2.5"),
+    (lambda: surjection_counts_by_rank(True),
+     "max_n must be an integer, got True"),
+], ids=["m-float", "top-float", "m-bool", "by-rank-float", "by-rank-bool"])
+def test_the_oracles_refuse_a_non_int_at_the_call(call, message):
+    with pytest.raises(OutOfRange, match=f"^{message}$"):
+        call()

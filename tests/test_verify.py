@@ -6,6 +6,7 @@ import itertools
 import marshal
 import os
 import random
+import re
 import signal
 import sys
 import time
@@ -140,15 +141,20 @@ class _Three(IntEnum):
     THREE = 3
 
 
-@pytest.mark.parametrize("max_n", [None, "3", 2.5, 3.0, Fraction(3), True,
-                                   pytest.param(_Three.THREE, id="IntEnum")])
-def test_verify_sweep_rejects_a_non_int_max_n_before_forking(monkeypatch,
-                                                             max_n):
+@pytest.mark.parametrize("max_n", [
+    None, "3", 2.5, 3.0, Fraction(3), True,
+    pytest.param(_Three.THREE, id="IntEnum"),
+    # (2n+1)! is past math.factorial's range from n = 2^62 on a 64-bit build
+    pytest.param(2**62, id="2^62"), pytest.param(10**31, id="10^31"),
+])
+def test_verify_sweep_rejects_a_bad_max_n_before_forking(monkeypatch, max_n):
     def no_fork():
         raise AssertionError("forked for a bad max_n")
 
     monkeypatch.setattr(verify_mod.os, "fork", no_fork)
-    with pytest.raises(OutOfRange):
+    message = (f"(2n+1)! is past the factorial's range at n={max_n}"
+               if type(max_n) is int else "verify needs an integer max_n >= 2")
+    with pytest.raises(OutOfRange, match=f"^{re.escape(message)}"):
         verify_sweep(max_n)
 
 
@@ -250,13 +256,21 @@ def test_verify_sweep_walks_the_image_stream_once(monkeypatch, tmp_path):
     _assert_no_child_left()
 
 
-def test_an_exception_in_the_child_walk_reaches_the_caller(monkeypatch):
+def test_an_exception_in_the_child_walk_reaches_the_caller(monkeypatch,
+                                                           capfd):
+    # verify_sweep has refused every bad max_n before the fork, so an
+    # exception in the walk is a fault: the child prints its traceback and
+    # exits 1, and the caller raises ChildProcessError, not the exception
     def out_of_range(max_n):
         raise OutOfRange(f"no walk to {max_n}")
 
     monkeypatch.setattr(verify_mod, "check_image_stream", out_of_range)
-    with pytest.raises(OutOfRange, match="^no walk to 6$"):
+    with pytest.raises(ChildProcessError,
+                       match="sent 0 bytes and exited with status 1$"):
         verify_sweep(6)
+    err = capfd.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "spgauge.errors.OutOfRange: no walk to 6" in err
     _assert_no_child_left()
 
 
@@ -277,9 +291,9 @@ def test_a_child_killed_mid_answer_raises(monkeypatch, end, status):
     # not the cut answer, decides
     def cut_walk(write_fd, max_n):
         try:
-            answer = ([(c.name, c.rows, c.failures)
-                       for c in verify_mod.check_image_stream(max_n)], None)
-            os.write(write_fd, marshal.dumps(answer)[:5])
+            fields = [(c.name, c.rows, c.failures)
+                      for c in verify_mod.check_image_stream(max_n)]
+            os.write(write_fd, marshal.dumps(fields)[:5])
             end()
         finally:
             os._exit(0)
