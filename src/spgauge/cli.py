@@ -6,6 +6,13 @@ retractible for the bundle invariants, and verify for the self-check sweep.
 Output is a Report written as markdown (default), JSON, or CSV, and is
 byte-stable across runs.  Exit codes: 0 success, 1 verification failure,
 2 usage error, 141 (128 + SIGPIPE) when the reader of stdout has gone.
+
+A command that names a leaf (order, classify sp, ...) is parsed by that
+leaf's parser alone, the one parser it constructs, which prints the leaf's
+own help and errors.  The whole argparse tree, registered from the same
+table of leaves, is built only for argv that names no leaf or that the
+leaf leaves arguments over, and prints the top-level help, usage and
+errors.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 from .errors import OutOfRange, SpgaugeError
@@ -32,20 +40,23 @@ from .gauge import (
 from .phi import BACKENDS, phi_image, phi_images
 from .report import FORMATS, Product, Report
 
+
 class _Parser(argparse.ArgumentParser):
     """A parser that, made with `arguments`, is built when it first parses.
 
     Such a parser keeps its keyword arguments and runs
     ArgumentParser.__init__, then `arguments(parser)`, at the start of its
-    first parse_known_args; one made without is built at once.  Three
-    behaviours of argparse make this safe (read in the argparse of 3.10.13,
-    3.11.7, 3.12.1 and 3.13.0): add_subparsers makes subparsers of the
-    parent's own class unless told otherwise, add_parser only constructs the
-    subparser and stores it, and the subparsers action calls
-    parse_known_args only on the subparser the command line selects.  So a
-    command constructs only the parsers it parses with, while every
-    subcommand's name and help, which the usage, help and invalid-choice
-    errors above it print, are registered up front."""
+    first parse_known_args; one made without is built at once.  The leaf
+    parser a command parses with alone is made so, and so is every
+    subparser of the tree.  There three behaviours of argparse make it safe
+    (read in the argparse of 3.10.13, 3.11.7, 3.12.1 and 3.13.0):
+    add_subparsers makes subparsers of the parent's own class unless told
+    otherwise, add_parser only constructs the subparser and stores it, and
+    the subparsers action calls parse_known_args only on the subparser the
+    command line selects.  So the tree, too, constructs only the parsers it
+    parses with, while every subcommand's name and help, which the usage,
+    help and invalid-choice errors above it print, are registered up
+    front."""
 
     def __init__(self, *, arguments=None, **kwargs):
         self._deferred = arguments and (arguments, kwargs)
@@ -68,101 +79,136 @@ class _Parser(argparse.ArgumentParser):
         file.flush()
 
 
+def _add_format(p):
+    p.add_argument("--format", choices=FORMATS, default="markdown",
+                   help="output format (default markdown)")
+
+
+def _order_arguments(p):
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--n", type=int, help="single rank")
+    group.add_argument("--max-n", type=int, help="sweep ranks 1..max-n")
+    _add_format(p)
+    p.set_defaults(handler=_cmd_order)
+
+
+def _phi_gens_arguments(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--backend", choices=BACKENDS, default="series")
+    _add_format(p)
+    p.set_defaults(handler=_cmd_phi_gens)
+
+
+def _classify_sp_arguments(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--k", type=int)
+    p.add_argument("--l", type=int)
+    p.add_argument("--grid", action="store_true",
+                   help="full verdict grid over k, l in [0, 4n(2n+1)]")
+    _add_format(p)
+    p.set_defaults(handler=_cmd_classify_sp)
+
+
+def _classify_spin_arguments(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--epsilon", type=int, choices=(1, 2), required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--p", type=int, required=True)
+    _add_format(p)
+    p.set_defaults(handler=_cmd_classify_spin)
+
+
+def _invariant_arguments(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, action="append", required=True,
+                   help="bundle integer; repeat for several")
+    _add_format(p)
+    p.set_defaults(handler=_cmd_invariant)
+
+
+def _retractible_arguments(p):
+    p.add_argument("--family", required=True,
+                   choices=[f.value for f in LieFamily])
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--n", type=int,
+                   help="rank (required for SU, Sp, SpinOdd)")
+    _add_format(p)
+    p.set_defaults(handler=_cmd_retractible)
+
+
+def _verify_arguments(p):
+    p.add_argument("--max-n", type=int, default=20)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="kept for compatibility and echoed in the "
+                        "report; changes nothing (the sweep always "
+                        "forks one child for its image stream)")
+    _add_format(p)
+    p.set_defaults(handler=_cmd_verify)
+
+
+# every leaf command by its path: its help and the builder that adds its
+# arguments, in the order the help lists them
+_COMMANDS = {
+    ("order",): ("Samelson product orders 4n(2n+1) from the image pipeline",
+                 _order_arguments),
+    ("phi-gens",): ("image generators of the comparison map at rank n",
+                    _phi_gens_arguments),
+    ("classify", "sp"): ("Sp(n) gauge groups", _classify_sp_arguments),
+    ("classify", "spin"): ("Spin(2n+epsilon) gauge groups",
+                           _classify_spin_arguments),
+    ("invariant",): ("bundle invariants (coarse, refined, quotient)",
+                     _invariant_arguments),
+    ("retractible",): ("p-local retractibility of the generating complex",
+                       _retractible_arguments),
+    ("verify",): ("run the acceptance property sweep", _verify_arguments),
+}
+# the help of each command that only holds leaves
+_GROUPS = {"classify": "p-local gauge group classification verdicts"}
+
+
+def _add_subcommands(parser, prefix=()):
+    """Register under parser, in _COMMANDS' order, each subcommand one word
+    below prefix: a leaf with its builder, a group with this function for
+    its own subcommands; either runs at its subparser's first parse."""
+    depth = len(prefix)
+    sub = parser.add_subparsers(dest=("command", "target")[depth],
+                                required=True)
+    for path, (text, arguments) in _COMMANDS.items():
+        if path[:depth] != prefix or path[depth] in sub.choices:
+            continue
+        name = path[depth]
+        if len(path) > depth + 1:
+            text = _GROUPS[name]
+            arguments = partial(_add_subcommands, prefix=path[:depth + 1])
+        sub.add_parser(name, help=text, arguments=arguments)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="spgauge",
         description="Exact invariants and p-local classification for "
                     "Sp(n) gauge groups over the 4-sphere.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=FORMATS, default="markdown",
-                       help="output format (default markdown)")
-
-    def order(p):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--n", type=int, help="single rank")
-        group.add_argument("--max-n", type=int, help="sweep ranks 1..max-n")
-        add_format(p)
-        p.set_defaults(handler=_cmd_order)
-
-    sub.add_parser(
-        "order", help="Samelson product orders 4n(2n+1) from the image pipeline",
-        arguments=order)
-
-    def phi_gens(p):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--backend", choices=BACKENDS, default="series")
-        add_format(p)
-        p.set_defaults(handler=_cmd_phi_gens)
-
-    sub.add_parser("phi-gens", arguments=phi_gens,
-                   help="image generators of the comparison map at rank n")
-
-    def classify_sp(p):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--p", type=int, required=True)
-        p.add_argument("--k", type=int)
-        p.add_argument("--l", type=int)
-        p.add_argument("--grid", action="store_true",
-                       help="full verdict grid over k, l in [0, 4n(2n+1)]")
-        add_format(p)
-        p.set_defaults(handler=_cmd_classify_sp)
-
-    def classify_spin(p):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--epsilon", type=int, choices=(1, 2), required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--l", type=int, required=True)
-        p.add_argument("--p", type=int, required=True)
-        add_format(p)
-        p.set_defaults(handler=_cmd_classify_spin)
-
-    def classify(p):
-        targets = p.add_subparsers(dest="target", required=True)
-        targets.add_parser("sp", help="Sp(n) gauge groups", arguments=classify_sp)
-        targets.add_parser("spin", help="Spin(2n+epsilon) gauge groups",
-                           arguments=classify_spin)
-
-    sub.add_parser("classify", arguments=classify,
-                   help="p-local gauge group classification verdicts")
-
-    def invariant(p):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--k", type=int, action="append", required=True,
-                       help="bundle integer; repeat for several")
-        add_format(p)
-        p.set_defaults(handler=_cmd_invariant)
-
-    sub.add_parser("invariant", arguments=invariant,
-                   help="bundle invariants (coarse, refined, quotient)")
-
-    def retractible(p):
-        p.add_argument("--family", required=True,
-                       choices=[f.value for f in LieFamily])
-        p.add_argument("--p", type=int, required=True)
-        p.add_argument("--n", type=int,
-                       help="rank (required for SU, Sp, SpinOdd)")
-        add_format(p)
-        p.set_defaults(handler=_cmd_retractible)
-
-    sub.add_parser("retractible", arguments=retractible,
-                   help="p-local retractibility of the generating complex")
-
-    def verify(p):
-        p.add_argument("--max-n", type=int, default=20)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="kept for compatibility and echoed in the "
-                            "report; changes nothing (the sweep always "
-                            "forks one child for its image stream)")
-        add_format(p)
-        p.set_defaults(handler=_cmd_verify)
-
-    sub.add_parser(
-        "verify", help="run the acceptance property sweep", arguments=verify)
-
+    _add_subcommands(parser)
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """argv parsed by its leaf command's parser alone, which prints that
+    leaf's help and errors; when argv starts with no leaf's path, or the
+    leaf leaves arguments over, by the whole tree, which prints the
+    top-level help, usage and unrecognized-arguments error."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for path in (tuple(argv[:2]), tuple(argv[:1])):
+        if path in _COMMANDS:
+            leaf = _Parser(prog=" ".join(("spgauge", *path)),
+                           arguments=_COMMANDS[path][1])
+            args, rest = leaf.parse_known_args(argv[len(path):])
+            if not rest:
+                return args
+    return _build_parser().parse_args(argv)
 
 
 def _pinned(result) -> int | str:
@@ -305,9 +351,8 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         try:
             report = args.handler(args)
         except SpgaugeError as exc:

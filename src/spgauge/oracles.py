@@ -36,6 +36,7 @@ def _require_int(**values: int) -> None:
 def samelson_b(n: int) -> int:
     """B = 4n(2n+1), the Samelson order, written apart from the engine's
     closed form so that a wrong B there fails a check."""
+    _require_int(n=n)
     return 4 * n * (2 * n + 1)
 
 
@@ -43,12 +44,14 @@ def rank2_factor(n: int) -> int:
     """c(n) = (2n-1)!/6 for n >= 2: the rank-2 mapping group order is c(n)B
     and its quotient by the k-th connecting image c(n)gcd(k, B), since
     (2n+1)!/3 = c(n)B and gcd(c(n)B, c(n)k) = c(n)gcd(k, B)."""
+    _require_int(n=n)
     return factorial(2 * n - 1) // 6
 
 
 def gcd_p_part(a: int, p: int) -> int:
     """The p-part of a > 0, as gcd(a, p^e) with p^e > a; it shares no code
     with the valuation loop of the engine."""
+    _require_int(a=a, p=p)
     return gcd(a, p ** a.bit_length())
 
 
@@ -289,6 +292,7 @@ def order_by_addition(lat: EchelonLattice, vec, cap: int) -> int:
 
 
 def divisors(x: int) -> list[int]:
+    _require_int(x=x)
     out = []
     d = 1
     while d * d <= x:

@@ -83,13 +83,12 @@ class CheckResult:
         self.add(**cells, ok=self.ok)
 
 
-def _order_failure(res: PhiResult) -> str | None:
-    """The first of three faults of the rank-n image's order, or None: no
-    pinned order; a pinned order off the order of the fundamental class in
-    the Smith-form cokernel of the generators; or both off the oracle's
-    closed form B = 4n(2n+1)."""
+def _order_failure(res: PhiResult, order: int | None) -> str | None:
+    """The first of three faults of the rank-n image's order, its
+    pinned_order as read by the caller, or None: no pinned order; a pinned
+    order off the order of the fundamental class in the Smith-form cokernel
+    of the generators; or both off the oracle's closed form B = 4n(2n+1)."""
     n = res.n
-    order = res.pinned_order
     if order is None:
         return f"series-backend image at n={n} failed to pin the order"
     via_coker = element_order_in_coker([res.upper_gens], (1,))
@@ -145,9 +144,11 @@ def check_image_stream(max_n: int) -> tuple[CheckResult, CheckResult]:
     pairs = 0
     for image, counts in zip(phi_images(max_n),
                              surjection_counts_by_rank(max_n)):
-        failure = _order_failure(image)
+        # each read of pinned_order takes a gcd over all n generators
+        order = image.pinned_order
+        failure = _order_failure(image, order)
         if failure is None:
-            orders.add(n=image.n, samelson_order=image.pinned_order)
+            orders.add(n=image.n, samelson_order=order)
         else:
             orders.failures.append(failure)
         divisibility.failures.extend(_divisibility_row(image, counts))

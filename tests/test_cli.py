@@ -393,7 +393,7 @@ def test_help_and_usage_errors_print_the_same_bytes(capsys, monkeypatch, case):
       "--format", "json"]),
 ], ids=["depth-2", "depth-3"])
 def test_an_abbreviated_option_prints_the_same_bytes(capsys, short, full):
-    # a subparser built at its first parse still resolves unique prefixes
+    # a leaf parser parsing alone still resolves unique prefixes
     printed = run_cli(capsys, *short)
     assert printed[0] == 0 and printed == run_cli(capsys, *full)
 
@@ -419,32 +419,76 @@ def _leaf(argv):
     return argv[:2] if argv[0] == "classify" else argv[:1]
 
 
-@pytest.mark.parametrize("argv,options", _LEAVES,
-                         ids=["-".join(_leaf(argv)) for argv, _ in _LEAVES])
-def test_a_command_constructs_only_the_parsers_it_parses(monkeypatch, argv,
-                                                         options):
+def _record_parsers(monkeypatch):
+    """The prog of each parser constructed from here on, in order, and the
+    names each adds through ArgumentParser.add_argument."""
     built, added = [], []
     init = argparse.ArgumentParser.__init__
     add_argument = argparse.ArgumentParser.add_argument
 
     def construct(self, *args, **kwargs):
         built.append(kwargs["prog"])
+        added.append([])
         init(self, *args, **kwargs)
 
     def record(self, *names, **kwargs):
-        added.extend(names)
+        added[-1].extend(names)
         return add_argument(self, *names, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", construct)
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record)
+    return built, added
+
+
+@pytest.mark.parametrize("argv,options", _LEAVES,
+                         ids=["-".join(_leaf(argv)) for argv, _ in _LEAVES])
+def test_a_command_constructs_only_the_parsers_it_parses(monkeypatch, argv,
+                                                         options):
+    built, added = _record_parsers(monkeypatch)
     assert main(argv) == 0
-    # the top parser, classify for sp and spin, and the leaf: 2 parsers, or
-    # 3; each adds its -h, and the leaf its options only when the
-    # subparsers action parses with it
-    path = _leaf(argv)
-    assert built == [" ".join(["spgauge", *path[:i]])
-                     for i in range(len(path) + 1)]
-    assert added == ["-h", "--help"] * len(built) + options
+    # the leaf alone, with the prog its subparser in the tree has; no
+    # top-level or classify parser is built
+    assert built == [" ".join(["spgauge", *_leaf(argv)])]
+    assert added == [["-h", "--help", *options]]
+
+
+# argv with no leaf path in front, or with arguments the leaf leaves over;
+# its exit code, the start of what it prints, and the parsers constructed:
+# the tree, with spgauge first, builds only the subparsers it parses with
+_TOP = "usage: spgauge [-h] {order,phi-gens,classify,"
+_CLASSIFY = "usage: spgauge classify [-h] {sp,spin}"
+_FALLBACKS = [
+    ([], 2, _TOP, ["spgauge"]),
+    (["frobnicate"], 2, _TOP, ["spgauge"]),
+    (["classify"], 2, _CLASSIFY, ["spgauge", "spgauge classify"]),
+    (["classify", "--help"], 0, _CLASSIFY, ["spgauge", "spgauge classify"]),
+    (["order", "--n", "3", "--bogus"], 2, _TOP,
+     ["spgauge order", "spgauge", "spgauge order"]),
+]
+
+
+@pytest.mark.parametrize("argv,code,usage,parsers", _FALLBACKS,
+                         ids=["_".join(argv) or "no-command"
+                              for argv, *_ in _FALLBACKS])
+def test_help_and_errors_above_a_leaf_come_from_the_tree(
+        capsys, monkeypatch, argv, code, usage, parsers):
+    built, _ = _record_parsers(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    # help goes to stdout, a usage error to stderr
+    assert (exc.value.code, bool(out), bool(err)) == (code, not code, bool(code))
+    assert (out + err).startswith(usage)
+    assert built == parsers
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _LEAVES],
+                         ids=["-".join(_leaf(argv)) for argv, _ in _LEAVES])
+def test_a_leaf_parses_as_the_tree_does(argv):
+    tree = vars(cli_mod._build_parser().parse_args(argv))
+    del tree["command"]
+    tree.pop("target", None)
+    assert vars(cli_mod._parse_args(argv)) == tree
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

@@ -9,7 +9,8 @@ holds for the counts of surjections and sweeps below their least valid
 value, and for every p that is not prime or is too large for the primality
 test to decide.  A verdict that claims EQUIVALENT or DISTINCT has passed
 all of its guards.  An integer argument of an exported function or record
-that is a float, a Fraction, a bool or an IntEnum member raises OutOfRange.
+that is a float, a Fraction, a bool or an IntEnum member raises OutOfRange,
+and so does a float, a bool or a str given to an oracle verify checks by.
 A matrix or vector entry that is not an int raises OutOfRange, never a
 rounded answer; so does a ragged or empty matrix, or a matrix, a matrix
 row or a vector that is not a sequence.  Every exported record raises
@@ -50,7 +51,14 @@ from spgauge.gauge import (
     sutherland_invariant,
 )
 from spgauge.lattice import element_order_in_coker, smith_normal_form
-from spgauge.oracles import surjection_counts, surjection_counts_by_rank
+from spgauge.oracles import (
+    divisors,
+    gcd_p_part,
+    rank2_factor,
+    samelson_b,
+    surjection_counts,
+    surjection_counts_by_rank,
+)
 from spgauge.phi import BACKENDS, PhiResult, phi_image, phi_images
 from spgauge.report import FORMATS, Report
 from spgauge.series import printed_top_coeffs
@@ -252,6 +260,28 @@ def test_a_non_int_integer_argument_raises_spgauge_error(name, data):
                         label="spoiled")
     with pytest.raises(OutOfRange):
         fn(*args)
+
+
+# the oracles verify holds the engine to, each with a valid call's arguments
+_ORACLE_CALLS = {
+    "samelson_b": (samelson_b, (3,)),
+    "rank2_factor": (rank2_factor, (3,)),
+    "gcd_p_part": (gcd_p_part, (40, 5)),
+    "divisors": (divisors, (12,)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 12.0, True, "12"],
+                         ids=["float", "integral-float", "bool", "str"])
+@pytest.mark.parametrize("name", sorted(_ORACLE_CALLS))
+def test_an_oracle_refuses_a_non_int_argument(name, bad):
+    fn, args = _ORACLE_CALLS[name]
+    fn(*args)
+    for i in range(len(args)):
+        spoiled = list(args)
+        spoiled[i] = bad
+        with pytest.raises(OutOfRange, match=f" must be an integer, got {bad!r}$"):
+            fn(*spoiled)
 
 
 # -- matrix entries -----------------------------------------------------------
