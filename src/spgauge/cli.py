@@ -10,9 +10,8 @@ byte-stable across runs.  Exit codes: 0 success, 1 verification failure,
 A command that names a leaf (order, classify sp, ...) is parsed by that
 leaf's parser alone, the one parser it constructs, which prints the leaf's
 own help and errors.  The whole argparse tree, registered from the same
-table of leaves, is built only for argv that names no leaf or that the
-leaf leaves arguments over, and prints the top-level help, usage and
-errors.
+table of leaves, is built for argv that names no leaf or that the leaf
+leaves arguments over, and prints the top-level help, usage or error.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from functools import partial
 from math import factorial
 
 from .errors import OutOfRange, SpgaugeError
@@ -42,33 +40,8 @@ from .report import FORMATS, Product, Report
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser that, made with `arguments`, is built when it first parses.
-
-    Such a parser keeps its keyword arguments and runs
-    ArgumentParser.__init__, then `arguments(parser)`, at the start of its
-    first parse_known_args; one made without is built at once.  The leaf
-    parser a command parses with alone is made so, and so is every
-    subparser of the tree.  There three behaviours of argparse make it safe
-    (read in the argparse of 3.10.13, 3.11.7, 3.12.1 and 3.13.0):
-    add_subparsers makes subparsers of the parent's own class unless told
-    otherwise, add_parser only constructs the subparser and stores it, and
-    the subparsers action calls parse_known_args only on the subparser the
-    command line selects.  So the tree, too, constructs only the parsers it
-    parses with, while every subcommand's name and help, which the usage,
-    help and invalid-choice errors above it print, are registered up
-    front."""
-
-    def __init__(self, *, arguments=None, **kwargs):
-        self._deferred = arguments and (arguments, kwargs)
-        if arguments is None:
-            super().__init__(**kwargs)
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._deferred:
-            (fill, kwargs), self._deferred = self._deferred, None
-            super().__init__(**kwargs)
-            fill(self)
-        return super().parse_known_args(args, namespace)
+    """An ArgumentParser whose help, like a report, reaches a closed stdout
+    (add_subparsers makes every subparser of the tree of this class)."""
 
     def print_help(self, file=None):
         # argparse drops an OSError from its own write of the help, and
@@ -168,43 +141,38 @@ _COMMANDS = {
 _GROUPS = {"classify": "p-local gauge group classification verdicts"}
 
 
-def _add_subcommands(parser, prefix=()):
-    """Register under parser, in _COMMANDS' order, each subcommand one word
-    below prefix: a leaf with its builder, a group with this function for
-    its own subcommands; either runs at its subparser's first parse."""
-    depth = len(prefix)
-    sub = parser.add_subparsers(dest=("command", "target")[depth],
-                                required=True)
-    for path, (text, arguments) in _COMMANDS.items():
-        if path[:depth] != prefix or path[depth] in sub.choices:
-            continue
-        name = path[depth]
-        if len(path) > depth + 1:
-            text = _GROUPS[name]
-            arguments = partial(_add_subcommands, prefix=path[:depth + 1])
-        sub.add_parser(name, help=text, arguments=arguments)
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree: each leaf of _COMMANDS in its order, a group
+    at its first leaf.  It is the reference the parity tests hold each leaf
+    parser to, and it only prints help, usage and errors; an argparse that
+    reads a leading -- as a separator (3.13.13, not 3.13.0) also parses
+    `spgauge -- order --n 3` with it."""
     parser = _Parser(
         prog="spgauge",
         description="Exact invariants and p-local classification for "
                     "Sp(n) gauge groups over the 4-sphere.",
     )
-    _add_subcommands(parser)
+    subs = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, (text, arguments) in _COMMANDS.items():
+        if path[:-1] not in subs:
+            group = subs[()].add_parser(path[0], help=_GROUPS[path[0]])
+            subs[path[:-1]] = group.add_subparsers(dest="target",
+                                                   required=True)
+        arguments(subs[path[:-1]].add_parser(path[-1], help=text))
     return parser
 
 
 def _parse_args(argv) -> argparse.Namespace:
     """argv parsed by its leaf command's parser alone, which prints that
-    leaf's help and errors; when argv starts with no leaf's path, or the
-    leaf leaves arguments over, by the whole tree, which prints the
-    top-level help, usage and unrecognized-arguments error."""
+    leaf's help and errors.  When argv starts with no leaf's path, or the
+    leaf leaves arguments over, the whole tree, the reference the parity
+    tests hold each leaf to, parses it, and prints the top-level help,
+    usage or unrecognized-arguments error."""
     argv = sys.argv[1:] if argv is None else list(argv)
     for path in (tuple(argv[:2]), tuple(argv[:1])):
         if path in _COMMANDS:
-            leaf = _Parser(prog=" ".join(("spgauge", *path)),
-                           arguments=_COMMANDS[path][1])
+            leaf = _Parser(prog=" ".join(("spgauge", *path)))
+            _COMMANDS[path][1](leaf)
             args, rest = leaf.parse_known_args(argv[len(path):])
             if not rest:
                 return args

@@ -9,8 +9,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import spgauge
 import spgauge.cli as cli_mod
@@ -454,16 +456,19 @@ def test_a_command_constructs_only_the_parsers_it_parses(monkeypatch, argv,
 
 # argv with no leaf path in front, or with arguments the leaf leaves over;
 # its exit code, the start of what it prints, and the parsers constructed:
-# the tree, with spgauge first, builds only the subparsers it parses with
+# the whole tree, in the order its help lists it, after any leaf that
+# left arguments over
 _TOP = "usage: spgauge [-h] {order,phi-gens,classify,"
 _CLASSIFY = "usage: spgauge classify [-h] {sp,spin}"
+_TREE = ["spgauge", "spgauge order", "spgauge phi-gens", "spgauge classify",
+         "spgauge classify sp", "spgauge classify spin", "spgauge invariant",
+         "spgauge retractible", "spgauge verify"]
 _FALLBACKS = [
-    ([], 2, _TOP, ["spgauge"]),
-    (["frobnicate"], 2, _TOP, ["spgauge"]),
-    (["classify"], 2, _CLASSIFY, ["spgauge", "spgauge classify"]),
-    (["classify", "--help"], 0, _CLASSIFY, ["spgauge", "spgauge classify"]),
-    (["order", "--n", "3", "--bogus"], 2, _TOP,
-     ["spgauge order", "spgauge", "spgauge order"]),
+    ([], 2, _TOP, _TREE),
+    (["frobnicate"], 2, _TOP, _TREE),
+    (["classify"], 2, _CLASSIFY, _TREE),
+    (["classify", "--help"], 0, _CLASSIFY, _TREE),
+    (["order", "--n", "3", "--bogus"], 2, _TOP, ["spgauge order", *_TREE]),
 ]
 
 
@@ -491,11 +496,60 @@ def test_a_leaf_parses_as_the_tree_does(argv):
     assert vars(cli_mod._parse_args(argv)) == tree
 
 
+# a command line's head: each leaf path, no command, the classify group
+# alone, an unknown command or a separator; then up to 8 words: every
+# leaf's options, abbreviated or with an attached value, a separator, -h,
+# good and bad values, an unknown option and a stray word.  No word names a
+# command: an argparse that reads a leading -- as a separator (3.13.13, not
+# 3.13.0) parses `-- order --n 3` with the tree, which elsewhere only prints
+_HEADS = [list(path) for path in cli_mod._COMMANDS] + [
+    [], ["classify"], ["frobnicate"], ["--"]]
+_WORDS = sorted({option for _, options in _LEAVES for option in options}) + [
+    "--form", "--fam", "--n=4", "--", "-h", "1", "2", "5", "Sp", "json", "x",
+    "--bogus", "extra"]
+
+
+def _outcome(parse, argv):
+    """The namespace parse(argv) returns, less the tree's command and
+    target, or the code, stdout and stderr of the SystemExit it raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    args.pop("command", None)
+    args.pop("target", None)
+    return args
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_HEADS), st.lists(st.sampled_from(_WORDS), max_size=8))
+@example(["order"], ["--n", "3", "--bogus"])
+def test_any_argv_parses_or_fails_as_the_tree_alone_does(head, words):
+    argv = head + words
+    build = cli_mod._build_parser
+    reached = []
+
+    def tree():
+        reached.append(argv)
+        return build()
+
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        with mock.patch.object(cli_mod, "_build_parser", tree):
+            got = _outcome(cli_mod._parse_args, argv)
+        assert got == _outcome(lambda a: build().parse_args(a), argv)
+    # the tree, where a leaf is not enough, only prints and exits
+    assert not reached or isinstance(got, tuple)
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
-@pytest.mark.parametrize("argv", [["--help"], ["classify", "sp", "--help"]])
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"],
+                                  ["classify", "sp", "--help"]])
 def test_help_to_a_reader_already_gone_ends_the_command_quietly(argv,
                                                                 unbuffered):
-    # argparse writes the help and raises SystemExit(0) before any report
+    # argparse writes the help and raises SystemExit(0) before any report;
+    # classify's is the one help a subparser of the tree prints
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
