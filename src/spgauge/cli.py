@@ -8,15 +8,19 @@ byte-stable across runs.  Exit codes: 0 success, 1 verification failure,
 2 usage error, 141 (128 + SIGPIPE) when the reader of stdout has gone.
 
 A command that names a leaf (order, classify sp, ...) is parsed by that
-leaf's parser alone, the one parser it constructs, which prints the leaf's
-own help and errors.  The whole argparse tree, registered from the same
-table of leaves, is built for argv that names no leaf or that the leaf
-leaves arguments over, and prints the top-level help, usage or error.
+leaf's parser alone, which prints the leaf's own help and errors.  Each
+leaf's parser is built at the first command that names it and reused by
+every later command in the process; argparse keeps no state of a parse on
+the parser, and reads the help's width, stdout and stderr only when it
+prints.  The whole argparse tree, registered from the same table of
+leaves, is built for argv that names no leaf or that the leaf leaves
+arguments over, and prints the top-level help, usage or error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -162,18 +166,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _leaf(path) -> _Parser:
+    """The parser of the leaf command at path, whose prog is the one its
+    subparser has in the tree; built once per process, at the first command
+    that names it."""
+    parser = _Parser(prog=" ".join(("spgauge", *path)))
+    _COMMANDS[path][1](parser)
+    return parser
+
+
 def _parse_args(argv) -> argparse.Namespace:
     """argv parsed by its leaf command's parser alone, which prints that
-    leaf's help and errors.  When argv starts with no leaf's path, or the
-    leaf leaves arguments over, the whole tree, the reference the parity
-    tests hold each leaf to, parses it, and prints the top-level help,
-    usage or unrecognized-arguments error."""
+    leaf's help and errors; the leaf's parser is built at its first command
+    and reused by every later one.  When argv starts with no leaf's path, or
+    the leaf leaves arguments over, the whole tree, the reference the parity
+    tests hold each leaf to, parses it, and prints the top-level help, usage
+    or unrecognized-arguments error."""
     argv = sys.argv[1:] if argv is None else list(argv)
     for path in (tuple(argv[:2]), tuple(argv[:1])):
         if path in _COMMANDS:
-            leaf = _Parser(prog=" ".join(("spgauge", *path)))
-            _COMMANDS[path][1](leaf)
-            args, rest = leaf.parse_known_args(argv[len(path):])
+            args, rest = _leaf(path).parse_known_args(argv[len(path):])
             if not rest:
                 return args
     return _build_parser().parse_args(argv)

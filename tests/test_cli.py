@@ -25,6 +25,13 @@ from test_report import ORACLES, _report_from_json, _written
 from spgauge.verify import CheckResult
 
 
+@pytest.fixture(autouse=True)
+def _fresh_leaf_parsers():
+    # a leaf's parser lasts as long as the process; each test starts with
+    # none built, so that what it sees does not depend on the tests before
+    cli_mod._leaf.cache_clear()
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -417,7 +424,7 @@ _LEAVES = [
 ]
 
 
-def _leaf(argv):
+def _path(argv):
     return argv[:2] if argv[0] == "classify" else argv[:1]
 
 
@@ -443,15 +450,18 @@ def _record_parsers(monkeypatch):
 
 
 @pytest.mark.parametrize("argv,options", _LEAVES,
-                         ids=["-".join(_leaf(argv)) for argv, _ in _LEAVES])
+                         ids=["-".join(_path(argv)) for argv, _ in _LEAVES])
 def test_a_command_constructs_only_the_parsers_it_parses(monkeypatch, argv,
                                                          options):
     built, added = _record_parsers(monkeypatch)
     assert main(argv) == 0
     # the leaf alone, with the prog its subparser in the tree has; no
     # top-level or classify parser is built
-    assert built == [" ".join(["spgauge", *_leaf(argv)])]
+    assert built == [" ".join(["spgauge", *_path(argv)])]
     assert added == [["-h", "--help", *options]]
+    # a later command of the same leaf, with other options, builds nothing
+    assert main([*argv, "--format", "csv"]) == 0
+    assert len(built) == 1
 
 
 # argv with no leaf path in front, or with arguments the leaf leaves over;
@@ -488,7 +498,7 @@ def test_help_and_errors_above_a_leaf_come_from_the_tree(
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _ in _LEAVES],
-                         ids=["-".join(_leaf(argv)) for argv, _ in _LEAVES])
+                         ids=["-".join(_path(argv)) for argv, _ in _LEAVES])
 def test_a_leaf_parses_as_the_tree_does(argv):
     tree = vars(cli_mod._build_parser().parse_args(argv))
     del tree["command"]
@@ -541,6 +551,45 @@ def test_any_argv_parses_or_fails_as_the_tree_alone_does(head, words):
         assert got == _outcome(lambda a: build().parse_args(a), argv)
     # the tree, where a leaf is not enough, only prints and exits
     assert not reached or isinstance(got, tuple)
+
+
+_SP = ["classify", "sp", "--n", "2", "--p", "5", "--k", "1", "--l", "2"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_HEADS),
+                          st.lists(st.sampled_from(_WORDS), max_size=8)),
+                min_size=2, max_size=6))
+@example([(["invariant"], ["--n", "4", "--k", "1"]),
+          (["invariant"], ["--n", "4", "--k", "3"])])
+@example([(["order"], ["--n", "3", "--max-n", "4"]), (["order"], ["--n", "3"])])
+@example([(_SP, []), (["classify", "sp"], ["-h"]), ([], ["-h"]),
+          (["classify", "sp"], ["--n", "2", "--p", "5", "--grid"])])
+def test_commands_in_one_process_parse_as_a_fresh_tree_does(lines):
+    # each leaf parser, built by the first command that names it, parses
+    # every later one as if new: an appended --k, an error or a help before
+    # it leaves nothing behind
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for head, words in lines:
+            argv = head + words
+            assert _outcome(cli_mod._parse_args, argv) == _outcome(
+                lambda a: cli_mod._build_parser().parse_args(a), argv)
+
+
+def test_help_is_as_wide_as_columns_at_each_command(capsys, monkeypatch):
+    # one process prints order's help at 80, 40 and 80 columns: each text is
+    # the one a fresh parser prints at that width
+    printed = []
+    for columns in ("80", "40", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            main(["order", "--help"])
+        printed.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit):
+            cli_mod._build_parser().parse_args(["order", "--help"])
+        assert printed[-1] == capsys.readouterr().out
+    surface = next(c for c in _SURFACE if c["argv"] == ["order", "--help"])
+    assert printed[0] == printed[2] == surface["stdout"] != printed[1]
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
