@@ -26,7 +26,6 @@ _EXPORTS = {
             "local_partition", "mapping_group_order", "q2_mapping_invariant",
             "refined_invariant", "retractible", "sutherland_invariant",
         ),
-        "lattice": ("element_order_in_coker", "smith_normal_form"),
         "phi": ("PhiResult", "phi_image", "phi_images"),
         "report": ("Report",),
         "series": ("printed_top_coeffs",),

@@ -198,9 +198,9 @@ def _pinned(result) -> int | str:
 
 
 def _cmd_order(args) -> Report:
-    # the image's pinned order, which verify alone holds to the cokernel
-    # route and the closed form; phi_image and phi_images refuse a rank
-    # below 1, or past the factorial's range, at the call
+    # the image's pinned order, which verify alone holds to the closed
+    # form; phi_image and phi_images refuse a rank below 1, or past the
+    # factorial's range, at the call
     if args.n is not None:
         images = [phi_image(args.n)]
     else:
@@ -309,7 +309,7 @@ def _cmd_verify(args) -> Report:
     # verify_sweep refuses a bad max_n before it forks; no library sees --jobs
     if args.jobs < 1:
         raise OutOfRange("--jobs must be at least 1")
-    # the sweep alone loads verify, and through it lattice and series
+    # the sweep alone loads verify, and through it oracles and series
     from .verify import verify_sweep
 
     report = verify_sweep(args.max_n)

@@ -4,12 +4,9 @@ Each recomputes by its own route a value the engine computes too, or a
 value another oracle here computes: the Samelson order B = 4n(2n+1), the
 closed forms of the rank-2 mapping pipeline, p-parts, surjection counts,
 the powers of e^x - 1 (whose coefficients are surjection counts),
-self-maps of a small set by image size, and cokernels by brute-force coset
-enumeration.
-The matrix product and determinant that judge a Smith form work on row
-lists, as the engine's lattice does.  Nothing from the package is imported
-but errors, so a fault in the engine cannot show on both sides of a check
-and cancel.
+self-maps of a small set by image size, and the divisors that count the
+classes of gcd(k, B).  Nothing from the package is imported but errors, so
+a fault in the engine cannot show on both sides of a check and cancel.
 """
 
 from __future__ import annotations
@@ -150,145 +147,6 @@ def image_size_tally(m: int) -> Counter:
         for b, count_b in right:
             tally[(a | b).bit_count()] += count_a * count_b
     return tally
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-class EchelonLattice:
-    """Sublattice of Z^dim in integer row-echelon form (pivot columns strictly
-    increasing), built by gcd insertion: the brute-force coset enumeration
-    oracle.  reduce() maps a vector to the canonical representative of its
-    coset (every pivot coordinate lands in [0, pivot)), so cosets can be
-    enumerated and compared without any Smith-form machinery."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[list[int]] = []
-
-    @staticmethod
-    def _leading(vec) -> int | None:
-        for idx, x in enumerate(vec):
-            if x:
-                return idx
-        return None
-
-    def insert(self, vec) -> None:
-        vec = [int(x) for x in vec]
-        while True:
-            lead = self._leading(vec)
-            if lead is None:
-                return
-            match = None
-            for idx, row in enumerate(self.rows):
-                if self._leading(row) == lead:
-                    match = idx
-                    break
-            if match is None:
-                if vec[lead] < 0:
-                    vec = [-x for x in vec]
-                self.rows.append(vec)
-                self.rows.sort(key=self._leading)
-                return
-            row = self.rows[match]
-            a, b = row[lead], vec[lead]
-            g, x, y = _egcd(a, b)
-            combo = [x * r + y * v for r, v in zip(row, vec)]
-            if combo[lead] < 0:
-                # _egcd may hand back a negative gcd; reduce() needs positive
-                # pivots for the canonical box [0, pivot)
-                combo = [-c for c in combo]
-            residual = [(a // g) * v - (b // g) * r for r, v in zip(row, vec)]
-            self.rows[match] = combo
-            vec = residual
-
-    def reduce(self, vec) -> tuple[int, ...]:
-        """Canonical coset representative: pivot coordinates in [0, pivot)."""
-        v = [int(x) for x in vec]
-        for row in self.rows:
-            j = self._leading(row)
-            q = v[j] // row[j]
-            if q:
-                v = [a - q * b for a, b in zip(v, row)]
-        return tuple(v)
-
-    def pivots(self) -> dict[int, int]:
-        return {self._leading(row): abs(row[self._leading(row)]) for row in self.rows}
-
-
-def matrix_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """The product of two row-list matrices, each entry a sum of products;
-    OutOfRange when a row of a is not as long as b."""
-    if any(len(row) != len(b) for row in a):
-        raise OutOfRange("inner dimensions differ")
-    columns = list(zip(*b))
-    return [[sum(map(operator.mul, row, col)) for col in columns] for row in a]
-
-
-def determinant(rows: list[list[int]]) -> int:
-    """Exact determinant of a square row-list matrix by fraction-free
-    (Bareiss) elimination; OutOfRange unless it is square and not
-    empty."""
-    n = len(rows)
-    if not rows or any(len(row) != n for row in rows):
-        raise OutOfRange("determinant needs a square matrix")
-    m = [list(row) for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss update: the division by the previous pivot is exact
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def enumerate_cosets(lat: EchelonLattice, cap: int) -> list[tuple[int, ...]] | None:
-    """All canonical coset representatives, or None when the quotient is
-    infinite or larger than cap."""
-    piv = lat.pivots()
-    if len(piv) < lat.dim:
-        return None
-    size = 1
-    for a in piv.values():
-        size *= a
-        if size > cap:
-            return None
-    ranges = [range(piv[j]) for j in range(lat.dim)]
-    return [tuple(v) for v in itertools.product(*ranges)]
-
-
-def order_by_addition(lat: EchelonLattice, vec, cap: int) -> int:
-    """Order of a coset by repeated addition and reduction."""
-    start = lat.reduce(vec)
-    if not any(start):
-        return 1
-    acc = start
-    order = 1
-    while any(acc):
-        acc = lat.reduce([a + b for a, b in zip(acc, start)])
-        order += 1
-        if order > cap:
-            raise AssertionError("order exceeded the enumeration cap")
-    return order
 
 
 def divisors(x: int) -> list[int]:

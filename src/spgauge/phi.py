@@ -5,8 +5,7 @@ subgroup of Z; its generators come from scaling the tabulated top
 coefficients by (2n+1)!.  The order of the Samelson product of the bottom
 cell with the rank-n quasi-projective inclusion is the index of that image,
 the gcd of the generators, which a PhiResult reads as its pinned order.
-The engine computes it once: verify alone holds it to the Smith-form
-cokernel route and to the closed form.
+The engine computes it once: verify alone holds it to the closed form.
 
 The series backend's generators are integers outright:
 (2n+1)! * surj(2n-1, k)/(2n-1)! = 2n(2n+1) * surj(2n-1, k).  phi_images

@@ -14,7 +14,6 @@ from spgauge.oracles import surjection_counts
 from spgauge.phi import phi_image
 from spgauge.verify import (
     _divisibility_row,
-    check_coset_oracle,
     check_guards,
     check_image_stream,
     check_mapping_group,
@@ -22,7 +21,6 @@ from spgauge.verify import (
     check_rank2_constants,
     check_separation,
     check_series_identity,
-    check_smith_random,
 )
 
 
@@ -113,25 +111,6 @@ def test_rank2_classification_constants():
     result = check_rank2_constants()
     _report("rank-2 constants", result,
             "gcd(k,40) on 0..80; 5-local partition into {1, 5}")
-
-
-def test_lattice_oracle_equivalence():
-    """gcd route vs cokernel route for n <= 60 (check_image_stream holds
-    each rank's pinned order to the cokernel route and the closed form);
-    Smith form on 1000 random matrices; cokernel vs brute-force coset
-    enumeration (budget: 2 minutes)."""
-    orders = check_image_stream(60)[0]
-    smith = check_smith_random()
-    cosets = check_coset_oracle()
-    ok = orders.ok and smith.ok and cosets.ok
-    detail = (
-        f"gcd vs cokernel n<=60; 1000 Smith instances; "
-        f"{cosets.rows[0]['finite']} finite quotients enumerated"
-    )
-    _line("lattice oracle equivalence", ok,
-          detail if ok else str((orders.failures + smith.failures
-                                 + cosets.failures)[:5]))
-    assert ok, (orders.failures + smith.failures + cosets.failures)[:5]
 
 
 def test_series_combinatorics_oracle():

@@ -718,7 +718,7 @@ def test_verify_small_sweep(capsys):
     assert data["status"] == "ok"
     checks = {r["check"] for r in data["rows"]}
     assert "printed-backend-discrepancy" in checks
-    assert "smith-normal-form-random" in checks
+    assert "series-surjection-identity" in checks
 
 
 def test_verify_usage_errors(capsys):

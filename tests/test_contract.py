@@ -11,10 +11,7 @@ test to decide.  A verdict that claims EQUIVALENT or DISTINCT has passed
 all of its guards.  An integer argument of an exported function or record
 that is a float, a Fraction, a bool or an IntEnum member raises OutOfRange,
 and so does a float, a bool or a str given to an oracle verify checks by.
-A matrix or vector entry that is not an int raises OutOfRange, never a
-rounded answer; so does a ragged or empty matrix, or a matrix, a matrix
-row or a vector that is not a sequence.  Every exported record raises
-OutOfRange for a field of another type.  The command line exits 0, 1 or 2
+Every exported record raises OutOfRange for a field of another type.  The command line exits 0, 1 or 2
 on every argv, and each exit code prints what it promises.
 """
 
@@ -50,7 +47,6 @@ from spgauge.gauge import (
     retractible,
     sutherland_invariant,
 )
-from spgauge.lattice import element_order_in_coker, smith_normal_form
 from spgauge.oracles import (
     divisors,
     gcd_p_part,
@@ -284,7 +280,7 @@ def test_an_oracle_refuses_a_non_int_argument(name, bad):
             fn(*spoiled)
 
 
-# -- matrix entries -----------------------------------------------------------
+# -- records ------------------------------------------------------------------
 
 
 class _Five(IntEnum):
@@ -294,78 +290,6 @@ class _Five(IntEnum):
 # an int subclass among them: a bool, or an IntEnum member
 _NON_INT = st.one_of(st.floats(), st.fractions(), st.text(), st.none(),
                      st.booleans(), st.just(_Five.FIVE))
-
-# each takes a matrix as a list of rows and a vector of its row count
-MATRIX_ENTRY_POINTS = {
-    "smith_normal_form": lambda matrix, vector: smith_normal_form(matrix),
-    "element_order_in_coker": element_order_in_coker,
-}
-
-
-@pytest.mark.parametrize("name", sorted(MATRIX_ENTRY_POINTS))
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 4),
-       bad=_NON_INT)
-def test_a_non_int_entry_raises_out_of_range(name, data, rows, cols, bad):
-    """One entry of a valid matrix (or, for element_order_in_coker, of the
-    matrix or of a valid vector) is replaced by a float, a Fraction, a str,
-    None, a bool or an IntEnum member."""
-    matrix = data.draw(st.lists(
-        st.lists(st.integers(-50, 50), min_size=cols, max_size=cols),
-        min_size=rows, max_size=rows), label="matrix")
-    vector = data.draw(st.lists(st.integers(-50, 50), min_size=rows,
-                                max_size=rows), label="vector")
-    spoiled = data.draw(st.sampled_from(
-        [vector, *matrix] if name == "element_order_in_coker" else matrix),
-        label="spoiled row")
-    spoiled[data.draw(st.integers(0, len(spoiled) - 1), label="position")] = bad
-    with pytest.raises(OutOfRange, match="^matrix entries must be integers$"):
-        MATRIX_ENTRY_POINTS[name](matrix, vector)
-
-
-_RAGGED = st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=4),
-                   min_size=2, max_size=4).filter(
-    lambda rows: len(set(map(len, rows))) > 1)
-_EMPTY = st.lists(st.just([]), max_size=3)
-
-
-@pytest.mark.parametrize("name", sorted(MATRIX_ENTRY_POINTS))
-@settings(max_examples=50, deadline=None)
-@given(bad=st.one_of(_RAGGED, _EMPTY))
-@example(bad=[])
-@example(bad=[[1, 2], [3]])
-def test_a_ragged_or_empty_matrix_raises_out_of_range(name, bad):
-    message = "ragged rows" if bad and bad[0] else \
-        "matrix dimensions must be positive"
-    with pytest.raises(OutOfRange, match=f"^{message}$"):
-        MATRIX_ENTRY_POINTS[name](bad, [0] * len(bad))
-
-
-_NON_SEQUENCE = st.one_of(st.integers(), st.floats(), st.fractions(), st.none())
-
-# each puts a value that is not a sequence where the rows, a row or the
-# vector belongs
-NON_SEQUENCE_ENTRY_POINTS = {
-    "smith_normal_form": lambda bad: smith_normal_form(bad),
-    "smith_normal_form_row": lambda bad: smith_normal_form([[4], bad]),
-    "element_order_in_coker_rows": lambda bad: element_order_in_coker(
-        bad, [0]),
-    "element_order_in_coker_row": lambda bad: element_order_in_coker(
-        [[4], bad], [0, 0]),
-    "element_order_in_coker": lambda bad: element_order_in_coker([[4]], bad),
-}
-
-
-@pytest.mark.parametrize("name", sorted(NON_SEQUENCE_ENTRY_POINTS))
-@settings(max_examples=50, deadline=None)
-@given(bad=_NON_SEQUENCE)
-@example(bad=5)
-def test_a_non_sequence_raises_out_of_range(name, bad):
-    with pytest.raises(OutOfRange):
-        NON_SEQUENCE_ENTRY_POINTS[name](bad)
-
-
-# -- records ------------------------------------------------------------------
 
 
 # each exported class that holds fields, and valid values for them

@@ -15,8 +15,8 @@ import pytest
 import spgauge
 
 # the modules a cold import of the command line must not load
-_DEFERRED = ("spgauge.verify", "spgauge.oracles", "spgauge.lattice",
-             "spgauge.series", "csv", "pickle")
+_DEFERRED = ("spgauge.verify", "spgauge.oracles", "spgauge.series", "csv",
+             "pickle")
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -24,8 +24,7 @@ _DEFERRED = ("spgauge.verify", "spgauge.oracles", "spgauge.lattice",
     (["classify", "sp", "--n", "2", "--k", "1", "--l", "2", "--p", "5"], set()),
     (["order", "--n", "3"], set()),
     (["verify", "--max-n", "6"],
-     {"spgauge.verify", "spgauge.oracles", "spgauge.lattice",
-      "spgauge.series"}),
+     {"spgauge.verify", "spgauge.oracles", "spgauge.series"}),
 ])
 def test_a_command_imports_only_the_modules_it_runs(argv, loaded):
     # a fresh process, so no other test has imported anything yet; the
@@ -57,9 +56,9 @@ def test_every_public_name_is_its_module_attribute():
 
 
 def test_a_module_is_an_attribute_of_the_package():
-    # the import system sets spgauge.lattice once the module is loaded;
+    # the import system sets spgauge.verify once the module is loaded;
     # the package's __getattr__ must give the same module before that
-    assert spgauge.lattice is sys.modules["spgauge.lattice"]
+    assert spgauge.verify is sys.modules["spgauge.verify"]
     for module in spgauge._MODULES:
         assert spgauge.__getattr__(module) is sys.modules[f"spgauge.{module}"]
 
@@ -82,7 +81,7 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 
 
 # the engine: the modules verify checks, and the command line
-_ENGINE = ("arith", "series", "phi", "lattice", "gauge", "report", "cli")
+_ENGINE = ("arith", "series", "phi", "gauge", "report", "cli")
 # the engine names verify holds against the oracles (and writes its report
 # with)
 _VERIFY_ENGINE_IMPORTS = {
@@ -90,7 +89,6 @@ _VERIFY_ENGINE_IMPORTS = {
     ("gauge", "LieFamily"), ("gauge", "Outcome"), ("gauge", "decide_local"),
     ("gauge", "im_partial_order"), ("gauge", "mapping_group_order"),
     ("gauge", "q2_mapping_invariant"), ("gauge", "retractible"),
-    ("lattice", "element_order_in_coker"), ("lattice", "smith_normal_form"),
     ("phi", "PhiResult"), ("phi", "phi_image"), ("phi", "phi_images"),
     ("report", "Report"),
 }

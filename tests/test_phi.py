@@ -12,10 +12,8 @@ import spgauge.phi as phi_mod
 from spgauge.arith import closed_form_order
 from spgauge.errors import OutOfRange
 from spgauge.gauge import Outcome, decide_local
-from spgauge.lattice import element_order_in_coker, smith_normal_form
-from spgauge.oracles import matrix_product, surjection_counts
+from spgauge.oracles import surjection_counts
 from spgauge.phi import PhiResult, phi_image, phi_images
-from spgauge.verify import _SEED, _random_matrix
 
 
 def test_closed_form_anchors():
@@ -221,36 +219,3 @@ def test_phi_image_builds_only_its_own_result(monkeypatch, n):
     assert phi_image(n).n == n
     assert built == [n]
 
-
-def _order_from_full_smith_form(a, vec):
-    u, d, _ = smith_normal_form(a)
-    w = [row[0] for row in matrix_product(u, [[x] for x in vec])]
-    diag = [d[i][i] for i in range(min(len(a), len(a[0])))]
-    order = 1
-    for i, wi in enumerate(w):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if wi != 0:
-                return None
-        else:
-            order = lcm(order, di // gcd(di, wi))
-    return order
-
-
-def test_coker_order_without_v_on_image_rows():
-    for res in phi_images(40):
-        row = [list(res.upper_gens)]
-        assert element_order_in_coker(row, [1]) == \
-            _order_from_full_smith_form(row, [1])
-
-
-def test_coker_order_without_v_on_random_matrices():
-    # the matrices check_smith_random draws, each with random vectors
-    rng = random.Random(_SEED)
-    vectors = random.Random(_SEED + 2)
-    for _ in range(1000):
-        a = _random_matrix(rng, 6, -20, 20)
-        for _ in range(2):
-            vec = [vectors.randint(-30, 30) for _ in range(len(a))]
-            assert element_order_in_coker(a, vec) == \
-                _order_from_full_smith_form(a, vec)

@@ -1,11 +1,9 @@
 """Unit tests for the self-check sweep and its brute-force oracles."""
 
 import dataclasses
-import hashlib
 import itertools
 import marshal
 import os
-import random
 import re
 import signal
 import sys
@@ -21,86 +19,8 @@ import spgauge.gauge as gauge
 import spgauge.phi as phi
 import spgauge.verify as verify_mod
 from spgauge.errors import OutOfRange
-from spgauge.lattice import smith_normal_form
-from spgauge.oracles import (
-    EchelonLattice,
-    divisors,
-    enumerate_cosets,
-    image_size_tally,
-    order_by_addition,
-)
-from spgauge.verify import _SEED, _SMITH_INSTANCES, _random_matrix, verify_sweep
-
-
-def _echelon_from_columns(mat):
-    # the lattice check_coset_oracle builds: spanned by the matrix's columns
-    lat = EchelonLattice(len(mat))
-    for column in zip(*mat):
-        lat.insert(column)
-    return lat
-
-
-def test_echelon_insert_and_membership():
-    lat = EchelonLattice(2)
-    lat.insert([2, 0])
-    lat.insert([0, 3])
-    assert lat.pivots() == {0: 2, 1: 3}
-    assert not any(lat.reduce([4, -3]))
-    assert any(lat.reduce([1, 0]))
-    assert lat.reduce([5, 7]) == (1, 1)
-
-
-def test_echelon_insert_combines_dependent_rows():
-    lat = EchelonLattice(2)
-    lat.insert([4, 0])
-    lat.insert([6, 1])
-    # index-4 sublattice: gcd combination leaves pivots 2 and 2
-    assert lat.pivots() == {0: 2, 1: 2}
-    assert len(enumerate_cosets(lat, 100)) == 4
-
-
-def test_echelon_insert_keeps_pivots_positive():
-    # the extended-gcd combination can come out negative; reduce() needs
-    # positive pivots for its canonical box, so insert must normalize
-    lat = EchelonLattice(2)
-    lat.insert([4, 0])
-    lat.insert([-6, 1])
-    for row in lat.rows:
-        lead = next(i for i, x in enumerate(row) if x)
-        assert row[lead] > 0
-    rep = lat.reduce([3, 5])
-    assert all(0 <= rep[j] < p for j, p in lat.pivots().items())
-
-
-def test_echelon_zero_vector_is_noop():
-    lat = EchelonLattice(3)
-    lat.insert([0, 0, 0])
-    assert lat.rows == []
-    assert lat.pivots() == {}
-
-
-def test_enumerate_cosets_counts():
-    lat = _echelon_from_columns([[2, 0], [0, 3]])
-    cosets = enumerate_cosets(lat, 100)
-    assert cosets is not None
-    assert len(cosets) == 6
-    assert set(cosets) == {(a, b) for a in range(2) for b in range(3)}
-
-
-def test_enumerate_cosets_infinite_and_capped():
-    thin = _echelon_from_columns([[2], [0]])
-    assert enumerate_cosets(thin, 100) is None  # free direction left over
-    big = _echelon_from_columns([[50, 0], [0, 50]])
-    assert enumerate_cosets(big, 100) is None  # 2500 > cap
-
-
-def test_order_by_addition():
-    lat = _echelon_from_columns([[40]])
-    assert order_by_addition(lat, [1], 100) == 40
-    assert order_by_addition(lat, [8], 100) == 5
-    assert order_by_addition(lat, [0], 100) == 1
-    with pytest.raises(AssertionError):
-        order_by_addition(lat, [1], 10)
+from spgauge.oracles import divisors, image_size_tally
+from spgauge.verify import verify_sweep
 
 
 def test_divisors():
@@ -177,25 +97,28 @@ def test_divisibility_check_catches_a_generator_off_the_oracle(monkeypatch):
         "n=5 k=3: generator 1996940 differs from the surjection oracle")
 
 
-def _unpinned_at_two(real):
-    # the rank-2 generator 120 made 140, which the anchor 40 does not
-    # divide: the gcd is 20, and the image pins no order
-    def images(max_n):
-        for res in real(max_n):
-            if res.n == 2:
-                res = dataclasses.replace(res, upper_gens=(40, 140))
-            yield res
+def _gens_at_two(gens):
+    # the rank-2 generators (40, 120) made gens: (80, 240) pins the order
+    # 80, not 40; (40, 140), whose gcd 20 is not the anchor 40, pins none
+    def wrong(real):
+        def images(max_n):
+            for res in real(max_n):
+                if res.n == 2:
+                    res = dataclasses.replace(res, upper_gens=gens)
+                yield res
 
-    return images
+        return images
+
+    return wrong
 
 
 # (the name as verify holds it, a wrong variant of the real one, the rank
 # the walk goes to, and the orders check's one failure, at that rank): the
 # engine does not check the order it prints, so verify must
 _WRONG_ORDERS = [
-    ("element_order_in_coker", lambda real: lambda a, v: real(a, v) + 1, 1,
-     "gcd route gave 12 but cokernel route gave 13 at n=1"),
-    ("phi_images", _unpinned_at_two, 2,
+    ("phi_images", _gens_at_two((80, 240)), 2,
+     "pipeline order 80 differs from closed form 40 at n=2"),
+    ("phi_images", _gens_at_two((40, 140)), 2,
      "series-backend image at n=2 failed to pin the order"),
     ("samelson_b", lambda real: lambda n: 2 * real(n), 1,
      "pipeline order 12 differs from closed form 24 at n=1"),
@@ -203,7 +126,7 @@ _WRONG_ORDERS = [
 
 
 @pytest.mark.parametrize("name, wrong, max_n, failure", _WRONG_ORDERS,
-                         ids=["coker-route", "unpinned", "closed-form"])
+                         ids=["engine-order", "unpinned", "closed-form"])
 def test_the_orders_check_names_a_wrong_order(monkeypatch, name, wrong,
                                               max_n, failure):
     monkeypatch.setattr(verify_mod, name, wrong(getattr(verify_mod, name)))
@@ -356,7 +279,7 @@ def test_an_exception_in_the_parent_kills_and_reaps_the_child(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "check_image_stream",
                         lambda max_n: time.sleep(60))
-    monkeypatch.setattr(verify_mod, "check_smith_random", broken)
+    monkeypatch.setattr(verify_mod, "check_series_identity", broken)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="parent check broke"):
         verify_sweep(6)
@@ -383,21 +306,6 @@ def test_series_identity_enumeration_catches_a_wrong_oracle(monkeypatch):
     result = verify_mod.check_series_identity()
     assert result.rows[-1]["ok"] is False
     assert "m=5 k=3: enumeration disagrees" in result.failures
-
-
-def test_smith_forms_of_the_random_check_are_pinned():
-    # a digest of U, D and V over the instances check_smith_random draws:
-    # pivot selection is deterministic, so any change to the reduction that
-    # alters a transform shows here
-    rng = random.Random(_SEED)
-    digest = hashlib.sha256()
-    for _ in range(_SMITH_INSTANCES):
-        u, d, v = smith_normal_form(_random_matrix(rng, 6, -20, 20))
-        # each transform flattened row-major
-        digest.update(repr(tuple(tuple(itertools.chain.from_iterable(m))
-                                 for m in (u, d, v))).encode())
-    assert digest.hexdigest() == (
-        "ea1f22a856ee07cc0a32fb9f54d6eab31c40ea1f23ebfc8efe11250bb172661e")
 
 
 def test_a_valuation_off_at_one_prime_fails_the_sweep(monkeypatch):
@@ -432,17 +340,6 @@ def test_a_doubled_closed_form_fails_the_sweep(monkeypatch):
     assert verify_sweep(20).status == "failed"
 
 
-def _negated(m):
-    return [[-x for x in row] for row in m]
-
-
-def _last_doubled(d):
-    nonzero = [i for i in range(min(len(d), len(d[0]))) if d[i][i]]
-    if nonzero:
-        d[nonzero[-1]][nonzero[-1]] *= 2
-    return d
-
-
 def _doubled_at_k_one(real):
     return lambda n, k: real(n, k) * (2 if k == 1 else 1)
 
@@ -450,19 +347,6 @@ def _doubled_at_k_one(real):
 # (engine name as verify imported it, a wrong variant of the real one, the
 # check that must catch it and its arguments)
 _WRONG_ENGINES = [
-    # U A V = D still holds, but D has a negative diagonal
-    ("smith_normal_form",
-     lambda real: lambda a: (lambda u, d, v: (_negated(u), _negated(d), v))(
-         *real(a)),
-     "check_smith_random", ()),
-    # the last nonzero diagonal entry doubled: still a divisibility chain
-    ("smith_normal_form",
-     lambda real: lambda a: (lambda u, d, v: (u, _last_doubled(d), v))(
-         *real(a)),
-     "check_coset_oracle", ()),
-    ("element_order_in_coker",
-     lambda real: lambda a, v: real(a, v) + 1,
-     "check_coset_oracle", ()),
     ("q2_mapping_invariant", _doubled_at_k_one, "check_separation", (20,)),
     ("q2_mapping_invariant", _doubled_at_k_one, "check_rank2_constants", ()),
     ("mapping_group_order",
