@@ -148,9 +148,7 @@ _GROUPS = {"classify": "p-local gauge group classification verdicts"}
 def _build_parser() -> argparse.ArgumentParser:
     """The whole argparse tree: each leaf of _COMMANDS in its order, a group
     at its first leaf.  It is the reference the parity tests hold each leaf
-    parser to, and it only prints help, usage and errors; an argparse that
-    reads a leading -- as a separator (3.13.13, not 3.13.0) also parses
-    `spgauge -- order --n 3` with it."""
+    parser to, and it only prints help, usage and errors."""
     parser = _Parser(
         prog="spgauge",
         description="Exact invariants and p-local classification for "
@@ -182,8 +180,18 @@ def _parse_args(argv) -> argparse.Namespace:
     and reused by every later one.  When argv starts with no leaf's path, or
     the leaf leaves arguments over, the whole tree, the reference the parity
     tests hold each leaf to, parses it, and prints the top-level help, usage
-    or unrecognized-arguments error."""
+    or unrecognized-arguments error.
+
+    A leading -- before more arguments is read as a command name, which no
+    command has, and the tree reports it as an invalid choice with the same
+    bytes on every Python: argparse reads it so in 3.10.13 to 3.13.0, while
+    3.13.13 takes it as a separator and would run the command after it."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    if len(argv) > 1 and argv[0] == "--":
+        choices = ", ".join(repr(c) for c in dict.fromkeys(
+            path[0] for path in _COMMANDS))
+        _build_parser().error(
+            f"argument command: invalid choice: '--' (choose from {choices})")
     for path in (tuple(argv[:2]), tuple(argv[:1])):
         if path in _COMMANDS:
             args, rest = _leaf(path).parse_known_args(argv[len(path):])

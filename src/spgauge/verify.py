@@ -1,12 +1,13 @@
 """Self-verification sweep.
 
-Each check here reruns one acceptance property at a requested scale and
-compares the engine's answers with the independent oracles in oracles
-(closed forms, inclusion-exclusion counts, exhaustive map enumeration),
-which share no code with the engine they check.  The engine does not
-re-check its own answers: verify alone holds the Samelson order to the
-closed form at every rank it walks, and the rank-2 mapping pipeline to its
-closed forms at every even rank up to 200; the series identity holds two
+Each of the six checks here reruns one acceptance property at a requested
+scale and compares the engine's answers with the independent oracles in
+oracles (closed forms, inclusion-exclusion counts, exhaustive map
+enumeration), which share no code with the engine they check.  The engine
+does not re-check its own answers: verify alone holds the Samelson order
+to the closed form at every rank it walks, the rank-2 mapping pipeline to
+its closed forms at every even rank up to 200, and the p-local verdicts to
+the guard and the p-parts of gcd(k, B); the series identity holds two
 oracles, the powers of e^x - 1 and inclusion-exclusion, against each
 other.  Scales cap at each property's stated bound so a large max_n stays
 within the documented runtime budgets.  The sweep refuses a bad max_n,
@@ -18,6 +19,7 @@ and bools among them, and the report writes them.
 
 from __future__ import annotations
 
+import itertools
 import marshal
 import os
 import random
@@ -52,6 +54,8 @@ from .report import Report
 
 _SEED = 20260819
 _GUARD_PRIMES = (2, 3, 5, 7, 11, 13)
+# the (n, p) whose verdicts check_guards checks on the whole grid
+_GRID_RANK_PRIME = (2, 5)
 
 
 @dataclass
@@ -165,22 +169,6 @@ def check_printed_discrepancy() -> CheckResult:
     return res
 
 
-def check_mapping_group(max_n: int) -> CheckResult:
-    """Rank-2 mapping group order equals (2n+1)!/3, read as c(n)B, for even
-    n <= 40 (anchor 40 at n = 2)."""
-    res = CheckResult("mapping-group-order")
-    for n in range(2, min(max_n, 40) + 1, 2):
-        order = mapping_group_order(n)
-        expected = rank2_factor(n) * samelson_b(n)
-        if order != expected:
-            res.failures.append(f"n={n}: mapping group order {order} differs "
-                                f"from (2n+1)!/3 = {expected}")
-        res.add(n=n, order=order)
-    if max_n >= 2 and res.rows and res.rows[0]["order"] != 40:
-        res.failures.append("anchor n=2 should give 40")
-    return res
-
-
 def check_separation(max_n: int) -> CheckResult:
     """The rank-2 pipeline is one identity: with c(n) = (2n-1)!/6 and
     B = 4n(2n+1), the mapping group order is c(n)B, the quotient invariant
@@ -214,28 +202,6 @@ def check_separation(max_n: int) -> CheckResult:
     return res
 
 
-def check_rank2_constants() -> CheckResult:
-    """At n = 2 the quotient invariant is literally gcd(k, 40), and the
-    5-local decider partitions k in [0, 40] by the 5-part (1 or 5)."""
-    res = CheckResult("rank2-constants")
-    for k in range(81):
-        if q2_mapping_invariant(2, k) != gcd(k, 40):
-            res.failures.append(f"k={k}: invariant differs from gcd(k, 40)")
-    parts = {k: gcd_p_part(gcd(k, 40), 5) for k in range(41)}
-    if set(parts.values()) != {1, 5}:
-        res.failures.append(f"5-parts over [0,40] were {sorted(set(parts.values()))}")
-    for k in range(41):
-        for l in range(41):
-            verdict = decide_local(2, k, l, 5)
-            expected = (
-                Outcome.EQUIVALENT if parts[k] == parts[l] else Outcome.DISTINCT
-            )
-            if verdict.outcome is not expected:
-                res.failures.append(f"k={k} l={l}: verdict {verdict.outcome.value}")
-    res.summarize(range="0..80", partition_classes=len(set(parts.values())))
-    return res
-
-
 def check_series_identity() -> CheckResult:
     """m! times the x^m coefficient of (e^x - 1)^k equals the surjection
     count for m <= 12, validated for m <= 7 against an exhaustive count of
@@ -259,22 +225,31 @@ def check_series_identity() -> CheckResult:
 
 
 def check_guards(max_n: int) -> CheckResult:
-    """Verdicts read not-determined exactly when (p-1)^2 + 1 < 2n, and hold
-    the p-parts of gcd(k, B) for (k, l) = (0, 1), whose first is the p-part
-    of B, and (1, 2); the retractibility registry matches its defining
-    thresholds row by row."""
+    """Verdicts read not-determined exactly when (p-1)^2 + 1 < 2n, else
+    equivalent exactly when the p-parts of gcd(k, B) and gcd(l, B) agree,
+    and hold those p-parts, for (k, l) = (0, 1), whose first is the p-part
+    of B, and (1, 2); at (n, p) = _GRID_RANK_PRIME for every k and l in
+    [0, B].  The retractibility registry matches its defining thresholds
+    row by row."""
     res = CheckResult("guard-behavior")
     top = min(max_n, 20)
     for n in range(1, top + 1):
         b = samelson_b(n)
         for p in _GUARD_PRIMES:
             should_fail = (p - 1) ** 2 + 1 < 2 * n
-            for k, l in ((0, 1), (1, 2)):
+            grid = (n, p) == _GRID_RANK_PRIME
+            part = [gcd_p_part(gcd(k, b), p) for k in range(b + 1 if grid else 3)]
+            pairs = (itertools.product(range(b + 1), repeat=2) if grid
+                     else ((0, 1), (1, 2)))
+            for k, l in pairs:
                 verdict = decide_local(n, k, l, p)
-                if (verdict.outcome is Outcome.NOT_DETERMINED) != should_fail:
+                expected = (part[k], part[l])
+                want = (Outcome.NOT_DETERMINED if should_fail
+                        else Outcome.EQUIVALENT if part[k] == part[l]
+                        else Outcome.DISTINCT)
+                if verdict.outcome is not want:
                     res.failures.append(f"n={n} p={p} k={k} l={l}: verdict "
-                                        f"guard mismatch")
-                expected = (gcd_p_part(gcd(k, b), p), gcd_p_part(gcd(l, b), p))
+                                        f"{verdict.outcome.value}")
                 if verdict.invariant_values != expected:
                     res.failures.append(
                         f"n={n} p={p} k={k} l={l}: verdict invariants "
@@ -324,17 +299,18 @@ def _walk_in_child(write_fd: int, max_n: int) -> None:
 
 
 def verify_sweep(max_n: int) -> Report:
-    """Run every acceptance property up to max_n and assemble a Report.
+    """Run the six acceptance checks up to max_n and assemble a Report.
 
-    Each property caps at its stated scale (orders and divisibility at
-    max_n, mapping group at 40, separation at 200, over every k up to 12,
-    guards at 20; fixed-size checks run whenever max_n admits them), so
-    max_n = 200 reproduces the full acceptance suite.  The image stream is
-    walked once, by check_image_stream, in one forked child while this
-    process runs the other checks; the child sends its two checks down a
-    pipe.  A max_n below 2 or past the factorial's range raises OutOfRange
-    before the fork; a child that exits with any status but 0, as one whose
-    walk raised does, raises ChildProcessError, whatever it wrote first.
+    Each caps at its stated scale (orders and divisibility at max_n,
+    separation at 200, over every k up to 12, guards at 20 with the whole
+    grid at n = 2, p = 5; the fixed-size printed-backend and series checks
+    run whenever max_n admits them), so max_n = 200 reproduces the full
+    acceptance suite.  The image stream is walked once, by
+    check_image_stream, in one forked child while this process runs the
+    other checks; the child sends its two checks down a pipe.  A max_n
+    below 2 or past the factorial's range raises OutOfRange before the
+    fork; a child that exits with any status but 0, as one whose walk
+    raised does, raises ChildProcessError, whatever it wrote first.
     If the checks here raise, the child is killed.
     Either way the child is reaped before this returns.
     The rows come in the same order whichever process ran them.
@@ -355,9 +331,7 @@ def verify_sweep(max_n: int) -> Report:
         try:
             checks = [check_printed_discrepancy()] if max_n >= 3 else []
             checks.extend([
-                check_mapping_group(max_n),
                 check_separation(max_n),
-                check_rank2_constants(),
                 check_series_identity(),
                 check_guards(max_n),
             ])

@@ -5,8 +5,6 @@ asserts.  The whole module is expected to finish in well under five minutes;
 individual budgets are noted per test.
 """
 
-from math import factorial
-
 import pytest
 
 from spgauge.gauge import LieFamily, retractible
@@ -16,9 +14,7 @@ from spgauge.verify import (
     _divisibility_row,
     check_guards,
     check_image_stream,
-    check_mapping_group,
     check_printed_discrepancy,
-    check_rank2_constants,
     check_separation,
     check_series_identity,
 )
@@ -82,18 +78,6 @@ def test_printed_formula_discrepancy():
     assert phi_image(3, "series").pinned_order == 84
 
 
-def test_mapping_group_orders_even_ranks():
-    """Table-driven mapping group order is (2n+1)!/3 for even n <= 40,
-    anchored at 40 for n = 2 (budget: seconds)."""
-    result = check_mapping_group(40)
-    anchor = result.rows[0]["order"] == 40
-    top = result.rows[-1]["order"] == factorial(81) // 3
-    ok = result.ok and anchor and top
-    _line("mapping-group order even n<=40", ok,
-          "20 even ranks, (2n+1)!/3 throughout")
-    assert ok, result.failures[:5]
-
-
 def test_separation_property():
     """The rank-2 pipeline equals c(n)B, c(n)gcd(k, B) and B/gcd(k, B), so
     the quotient invariant separates bundles exactly like gcd(k, B): every
@@ -103,14 +87,6 @@ def test_separation_property():
     assert [row["n"] for row in result.rows] == list(range(2, 13, 2))
     _report("separation even n<=200", result,
             "the rank-2 identity on every full period to n=12, sampled to 200")
-
-
-def test_rank2_classification_constants():
-    """q2 invariant is gcd(k, 40) on [0, 80]; the 5-local verdicts partition
-    [0, 40] by 5-part 1 vs 5 (budget: seconds)."""
-    result = check_rank2_constants()
-    _report("rank-2 constants", result,
-            "gcd(k,40) on 0..80; 5-local partition into {1, 5}")
 
 
 def test_series_combinatorics_oracle():
@@ -123,8 +99,9 @@ def test_series_combinatorics_oracle():
 
 def test_guard_behavior():
     """Guarded operations refuse exactly when (p-1)^2+1 < 2n over n <= 20 and
-    six primes; the retractibility registry matches its thresholds
-    (budget: seconds)."""
+    six primes, and otherwise compare p-parts, on the whole grid of [0, 40]
+    at n = 2, p = 5 among them; the retractibility registry matches its
+    thresholds (budget: seconds)."""
     result = check_guards(20)
     _report("guards n<=20, p in {2,3,5,7,11,13}", result,
             "refusals exactly on guard failure; registry thresholds hold")

@@ -365,7 +365,8 @@ def test_a_reader_gone_before_the_report_ends_the_command_quietly(unbuffered):
 
 # stdout, stderr and exit code of --help at every parser level and of the
 # usage errors argparse reports at each level, captured when every parser
-# was constructed up front; COLUMNS=80 fixes the help's width
+# was constructed up front, and of a leading -- before a command, captured
+# from the tree on 3.11.7; COLUMNS=80 fixes the help's width
 _SURFACE = json.loads(Path(__file__).with_name("cli_surface.json").read_text())
 
 
@@ -506,17 +507,30 @@ def test_a_leaf_parses_as_the_tree_does(argv):
     assert vars(cli_mod._parse_args(argv)) == tree
 
 
-# a command line's head: each leaf path, no command, the classify group
-# alone, an unknown command or a separator; then up to 8 words: every
-# leaf's options, abbreviated or with an attached value, a separator, -h,
-# good and bad values, an unknown option and a stray word.  No word names a
-# command: an argparse that reads a leading -- as a separator (3.13.13, not
-# 3.13.0) parses `-- order --n 3` with the tree, which elsewhere only prints
+# a command line's head: each leaf path, alone or after a leading --, no
+# command, the classify group alone, an unknown command or a separator;
+# then up to 8 words: every leaf's options, abbreviated or with an attached
+# value, a separator, -h, good and bad values, an unknown option and a
+# stray word
 _HEADS = [list(path) for path in cli_mod._COMMANDS] + [
+    ["--", *path] for path in cli_mod._COMMANDS] + [
     [], ["classify"], ["frobnicate"], ["--"]]
 _WORDS = sorted({option for _, options in _LEAVES for option in options}) + [
     "--form", "--fam", "--n=4", "--", "-h", "1", "2", "5", "Sp", "json", "x",
     "--bogus", "extra"]
+
+
+# a leading -- before more arguments, which argparse reads as an invalid
+# command up to 3.13.0 and as a separator in 3.13.13
+_SEPARATOR = next(case for case in _SURFACE if case["argv"][:1] == ["--"])
+
+
+def _reference(argv):
+    """What a fresh tree does with argv, or, for a leading -- before more
+    arguments, the invalid-choice error recorded for it, on every Python."""
+    if len(argv) > 1 and argv[0] == "--":
+        return _SEPARATOR["code"], _SEPARATOR["stdout"], _SEPARATOR["stderr"]
+    return _outcome(lambda a: cli_mod._build_parser().parse_args(a), argv)
 
 
 def _outcome(parse, argv):
@@ -536,6 +550,7 @@ def _outcome(parse, argv):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(_HEADS), st.lists(st.sampled_from(_WORDS), max_size=8))
 @example(["order"], ["--n", "3", "--bogus"])
+@example(["--", "order"], ["--n", "3"])
 def test_any_argv_parses_or_fails_as_the_tree_alone_does(head, words):
     argv = head + words
     build = cli_mod._build_parser
@@ -548,7 +563,7 @@ def test_any_argv_parses_or_fails_as_the_tree_alone_does(head, words):
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         with mock.patch.object(cli_mod, "_build_parser", tree):
             got = _outcome(cli_mod._parse_args, argv)
-        assert got == _outcome(lambda a: build().parse_args(a), argv)
+        assert got == _reference(argv)
     # the tree, where a leaf is not enough, only prints and exits
     assert not reached or isinstance(got, tuple)
 
@@ -572,8 +587,7 @@ def test_commands_in_one_process_parse_as_a_fresh_tree_does(lines):
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         for head, words in lines:
             argv = head + words
-            assert _outcome(cli_mod._parse_args, argv) == _outcome(
-                lambda a: cli_mod._build_parser().parse_args(a), argv)
+            assert _outcome(cli_mod._parse_args, argv) == _reference(argv)
 
 
 def test_help_is_as_wide_as_columns_at_each_command(capsys, monkeypatch):

@@ -228,21 +228,6 @@ def test_a_child_killed_mid_answer_raises(monkeypatch, end, status):
     _assert_no_child_left()
 
 
-def test_a_table_fault_in_the_mapping_group_is_a_failure(monkeypatch):
-    # the engine does not check its table; the check holds each order to
-    # the oracle's (2n+1)!/3 and still writes the engine's value
-    monkeypatch.setattr(gauge, "_RHO_UNIT", Fraction(1, 6))
-    result = verify_mod.check_mapping_group(4)
-    assert not result.ok
-    assert result.rows == [
-        {"check": "mapping-group-order", "n": 2, "order": 20},
-        {"check": "mapping-group-order", "n": 4, "order": 60480}]
-    assert result.failures == [
-        "n=2: mapping group order 20 differs from (2n+1)!/3 = 40",
-        "n=4: mapping group order 60480 differs from (2n+1)!/3 = 120960",
-        "anchor n=2 should give 40"]
-
-
 # (gauge's name, a wrong variant of the real one, the first failure of the
 # separation check): faults of the rank-2 pipeline's constant table, which
 # gauge does not check itself
@@ -344,32 +329,49 @@ def _doubled_at_k_one(real):
     return lambda n, k: real(n, k) * (2 if k == 1 else 1)
 
 
+def _five_part_one_at_k_five(real):
+    # decide_local reading the 5-part of gcd(5, 40) as 1, not 5, at n = 2,
+    # p = 5; no pair of (0, 1) and (1, 2) holds k = 5, so only the whole
+    # grid at (2, 5) reaches it
+    def decide(n, k, l, p):
+        verdict = real(n, k, l, p)
+        if (n, k, p) != (2, 5, 5):
+            return verdict
+        return dataclasses.replace(
+            verdict, invariant_values=(1, verdict.invariant_values[1]))
+
+    return decide
+
+
 # (engine name as verify imported it, a wrong variant of the real one, the
-# check that must catch it and its arguments)
+# check that must catch it and its arguments), by test id
 _WRONG_ENGINES = [
-    ("q2_mapping_invariant", _doubled_at_k_one, "check_separation", (20,)),
-    ("q2_mapping_invariant", _doubled_at_k_one, "check_rank2_constants", ()),
-    ("mapping_group_order",
-     lambda real: lambda n: 2 * real(n),
-     "check_mapping_group", (20,)),
-    ("retractible",
-     lambda real: lambda family, rank, p: not real(family, rank, p),
-     "check_guards", (20,)),
+    pytest.param("q2_mapping_invariant", _doubled_at_k_one,
+                 "check_separation", (20,),
+                 id="q2_mapping_invariant-check_separation"),
+    pytest.param("mapping_group_order", lambda real: lambda n: 2 * real(n),
+                 "check_separation", (20,),
+                 id="mapping_group_order-check_separation"),
+    pytest.param("retractible",
+                 lambda real: lambda family, rank, p: not real(family, rank, p),
+                 "check_guards", (20,), id="retractible-check_guards"),
     # the class of k = 0, the p-part of B, one power of p too large
-    ("decide_local",
-     lambda real: lambda n, k, l, p: (lambda v: dataclasses.replace(
-         v, invariant_values=(v.invariant_values[0] * p ** (k == 0),
-                              v.invariant_values[1])))(real(n, k, l, p)),
-     "check_guards", (20,)),
-    ("phi_image",
-     lambda real: lambda n, backend="series": real(n, "printed"),
-     "check_printed_discrepancy", ()),
+    pytest.param("decide_local",
+                 lambda real: lambda n, k, l, p: (lambda v: dataclasses.replace(
+                     v, invariant_values=(v.invariant_values[0] * p ** (k == 0),
+                                          v.invariant_values[1])))(
+                     real(n, k, l, p)),
+                 "check_guards", (20,), id="decide_local-check_guards"),
+    pytest.param("decide_local", _five_part_one_at_k_five,
+                 "check_guards", (20,), id="decide_local-check_guards-grid"),
+    pytest.param("phi_image",
+                 lambda real: lambda n, backend="series": real(n, "printed"),
+                 "check_printed_discrepancy", (),
+                 id="phi_image-check_printed_discrepancy"),
 ]
 
 
-@pytest.mark.parametrize("name, wrong, check, args", _WRONG_ENGINES,
-                         ids=[f"{name}-{check}" for name, _, check, _
-                              in _WRONG_ENGINES])
+@pytest.mark.parametrize("name, wrong, check, args", _WRONG_ENGINES)
 def test_every_check_fails_on_a_wrong_engine(monkeypatch, name, wrong, check,
                                              args):
     monkeypatch.setattr(verify_mod, name, wrong(getattr(verify_mod, name)))
