@@ -5,9 +5,18 @@ asserts.  The whole module is expected to finish in well under five minutes;
 individual budgets are noted per test.
 """
 
+from math import factorial, gcd
+
 import pytest
 
-from spgauge.gauge import LieFamily, retractible
+from spgauge.gauge import (
+    LieFamily,
+    Outcome,
+    decide_local,
+    mapping_group_order,
+    q2_mapping_invariant,
+    retractible,
+)
 from spgauge.oracles import surjection_counts
 from spgauge.phi import phi_image
 from spgauge.verify import (
@@ -78,6 +87,18 @@ def test_printed_formula_discrepancy():
     assert phi_image(3, "series").pinned_order == 84
 
 
+def test_mapping_group_orders_even_ranks():
+    """The engine's mapping group order is (2n+1)!/3 for even n <= 40,
+    anchored at 40 for n = 2 (budget: milliseconds)."""
+    orders = {n: mapping_group_order(n) for n in range(2, 41, 2)}
+    wrong = [n for n, order in orders.items()
+             if order != factorial(2 * n + 1) // 3]
+    ok = not wrong and orders[2] == 40
+    _line("mapping-group order even n<=40", ok,
+          "20 even ranks, (2n+1)!/3 throughout" if ok else f"wrong at n={wrong}")
+    assert ok, wrong
+
+
 def test_separation_property():
     """The rank-2 pipeline equals c(n)B, c(n)gcd(k, B) and B/gcd(k, B), so
     the quotient invariant separates bundles exactly like gcd(k, B): every
@@ -87,6 +108,27 @@ def test_separation_property():
     assert [row["n"] for row in result.rows] == list(range(2, 13, 2))
     _report("separation even n<=200", result,
             "the rank-2 identity on every full period to n=12, sampled to 200")
+
+
+def test_rank2_classification_constants():
+    """The engine's q2 invariant is gcd(k, 40) on [0, 80], two full periods;
+    the 5-local verdicts on [0, 40]^2 compare the 5-parts 1 and 5 and read
+    equivalent exactly when they agree (budget: milliseconds)."""
+    failures = [f"k={k}: invariant differs from gcd(k, 40)"
+                for k in range(81) if q2_mapping_invariant(2, k) != gcd(k, 40)]
+    parts = {k: 5 if k % 5 == 0 else 1 for k in range(41)}
+    for k in range(41):
+        for l in range(41):
+            verdict = decide_local(2, k, l, 5)
+            expected = (Outcome.EQUIVALENT if parts[k] == parts[l]
+                        else Outcome.DISTINCT)
+            if (verdict.invariant_values != (parts[k], parts[l])
+                    or verdict.outcome is not expected):
+                failures.append(f"k={k} l={l}: verdict {verdict.outcome.value}")
+    _line("rank-2 constants", not failures,
+          "gcd(k,40) on 0..80; 5-local partition into {1, 5}"
+          if not failures else "; ".join(failures[:5]))
+    assert not failures, failures[:5]
 
 
 def test_series_combinatorics_oracle():
@@ -113,8 +155,6 @@ def test_guard_behavior():
 
 def test_internal_consistency_spot_checks():
     """A couple of cross-module identities, stated directly."""
-    from spgauge.gauge import mapping_group_order, q2_mapping_invariant
-
     ok = True
     for n in range(2, 41, 2):
         if q2_mapping_invariant(n, 0) != mapping_group_order(n):
