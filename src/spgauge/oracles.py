@@ -85,27 +85,34 @@ def surjection_counts(m: int, top: int) -> list[int]:
     return row + [0] * (top - last)
 
 
-def surjection_counts_by_rank(max_n: int) -> Iterator[list[int]]:
-    """surjection_counts(2n - 1, n) for n = 1, 2, ..., max_n, in order.
+def surjection_counts_by_rank(max_n: int,
+                              start: int = 1) -> Iterator[list[int]]:
+    """surjection_counts(2n - 1, n) for n = start, start + 1, ..., max_n,
+    in order.
 
-    Carries the table of powers j^(2n-1), j = 0..n, from rank to rank: each
-    rank multiplies every entry by j * j and appends n^(2n-1), then
-    differences the table afresh.  No rank reads the counts of the one
-    before, so the stream stays an inclusion-exclusion oracle, apart from
-    the Stirling recurrence of phi.  Raises OutOfRange for a max_n that is
-    not an int or is below 1 at the call, before any item is made.
+    Builds the table of powers j^(2n-1), j = 0..n, once at n = start, then
+    carries it from rank to rank: each rank multiplies every entry by j * j
+    and appends n^(2n-1), then differences the table afresh.  No rank reads
+    the counts of the one before, so the stream stays an inclusion-exclusion
+    oracle, apart from the Stirling recurrence of phi, and a stream that
+    starts at a later rank differences only its own ranks.  Raises
+    OutOfRange at the call, before any item is made, for a max_n or start
+    that is not an int, a max_n below 1 or a start outside 1..max_n.
     """
-    _require_int(max_n=max_n)
+    _require_int(max_n=max_n, start=start)
     if max_n < 1:
         raise OutOfRange(f"rank must be a positive integer, got {max_n}")
-    return _surjection_rows_by_rank(max_n)
+    if not 1 <= start <= max_n:
+        raise OutOfRange(f"the first rank must lie in 1..{max_n}, got {start}")
+    return _surjection_rows_by_rank(max_n, start)
 
 
-def _surjection_rows_by_rank(max_n: int) -> Iterator[list[int]]:
-    powers = [0]  # j^(2n-1) for j = 0..n-1, before rank n
-    for n in range(1, max_n + 1):
-        powers = [j * j * power for j, power in enumerate(powers)]
-        powers.append(n ** (2 * n - 1))
+def _surjection_rows_by_rank(max_n: int, start: int) -> Iterator[list[int]]:
+    powers = [j ** (2 * start - 1) for j in range(start + 1)]
+    for n in range(start, max_n + 1):
+        if n > start:  # j^(2n-3), j = 0..n-1, to j^(2n-1), j = 0..n
+            powers = [j * j * power for j, power in enumerate(powers)]
+            powers.append(n ** (2 * n - 1))
         yield _differences_at_zero(powers)
 
 

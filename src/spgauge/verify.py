@@ -11,10 +11,14 @@ the guard and the p-parts of gcd(k, B); the series identity holds two
 oracles, the powers of e^x - 1 and inclusion-exclusion, against each
 other.  Scales cap at each property's stated bound so a large max_n stays
 within the documented runtime budgets.  The sweep refuses a bad max_n,
-then forks one child process (POSIX only) to walk the image stream
-phi_images once for the orders and divisibility checks while its own
-process runs the others.  A check's rows hold its values as they are, ints
-and bools among them, and the report writes them.
+then forks one child process (POSIX only).  The image stream phi_images
+feeds the orders and divisibility checks, and each rank of it is checked
+once, in one of the two processes: the child checks the top fifth of the
+ranks, whose oracle rows cost the most, while the parent checks the low
+ranks beside its four other checks, so neither sits idle waiting for the
+other; the parent then joins the two halves as one walk.  A check's rows
+hold its values as they are, ints and bools among them, and the report
+writes them.
 """
 
 from __future__ import annotations
@@ -56,6 +60,13 @@ _SEED = 20260819
 _GUARD_PRIMES = (2, 3, 5, 7, 11, 13)
 # the (n, p) whose verdicts check_guards checks on the whole grid
 _GRID_RANK_PRIME = (2, 5)
+# verify_sweep's parent checks the image stream at ranks 1..max_n * 4 // 5
+# and its child the rest.  Rank n's oracle row takes about n^2 subtractions
+# of (2n log n)-bit counts, so the top fifth of the ranks holds over half of
+# the oracle work; the parent also runs the four fixed checks, the child the
+# Stirling recurrence through every rank.  Of the cuts at 3/4, 4/5 and 5/6,
+# 4/5 left the two processes closest to even and the sweep fastest.
+_PARENT_FIFTHS = 4
 
 
 @dataclass
@@ -114,24 +125,30 @@ def _divisibility_row(res: PhiResult, counts: list[int]) -> list[str]:
     return bad
 
 
-def check_image_stream(max_n: int) -> tuple[CheckResult, CheckResult]:
-    """The orders and divisibility checks, fed by one walk of phi_images.
+def check_image_stream(max_n: int,
+                       start: int = 1) -> tuple[CheckResult, CheckResult]:
+    """The orders and divisibility checks, fed by one walk of phi_images,
+    at ranks n = start..max_n.
 
-    Orders: every image's pinned order, n = 1..max_n, the gcd that order
-    prints, is held to the closed form 4n(2n+1); a rank whose image pins
-    no order or pins another fails the check and leaves out its row, so a
-    pass has the two agreeing throughout.
+    Orders: every image's pinned order, the gcd that order prints, is held
+    to the closed form 4n(2n+1); a rank whose image pins no order or pins
+    another fails the check and leaves out its row, so a pass has the two
+    agreeing throughout.
 
     Divisibility, at every rank: scaled top coefficients equal 2n(2n+1)
     times the inclusion-exclusion surjection count, are divisible by
-    4n(2n+1), and the count is even, for 2 <= k <= n <= max_n.  The counts
-    come from surjection_counts_by_rank, one oracle row per rank, walked
-    beside the image stream."""
+    4n(2n+1), and the count is even, for 2 <= k <= n; the one row counts
+    the pairs (n, k) checked.  The counts come from
+    surjection_counts_by_rank, one oracle row per rank, started at start
+    and walked beside the image stream.  The images below start are made,
+    as the Stirling recurrence reaches start only through them, but not
+    checked: verify_sweep checks ranks 1..max_n * 4 // 5 in its own
+    process and the rest in its child, and joins the two."""
     orders = CheckResult("samelson-orders")
     divisibility = CheckResult("scaled-coefficient-divisibility")
     pairs = 0
-    for image, counts in zip(phi_images(max_n),
-                             surjection_counts_by_rank(max_n)):
+    images = itertools.islice(phi_images(max_n), start - 1, None)
+    for image, counts in zip(images, surjection_counts_by_rank(max_n, start)):
         # each read of pinned_order takes a gcd over all n generators
         order = image.pinned_order
         failure = _order_failure(image, order)
@@ -143,6 +160,22 @@ def check_image_stream(max_n: int) -> tuple[CheckResult, CheckResult]:
         pairs += image.n - 1
     divisibility.add(pairs=pairs, all_divisible=divisibility.ok)
     return orders, divisibility
+
+
+def _join_streams(low: tuple[CheckResult, CheckResult],
+                  high: tuple[CheckResult, CheckResult]) -> list[CheckResult]:
+    """The orders and divisibility checks of two walks of the image stream,
+    the low ranks' first, as those of one walk over both: the orders rows
+    and the failures of each check in rank order, and one divisibility row
+    whose pairs is the sum of the two and which passes when both do."""
+    (orders, divisibility), (high_orders, high_divisibility) = low, high
+    orders.rows.extend(high_orders.rows)
+    orders.failures.extend(high_orders.failures)
+    divisibility.failures.extend(high_divisibility.failures)
+    pairs = divisibility.rows.pop()["pairs"]
+    divisibility.add(pairs=pairs + high_divisibility.rows[0]["pairs"],
+                     all_divisible=divisibility.ok)
+    return [orders, divisibility]
 
 
 def check_printed_discrepancy() -> CheckResult:
@@ -277,17 +310,18 @@ def check_guards(max_n: int) -> CheckResult:
     return res
 
 
-def _walk_in_child(write_fd: int, max_n: int) -> None:
-    """The forked child's whole life: walk the image stream, send down the
-    pipe the fields of its two checks, strings, ints and bools in lists and
-    dicts that marshal carries, and leave by os._exit, so it never returns
-    into the caller's code nor flushes the caller's buffered output.  As
-    verify_sweep has refused a bad max_n, a walk that raises is a fault:
-    the child prints the traceback to stderr and exits 1."""
+def _walk_in_child(write_fd: int, max_n: int, start: int) -> None:
+    """The forked child's whole life: check the image stream at ranks
+    start..max_n, the top ones, whose oracle rows cost the most, send down
+    the pipe the fields of its two checks, strings, ints and bools in lists
+    and dicts that marshal carries, and leave by os._exit, so it never
+    returns into the caller's code nor flushes the caller's buffered
+    output.  As verify_sweep has refused a bad max_n, a walk that raises is
+    a fault: the child prints the traceback to stderr and exits 1."""
     status = 1
     try:
         fields = [(c.name, c.rows, c.failures)
-                  for c in check_image_stream(max_n)]
+                  for c in check_image_stream(max_n, start)]
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(marshal.dumps(fields))
         status = 0
@@ -305,19 +339,22 @@ def verify_sweep(max_n: int) -> Report:
     separation at 200, over every k up to 12, guards at 20 with the whole
     grid at n = 2, p = 5; the fixed-size printed-backend and series checks
     run whenever max_n admits them), so max_n = 200 reproduces the full
-    acceptance suite.  The image stream is walked once, by
-    check_image_stream, in one forked child while this process runs the
-    other checks; the child sends its two checks down a pipe.  A max_n
-    below 2 or past the factorial's range raises OutOfRange before the
-    fork; a child that exits with any status but 0, as one whose walk
-    raised does, raises ChildProcessError, whatever it wrote first.
-    If the checks here raise, the child is killed.
+    acceptance suite.  The image stream is checked once, rank by rank, in
+    two processes: one forked child runs check_image_stream for the ranks
+    above cut = max_n * 4 // 5 and sends its two checks down a pipe, while
+    this process runs it for ranks 1..cut and then the other checks, and
+    joins the two walks as one, so the report is the same as from one
+    walk.  A max_n below 2 or past the factorial's range raises
+    OutOfRange before the fork; a child that exits with any status but 0,
+    as one whose walk raised does, raises ChildProcessError, whatever it
+    wrote first.  If the checks here raise, the child is killed.
     Either way the child is reaped before this returns.
     The rows come in the same order whichever process ran them.
     """
     if type(max_n) is not int or max_n < 2:
         raise OutOfRange(f"verify needs an integer max_n >= 2, got {max_n!r}")
     require_factorial_rank(max_n)
+    cut = max_n * _PARENT_FIFTHS // 5
     read_fd, write_fd = os.pipe()
     with os.fdopen(read_fd, "rb") as pipe:
         try:
@@ -326,9 +363,10 @@ def verify_sweep(max_n: int) -> Report:
             os.close(write_fd)
             raise
         if pid == 0:
-            _walk_in_child(write_fd, max_n)
+            _walk_in_child(write_fd, max_n, cut + 1)
         os.close(write_fd)
         try:
+            low = check_image_stream(cut)
             checks = [check_printed_discrepancy()] if max_n >= 3 else []
             checks.extend([
                 check_separation(max_n),
@@ -345,10 +383,10 @@ def verify_sweep(max_n: int) -> Report:
         raise ChildProcessError(
             f"the image-stream walk sent {len(answer)} bytes and exited "
             f"with status {os.waitstatus_to_exitcode(status)}")
-    orders, divisibility = (CheckResult(*f) for f in marshal.loads(answer))
+    high = tuple(CheckResult(*f) for f in marshal.loads(answer))
     rows: list[dict[str, object]] = []
     failures: list[str] = []
-    for c in [orders, divisibility, *checks]:
+    for c in [*_join_streams(low, high), *checks]:
         rows.extend(c.rows)
         failures.extend(f"{c.name}: {msg}" for msg in c.failures)
     return Report(

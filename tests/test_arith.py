@@ -190,6 +190,16 @@ def test_surjection_counts_by_rank_is_one_row_per_rank():
         surjection_counts(2 * n - 1, n) for n in range(1, 81)]
 
 
+@pytest.mark.parametrize("max_n", range(1, 41))
+def test_surjection_counts_by_rank_from_a_later_rank_is_the_streams_tail(
+        max_n):
+    # the table of powers built at the first rank carries on as the one
+    # the full stream carried there
+    full = list(surjection_counts_by_rank(max_n))
+    for start in range(1, max_n + 1):
+        assert list(surjection_counts_by_rank(max_n, start)) == full[start - 1:]
+
+
 def test_surjection_counts_by_rank_at_rank_200():
     *_, last = surjection_counts_by_rank(200)
     assert last == surjection_counts(399, 200)

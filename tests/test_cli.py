@@ -22,6 +22,7 @@ from spgauge.gauge import decide_local
 from spgauge.phi import PhiResult
 from spgauge.report import Report
 from test_report import ORACLES, _report_from_json, _written
+from test_verify import _in_child
 from spgauge.verify import CheckResult
 
 
@@ -754,9 +755,14 @@ def test_a_walk_that_raises_is_a_fault_not_a_usage_error():
     code = ("import sys, spgauge.verify as v\n"
             "from spgauge.cli import main\n"
             "from spgauge.errors import OutOfRange\n"
-            "def walk(max_n):\n"
+            "def walk(max_n, start):\n"
             "    raise OutOfRange(f'no walk to {max_n}')\n"
-            "v.check_image_stream = walk\n"
+            "# the parent walks the low ranks itself: patch the child alone\n"
+            "real = v._walk_in_child\n"
+            "def child(write_fd, max_n, start):\n"
+            "    v.check_image_stream = walk\n"
+            "    real(write_fd, max_n, start)\n"
+            "v._walk_in_child = child\n"
             "sys.exit(main(sys.argv[1:]))\n")
     src = str(Path(spgauge.__file__).resolve().parents[1])
     done = subprocess.run(
@@ -778,8 +784,9 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     broken.failures.append("n=2: order 39")
     real = verify_mod.check_image_stream
 
-    monkeypatch.setattr(
-        verify_mod, "check_image_stream", lambda max_n: (broken, real(max_n)[1]))
+    # rank 2 is the child's: its orders check reads as broken
+    _in_child(monkeypatch, "check_image_stream",
+              lambda max_n, start: (broken, real(max_n, start)[1]))
     code, out, _ = run_cli(capsys, "verify", "--max-n", "2", "--format", "json")
     assert code == 1
     data = json.loads(out)

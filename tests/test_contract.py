@@ -172,6 +172,24 @@ def test_surjection_counts_by_rank_below_one_raises_before_any_row(max_n):
         surjection_counts_by_rank(max_n)
 
 
+@settings(max_examples=100, deadline=None)
+@given(max_n=st.integers(1, 40),
+       start=st.one_of(st.integers(), st.booleans(), st.floats(),
+                       st.fractions(), st.text(max_size=2)))
+@example(max_n=5, start=0)
+@example(max_n=5, start=6)
+@example(max_n=5, start=True)
+def test_surjection_counts_by_rank_takes_a_first_rank_in_one_to_max_n(
+        max_n, start):
+    # any other first rank raises at the call, before the stream is iterated
+    if type(start) is int and 1 <= start <= max_n:
+        rows = list(surjection_counts_by_rank(max_n, start))
+        assert len(rows) == max_n - start + 1
+    else:
+        with pytest.raises(OutOfRange):
+            surjection_counts_by_rank(max_n, start)
+
+
 @settings(max_examples=50, deadline=None)
 @given(max_n=st.integers(max_value=1))
 def test_verify_sweep_below_two_raises_spgauge_error(max_n):

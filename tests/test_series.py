@@ -144,7 +144,12 @@ def test_top_coeff_domain_errors():
      "max_n must be an integer, got 2.5"),
     (lambda: surjection_counts_by_rank(True),
      "max_n must be an integer, got True"),
-], ids=["m-float", "top-float", "m-bool", "by-rank-float", "by-rank-bool"])
+    (lambda: surjection_counts_by_rank(3, 2.0),
+     "start must be an integer, got 2.0"),
+    (lambda: surjection_counts_by_rank(3, True),
+     "start must be an integer, got True"),
+], ids=["m-float", "top-float", "m-bool", "by-rank-float", "by-rank-bool",
+        "by-rank-start-float", "by-rank-start-bool"])
 def test_the_oracles_refuse_a_non_int_at_the_call(call, message):
     with pytest.raises(OutOfRange, match=f"^{message}$"):
         call()

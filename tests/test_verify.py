@@ -139,22 +139,82 @@ def test_the_orders_check_names_a_wrong_order(monkeypatch, name, wrong,
     assert f"samelson-orders: {failure}" in report.failures
 
 
-def test_a_wrong_oracle_count_fails_the_sweep(monkeypatch):
+# max_n = 20 puts the cut at 16: the parent checks rank 7, the child rank 19
+@pytest.mark.parametrize("n", [7, 19], ids=["parent-rank", "child-rank"])
+def test_a_wrong_oracle_count_fails_the_sweep(monkeypatch, n):
     # the oracle rows are walked beside the image stream; one count off at
-    # one rank must show as a divisibility failure at that rank
+    # one rank must show as a divisibility failure at that rank, and leave
+    # every orders row in place
     real = verify_mod.surjection_counts_by_rank
 
-    def one_wrong(max_n):
-        for n, counts in enumerate(real(max_n), 1):
-            if n == 7:
+    def one_wrong(max_n, start=1):
+        for rank, counts in enumerate(real(max_n, start), start):
+            if rank == n:
                 counts[3] += 2
             yield counts
 
     monkeypatch.setattr(verify_mod, "surjection_counts_by_rank", one_wrong)
     report = verify_sweep(20)
-    assert report.status == "failed"
-    assert any(f.startswith("scaled-coefficient-divisibility: n=7 k=3: ")
-               for f in report.failures)
+    gen = phi.phi_image(n).upper_gens[2]
+    oracle = gen + 2 * 2 * n * (2 * n + 1)
+    assert report.failures == [
+        f"scaled-coefficient-divisibility: n={n} k=3: generator {gen} "
+        f"differs from the surjection oracle {oracle}"]
+    assert _order_ranks(report) == list(range(1, 21))
+    assert _divisibility_cells(report) == (190, False)
+
+
+@pytest.mark.parametrize("n", [7, 19], ids=["parent-rank", "child-rank"])
+def test_a_wrong_generator_fails_the_sweep(monkeypatch, n):
+    # a generator one off its value is off the oracle and off the anchor,
+    # so the image pins no order: both checks fail at that rank, and only
+    # its orders row is left out
+    real = verify_mod.phi_images
+
+    def one_wrong(max_n):
+        for res in real(max_n):
+            if res.n == n:
+                gens = list(res.upper_gens)
+                gens[2] += 1
+                res = dataclasses.replace(res, upper_gens=tuple(gens))
+            yield res
+
+    monkeypatch.setattr(verify_mod, "phi_images", one_wrong)
+    report = verify_sweep(20)
+    gen = phi.phi_image(n).upper_gens[2]
+    assert report.failures == [
+        f"samelson-orders: series-backend image at n={n} failed to pin "
+        f"the order",
+        f"scaled-coefficient-divisibility: n={n} k=3: generator {gen + 1} "
+        f"differs from the surjection oracle {gen}",
+        f"scaled-coefficient-divisibility: n={n} k=3: generator {gen + 1} "
+        f"not divisible by {4 * n * (2 * n + 1)}"]
+    assert _order_ranks(report) == [r for r in range(1, 21) if r != n]
+    assert _divisibility_cells(report) == (190, False)
+
+
+def _order_ranks(report):
+    return [row["n"] for row in report.rows
+            if row["check"] == "samelson-orders"]
+
+
+def _divisibility_cells(report):
+    row, = (row for row in report.rows
+            if row["check"] == "scaled-coefficient-divisibility")
+    return row["pairs"], row["all_divisible"]
+
+
+@pytest.mark.parametrize("max_n", range(2, 61))
+def test_the_split_sweep_reports_what_one_walk_does(max_n):
+    # the two processes check the image stream on either side of the cut,
+    # and the joined checks are the whole walk's, row for row
+    whole = verify_mod.check_image_stream(max_n)
+    names = {c.name for c in whole}
+    report = verify_sweep(max_n)
+    assert [row for row in report.rows if row["check"] in names] == [
+        row for c in whole for row in c.rows]
+    assert [f for f in report.failures if f.split(":")[0] in names] == [
+        f"{c.name}: {msg}" for c in whole for msg in c.failures]
 
 
 def _assert_no_child_left():
@@ -162,20 +222,55 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_verify_sweep_walks_the_image_stream_once(monkeypatch, tmp_path):
-    # the walk runs in a forked child, whose memory this process never
-    # sees, so each call leaves a line in a file
-    real = verify_mod.phi_images
-    calls = tmp_path / "calls"
+def _in_child(monkeypatch, name, fake):
+    # the parent checks the low ranks of the image stream itself, so a patch
+    # of verify reaches both processes; this one is made by the child's
+    # entry point, in the child's own copy of the module
+    real = verify_mod._walk_in_child
 
-    def counted(max_n):
-        with calls.open("a") as fh:
-            fh.write(f"{max_n}\n")
-        return real(max_n)
+    def walk(write_fd, max_n, start):
+        setattr(verify_mod, name, fake)
+        real(write_fd, max_n, start)
 
-    monkeypatch.setattr(verify_mod, "phi_images", counted)
-    assert verify_sweep(6).status == "ok"
-    assert [int(line) for line in calls.read_text().split()] == [6]
+    monkeypatch.setattr(verify_mod, "_walk_in_child", walk)
+
+
+@pytest.mark.parametrize("max_n", [2, 3, 6, 20])
+def test_verify_sweep_checks_each_rank_once(monkeypatch, tmp_path, max_n):
+    # the child's memory is its own, so each process writes its pid and each
+    # rank it checks to a file; the parent records the forks and the reaps
+    real_row, real_fork, real_waitpid = (
+        verify_mod._divisibility_row, os.fork, os.waitpid)
+    log = tmp_path / "ranks"
+    forked, reaped = [], []
+
+    def logged_row(res, counts):
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()} {res.n}\n")
+        return real_row(res, counts)
+
+    def fork():
+        pid = real_fork()
+        forked.append(pid)
+        return pid
+
+    def waitpid(pid, options):
+        reaped.append(pid)
+        return real_waitpid(pid, options)
+
+    monkeypatch.setattr(verify_mod, "_divisibility_row", logged_row)
+    monkeypatch.setattr(verify_mod.os, "fork", fork)
+    monkeypatch.setattr(verify_mod.os, "waitpid", waitpid)
+    assert verify_sweep(max_n).status == "ok"
+    ranks = {}
+    for line in log.read_text().split("\n")[:-1]:
+        pid, n = map(int, line.split())
+        ranks.setdefault(pid, []).append(n)
+    parent = ranks.pop(os.getpid())
+    (child_pid, child), = ranks.items()
+    assert forked == reaped == [child_pid]
+    assert not set(parent) & set(child)
+    assert sorted(parent + child) == list(range(1, max_n + 1))
     _assert_no_child_left()
 
 
@@ -184,10 +279,10 @@ def test_an_exception_in_the_child_walk_reaches_the_caller(monkeypatch,
     # verify_sweep has refused every bad max_n before the fork, so an
     # exception in the walk is a fault: the child prints its traceback and
     # exits 1, and the caller raises ChildProcessError, not the exception
-    def out_of_range(max_n):
+    def out_of_range(max_n, start):
         raise OutOfRange(f"no walk to {max_n}")
 
-    monkeypatch.setattr(verify_mod, "check_image_stream", out_of_range)
+    _in_child(monkeypatch, "check_image_stream", out_of_range)
     with pytest.raises(ChildProcessError,
                        match="sent 0 bytes and exited with status 1$"):
         verify_sweep(6)
@@ -198,8 +293,8 @@ def test_an_exception_in_the_child_walk_reaches_the_caller(monkeypatch,
 
 
 def test_a_child_that_exits_without_answering_raises(monkeypatch):
-    monkeypatch.setattr(verify_mod, "check_image_stream",
-                        lambda max_n: os._exit(3))
+    _in_child(monkeypatch, "check_image_stream",
+              lambda max_n, start: os._exit(3))
     with pytest.raises(ChildProcessError, match="status 3$"):
         verify_sweep(6)
     _assert_no_child_left()
@@ -212,10 +307,10 @@ def test_a_child_that_exits_without_answering_raises(monkeypatch):
 def test_a_child_killed_mid_answer_raises(monkeypatch, end, status):
     # the child writes 5 bytes of a real answer and dies; its exit status,
     # not the cut answer, decides
-    def cut_walk(write_fd, max_n):
+    def cut_walk(write_fd, max_n, start):
         try:
             fields = [(c.name, c.rows, c.failures)
-                      for c in verify_mod.check_image_stream(max_n)]
+                      for c in verify_mod.check_image_stream(max_n, start)]
             os.write(write_fd, marshal.dumps(fields)[:5])
             end()
         finally:
@@ -262,8 +357,8 @@ def test_an_exception_in_the_parent_kills_and_reaps_the_child(monkeypatch):
     def broken():
         raise RuntimeError("parent check broke")
 
-    monkeypatch.setattr(verify_mod, "check_image_stream",
-                        lambda max_n: time.sleep(60))
+    _in_child(monkeypatch, "check_image_stream",
+              lambda max_n, start: time.sleep(60))
     monkeypatch.setattr(verify_mod, "check_series_identity", broken)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="parent check broke"):
